@@ -15,7 +15,6 @@ from .overlap import (
 )
 from .polyring import (
     MultiPoly,
-    PolyFraction,
     PolyMatrix,
     VarSeq,
     vandermonde,
@@ -34,7 +33,6 @@ from .littlewood_schur import (
     lr_coefficient,
     ls_combinatorial,
     ls_determinantal,
-    ls_determinantal_plain,
     littlewood_square_check,
 )
 from .report import VerificationReport
@@ -47,12 +45,12 @@ __all__ = [
     "OverlapResult", "overlap", "enumerate_overlap_pairs",
     "infinite_overlap_witness", "sub_partition", "c_indices",
     "subpartition_to_overlap", "enumerate_subpartition_pairs",
-    "MultiPoly", "PolyFraction", "PolyMatrix", "VarSeq",
+    "MultiPoly", "PolyMatrix", "VarSeq",
     "vandermonde", "delta_pair", "sort_sign", "elem_sym", "e_prod",
     "det", "laplace_expand", "poly_equal", "eval_at", "divexact",
     "schur_bialternant", "schur_ssyt", "factor_rule_check",
     "complement_reciprocity_check",
     "lr_coefficient", "ls_combinatorial", "ls_determinantal",
-    "ls_determinantal_plain", "littlewood_square_check",
+    "littlewood_square_check",
     "VerificationReport",
 ]

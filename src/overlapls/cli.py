@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import identities, render
 from .overlap import (
@@ -23,18 +22,6 @@ from .partitions import Partition
 from .walks import StaircaseWalk, enumerate_walks
 
 USAGE_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a verify run depends on; equal configs give identical bytes."""
-
-    seed: int = 0
-    mode: str = "symbolic"
-    max_box: int = 2
-    max_vars: int = 2
-    fmt: str = "json"
-    out: str | None = None
 
 
 class UsageError(Exception):
@@ -97,8 +84,11 @@ def cmd_enumerate(args) -> int:
         except ValueError as e:
             raise UsageError(str(e)) from None
     elif args.what == "walks":
-        for pi in enumerate_walks(args.n, args.m):
-            lines.append(json.dumps({"walk": pi.to_json()}))
+        try:
+            for pi in enumerate_walks(args.n, args.m):
+                lines.append(json.dumps({"walk": pi.to_json()}))
+        except ValueError as e:
+            raise UsageError(str(e)) from None
     elif args.what == "subpairs":
         kappa = parse_partition(args.kappa)
         if args.l is None:
@@ -127,7 +117,10 @@ def cmd_render(args) -> int:
         labels = None
         if args.labels:
             lam = parse_partition(args.labels)
-            labels = lam.padded(len(pi))
+            try:
+                labels = lam.padded(len(pi))
+            except ValueError:
+                raise UsageError(f"{lam.length} labels for a walk of {len(pi)} steps") from None
         if args.format == "svg":
             text = render.walk_svg(pi, labels)
         else:
@@ -139,18 +132,18 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig(
-        seed=args.seed, mode=args.mode, max_box=args.max_box,
-        max_vars=args.vars, out=args.out,
-    )
     names = None if args.name == "all" else [args.name]
     try:
         reports = identities.run_catalog(
-            names, max_box=config.max_box, nvars=config.max_vars,
-            mode=config.mode, seed=config.seed,
+            names, max_box=args.max_box, nvars=args.vars,
+            mode=args.mode, seed=args.seed,
         )
     except KeyError as e:
         raise UsageError(str(e)) from None
+    if not reports:
+        raise UsageError(
+            f"{args.name} ran no checks at --max-box {args.max_box} --vars {args.vars}"
+        )
     lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
     _emit(args, "\n".join(lines) + ("\n" if lines else ""))
     failed = sum(1 for r in reports if r.failed)

@@ -146,7 +146,7 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
     names = X.names + Y.names
     if len(set(names)) != len(names):
         raise ValueError("alphabets share identifiers")
-    if X.neg or Y.neg or X.inv or Y.inv:
+    if X.neg or Y.neg:
         raise ValueError("determinantal route expects unmarked alphabets")
     key = (lam.parts, X, Y)
     got = _ls_det_cache.get(key)
@@ -213,12 +213,6 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
     result = divexact(total, denom) * ls_sign(lam, m, n)
     _ls_det_cache[key] = result
     return result
-
-
-def ls_determinantal_plain(lam, X: VarSeq, Y: VarSeq):
-    """LS with the first alphabet un-negated, from the determinantal route."""
-    result = ls_determinantal(lam, X, Y)
-    return result.negate_vars(X.names)
 
 
 def littlewood_square_check(

@@ -1,10 +1,10 @@
 """Exact multivariate polynomial arithmetic over arbitrary-precision integers.
 
 Polynomials are stored sparsely as {monomial: coefficient} with monomials
-encoded as sorted tuples of (variable, exponent) pairs.  Rational functions
-(needed for Cauchy-type matrix entries and split-sum prefactors) are ratios
-of two such polynomials, reduced by integer content and common monomial
-factors only.  No floating point anywhere.
+encoded as sorted tuples of (variable, exponent) pairs.  There is no
+fraction field: identities with denominators are multiplied through by a
+Vandermonde-type product that every denominator divides, and each such
+division is certified by divexact.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class MultiPoly:
     @staticmethod
     def var(name: str, exp: int = 1, coeff: int = 1) -> "MultiPoly":
         if exp < 0:
-            raise ValueError("negative exponent; use PolyFraction")
+            raise ValueError("negative exponent")
         p = MultiPoly()
         if coeff:
             p.terms[((name, exp),) if exp else ()] = coeff
@@ -173,7 +173,7 @@ class MultiPoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative power; use PolyFraction")
+            raise ValueError("negative power")
         result = ONE
         base = self
         while n:
@@ -238,26 +238,26 @@ class MultiPoly:
         p.terms = out
         return p
 
-    def invert_vars(self, names) -> "PolyFraction":
-        """Substitute x -> 1/x for each x in names, as an exact fraction."""
+    def invert_vars(self, names, top: int) -> "MultiPoly":
+        """Substitute x -> 1/x for each x in names, then multiply by x^top.
+
+        Reflects every exponent a of those variables to top - a; raises
+        ValueError when some degree exceeds top, as the result would not be
+        a polynomial.
+        """
         names = set(names)
-        top = {n: self.degree_in(n) for n in names}
         out = {}
         for m, c in self.terms.items():
             kept = [(n, e) for n, e in m if n not in names]
             have = dict((n, e) for n, e in m if n in names)
-            for n, d in top.items():
-                e = d - have.get(n, 0)
+            for n in names:
+                e = top - have.get(n, 0)
+                if e < 0:
+                    raise ValueError(f"degree {have[n]} in {n} exceeds {top}")
                 if e:
                     kept.append((n, e))
-            out_m = tuple(sorted(kept))
-            out[out_m] = out.get(out_m, 0) + c
-        num = MultiPoly(out)
-        den = ONE
-        for n, d in top.items():
-            if d:
-                den = den * MultiPoly.var(n, d)
-        return PolyFraction(num, den)
+            out[tuple(sorted(kept))] = c
+        return MultiPoly(out)
 
     # -- text ------------------------------------------------------------
 
@@ -358,187 +358,16 @@ def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(out)
 
 
-def _mono_gcd_all(p: MultiPoly) -> Mono:
-    """Common monomial factor of all terms (min exponent per variable)."""
-    it = iter(p.terms)
-    try:
-        first = next(it)
-    except StopIteration:
-        return ()
-    common = dict(first)
-    for m in it:
-        if not common:
-            break
-        md = dict(m)
-        for n in list(common):
-            e = md.get(n, 0)
-            if e < common[n]:
-                if e:
-                    common[n] = e
-                else:
-                    del common[n]
-    return tuple(sorted(common.items()))
-
-
-def _mono_poly(m: Mono) -> MultiPoly:
-    p = MultiPoly()
-    p.terms = {m: 1}
-    return p
-
-
-class PolyFraction:
-    """Exact ratio of two integer polynomials, denominator nonzero.
-
-    Reduction is by integer content and common monomial factor only; full
-    polynomial gcds are not computed.  Equality is cross-multiplied, so
-    unreduced representations still compare correctly.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        num = as_poly(num)
-        den = as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator polynomial")
-        if num.is_zero:
-            self.num, self.den = ZERO, ONE
-            return
-        import math
-
-        cn, cd = num.content(), den.content()
-        g = math.gcd(cn, cd)
-        mg = _mono_gcd_uniq(_mono_gcd_all(num), _mono_gcd_all(den))
-        if g > 1 or mg:
-            div = _mono_poly(mg) * g if mg else MultiPoly.const(g)
-            num = divexact(num, div)
-            den = divexact(den, div)
-        names = tuple(sorted(den.variables()))
-        key = _mono_cmp_key(names)
-        lead = max(den.terms, key=key)
-        if den.terms[lead] < 0:
-            num, den = -num, -den
-        self.num, self.den = num, den
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        other = as_fraction(other)
-        if not isinstance(other, PolyFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        f = object.__new__(PolyFraction)
-        f.num, f.den = -self.num, self.den
-        return f
-
-    def __add__(self, other):
-        other = as_fraction(other)
-        if self.den == other.den:
-            return PolyFraction(self.num + other.num, self.den)
-        return PolyFraction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-as_fraction(other))
-
-    def __rsub__(self, other):
-        return as_fraction(other) + (-self)
-
-    def __mul__(self, other):
-        other = as_fraction(other)
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_fraction(other)
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by zero fraction")
-        return PolyFraction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return as_fraction(other) / self
-
-    def to_poly(self) -> MultiPoly:
-        """Certified conversion; raises NonExactDivision if not a polynomial."""
-        if self.den == ONE:
-            return self.num
-        return divexact(self.num, self.den)
-
-    def evaluate(self, point: dict) -> Fraction:
-        d = self.den.evaluate(point)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.evaluate(point) / d
-
-    def __str__(self):
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"PolyFraction({self})"
-
-
-def _mono_gcd_uniq(a: Mono, b: Mono) -> Mono:
-    """Min-exponent intersection of two monomials."""
-    da, db = dict(a), dict(b)
-    out = {}
-    for n, e in da.items():
-        eb = db.get(n, 0)
-        m = min(e, eb)
-        if m:
-            out[n] = m
-    return tuple(sorted(out.items()))
-
-
-def as_fraction(x) -> PolyFraction:
-    if isinstance(x, PolyFraction):
-        return x
-    return PolyFraction(as_poly(x))
+as_fraction = as_poly
 
 
 def poly_equal(f, g) -> bool:
-    """Canonical-form equality (fractions compare cross-multiplied)."""
-    if isinstance(f, PolyFraction) or isinstance(g, PolyFraction):
-        return as_fraction(f) == as_fraction(g)
+    """Canonical-form equality."""
     return as_poly(f) == as_poly(g)
 
 
-def sum_fractions(fractions) -> PolyFraction:
-    """Sum many fractions, grouping equal denominators first.
-
-    Split sums reuse a handful of distinct denominators, so grouping keeps
-    the combined denominator from growing with the number of terms.
-    """
-    groups: dict = {}
-    for f in fractions:
-        f = as_fraction(f)
-        if f.den in groups:
-            groups[f.den] = groups[f.den] + f.num
-        else:
-            groups[f.den] = f.num
-    total = PolyFraction(ZERO)
-    for den, num in groups.items():
-        total = total + PolyFraction(num, den)
-    return total
-
-
 def eval_at(f, point: dict) -> Fraction:
-    """Exact rational evaluation of a polynomial or fraction."""
-    if isinstance(f, PolyFraction):
-        return f.evaluate(point)
+    """Exact rational evaluation of a polynomial."""
     return as_poly(f).evaluate(point)
 
 
@@ -570,14 +399,12 @@ def grid_equal(f, g) -> bool:
 class VarSeq:
     """Ordered sequence of distinct variable identifiers.
 
-    Each variable may carry a negation mark (the sequence stands for -X) or
-    an inversion mark (the sequence stands for X^-1); marks are applied when
-    the variable is turned into a polynomial term.
+    Each variable may carry a negation mark (the sequence stands for -X);
+    marks are applied when the variable is turned into a polynomial term.
     """
 
     names: tuple
     neg: frozenset = field(default=frozenset())
-    inv: frozenset = field(default=frozenset())
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -597,37 +424,26 @@ class VarSeq:
     def __iter__(self):
         return iter(self.names)
 
-    def term(self, i: int):
-        """The i-th element (0-based) as a polynomial or fraction."""
+    def term(self, i: int) -> MultiPoly:
+        """The i-th element (0-based) as a polynomial."""
         n = self.names[i]
-        sign = -1 if n in self.neg else 1
-        if n in self.inv:
-            return PolyFraction(MultiPoly.const(sign), MultiPoly.var(n))
-        return MultiPoly.var(n, 1, sign)
+        return MultiPoly.var(n, 1, -1 if n in self.neg else 1)
 
-    def monomial(self, i: int, e: int):
+    def monomial(self, i: int, e: int) -> MultiPoly:
         """term(i) ** e for e >= 0."""
         n = self.names[i]
-        sign = -1 if (n in self.neg and e % 2) else 1
-        if n in self.inv:
-            if e == 0:
-                return ONE
-            return PolyFraction(MultiPoly.const(sign), MultiPoly.var(n, e))
-        return MultiPoly.var(n, e, sign)
+        return MultiPoly.var(n, e, -1 if (n in self.neg and e % 2) else 1)
 
     def negated(self) -> "VarSeq":
-        return VarSeq(self.names, frozenset(set(self.names) ^ set(self.neg)), self.inv)
-
-    def inverted(self) -> "VarSeq":
-        return VarSeq(self.names, self.neg, frozenset(set(self.names) ^ set(self.inv)))
+        return VarSeq(self.names, frozenset(set(self.names) ^ set(self.neg)))
 
     def concat(self, other: "VarSeq") -> "VarSeq":
         """Union of sequences: left operand first."""
-        return VarSeq(self.names + other.names, self.neg | other.neg, self.inv | other.inv)
+        return VarSeq(self.names + other.names, self.neg | other.neg)
 
     def subseq(self, indices) -> "VarSeq":
         names = tuple(self.names[i] for i in indices)
-        return VarSeq(names, self.neg & set(names), self.inv & set(names))
+        return VarSeq(names, self.neg & set(names))
 
     def split(self, indices):
         """Order-preserving split into (chosen, complement)."""
@@ -699,7 +515,7 @@ def e_prod(X: VarSeq):
 
 
 class PolyMatrix:
-    """Rectangular matrix of exact entries (int, MultiPoly or PolyFraction)."""
+    """Rectangular matrix of exact entries (int or MultiPoly)."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -718,9 +534,6 @@ class PolyMatrix:
     def submatrix(self, rows, cols) -> "PolyMatrix":
         return PolyMatrix([[self.rows[i][j] for j in cols] for i in rows])
 
-    def has_fractions(self) -> bool:
-        return any(isinstance(e, PolyFraction) for r in self.rows for e in r)
-
     def to_json(self) -> list:
         """Nested arrays of polynomial text."""
         return [[str(e) for e in row] for row in self.rows]
@@ -730,7 +543,7 @@ def _as_matrix(A):
     return A if isinstance(A, PolyMatrix) else PolyMatrix(A)
 
 
-def det_cofactor(A) -> "MultiPoly | PolyFraction | int":
+def det_cofactor(A) -> "MultiPoly | int":
     """Determinant by cofactor expansion, memoized over column subsets."""
     A = _as_matrix(A)
     if not A.is_square:
@@ -767,8 +580,6 @@ def det_bareiss(A) -> "MultiPoly | int":
     A = _as_matrix(A)
     if not A.is_square:
         raise ValueError("determinant of a non-square matrix")
-    if A.has_fractions():
-        raise TypeError("fraction entries: clear denominators first")
     n = A.nrows
     if n == 0:
         return 1
@@ -793,24 +604,6 @@ def det_bareiss(A) -> "MultiPoly | int":
     return M[n - 1][n - 1] * sign if sign < 0 else M[n - 1][n - 1]
 
 
-def _det_fraction(A: PolyMatrix):
-    """Determinant of a fraction matrix: clear row denominators, then Bareiss."""
-    cleared = []
-    denoms = []
-    for row in A.rows:
-        entries = [as_fraction(e) for e in row]
-        d = ONE
-        for e in entries:
-            d = d * e.den
-        cleared.append([divexact(e.num * d, e.den) for e in entries])
-        denoms.append(d)
-    dd = det_bareiss(PolyMatrix(cleared))
-    total_den = ONE
-    for d in denoms:
-        total_den = total_den * d
-    return PolyFraction(as_poly(dd), total_den)
-
-
 def det(A, method: str = "auto"):
     """Exact determinant.
 
@@ -823,15 +616,9 @@ def det(A, method: str = "auto"):
     if method == "cofactor":
         return det_cofactor(A)
     if method == "bareiss":
-        if A.has_fractions():
-            return _det_fraction(A)
         return det_bareiss(A)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    if A.has_fractions():
-        # the fraction field has no cheap gcd, so cofactor sums blow up;
-        # clearing denominators keeps every intermediate a true minor
-        return _det_fraction(A)
     if A.nrows <= 6:
         return det_cofactor(A)
     return det_bareiss(A)
@@ -862,7 +649,7 @@ def _subset_sign(K, J) -> int:
     return -1 if (sum(K) + sum(J)) % 2 else 1
 
 
-def laplace_expand(A, K) -> "MultiPoly | PolyFraction | int":
+def laplace_expand(A, K) -> "MultiPoly | int":
     """Laplace expansion of det(A) along the rows K (1-based indices)."""
     A = _as_matrix(A)
     if not A.is_square:
@@ -882,27 +669,4 @@ def laplace_expand(A, K) -> "MultiPoly | PolyFraction | int":
             continue
         d2 = det(A.submatrix(Kbar, Jbar))
         total = total + _subset_sign(K, J) * d1 * d2
-    return total
-
-
-def laplace_expand_cols(A, K) -> "MultiPoly | PolyFraction | int":
-    """Laplace expansion of det(A) along the columns K (1-based indices)."""
-    A = _as_matrix(A)
-    if not A.is_square:
-        raise ValueError("Laplace expansion of a non-square matrix")
-    n = A.nrows
-    K = tuple(K)
-    if any(not (1 <= k <= n) for k in K) or list(K) != sorted(set(K)):
-        raise ValueError(f"invalid column subsequence {K}")
-    K0 = [k - 1 for k in K]
-    Kbar = [j for j in range(n) if j not in set(K0)]
-    total = 0
-    for I in itertools.combinations(range(1, n + 1), len(K)):
-        I0 = [i - 1 for i in I]
-        Ibar = [i for i in range(n) if i not in set(I0)]
-        d1 = det(A.submatrix(I0, K0))
-        if _is_zero_entry(d1):
-            continue
-        d2 = det(A.submatrix(Ibar, Kbar))
-        total = total + _subset_sign(I, K) * d1 * d2
     return total

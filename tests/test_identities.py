@@ -1,8 +1,39 @@
+import pytest
+
 from overlapls import identities
 from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap
 from overlapls.partitions import Partition, partitions_in_box
-from overlapls.polyring import VarSeq, ZERO, as_fraction
+from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, ZERO, e_prod, vandermonde
+
+
+class TestConclude:
+    X = VarSeq.make("x", 2)
+
+    def x(self, i, e=1):
+        return MultiPoly.var(f"x{i}", e)
+
+    def conclude(self, terms, mode):
+        # (x1^2 - x2^2) / (x1 - x2) = x1 + x2, cleared by the Vandermonde x1 - x2
+        lhs = self.x(1) + self.x(2)
+        return identities._conclude("t", {}, mode, lhs, terms, self.X.names, vandermonde(self.X))
+
+    def test_split_terms_pass(self):
+        d = self.x(1) - self.x(2)
+        terms = [(self.x(1, 2), d), (-self.x(2, 2), d)]
+        for mode in ("symbolic", "grid"):
+            assert self.conclude(terms, mode).passed
+
+    def test_wrong_terms_fail_with_witness(self):
+        terms = [(self.x(1, 2), self.x(1) - self.x(2))]
+        r = self.conclude(terms, "symbolic")
+        assert r.failed and r.witness == "-x2^2"
+        r = self.conclude(terms, "grid")
+        assert r.failed and r.witness.startswith("point ")
+
+    def test_denominator_must_divide_clear(self):
+        with pytest.raises(NonExactDivision):
+            self.conclude([(MultiPoly.const(1), self.x(1) + self.x(2))], "symbolic")
 
 
 class TestFirstOverlap:
@@ -57,7 +88,7 @@ class TestSortedSplitAndCounterexample:
         lam = Partition((1, 1, 1))
         X, Y = VarSeq.make("x", 2), VarSeq.make("y", 3)
         naive = identities.sorted_split_sum(lam, 0, X, Y)
-        assert as_fraction(ls_determinantal(lam, X, Y)) == naive
+        assert ls_determinantal(lam, X, Y) == naive
 
     def test_valid_range_has_no_correction(self):
         # same cut, but here the index keeps l = 1 inside the valid range
@@ -66,7 +97,14 @@ class TestSortedSplitAndCounterexample:
         k = lam.index(1, 2)
         assert 1 <= 2 - k
         naive = identities.sorted_split_sum(lam, 1, X, Y)
-        assert as_fraction(ls_determinantal(lam, X, Y)) == naive
+        assert ls_determinantal(lam, X, Y) == naive
+
+    def test_out_of_range_sum_is_a_polynomial(self):
+        lam = Partition((1, 1, 1))
+        X, Y = VarSeq.make("x", 2), VarSeq.make("y", 3)
+        naive = identities.sorted_split_sum(lam, 1, X, Y)
+        assert isinstance(naive, MultiPoly)
+        assert naive == ls_determinantal(lam, X, Y) - e_prod(Y)
 
     def test_both_sides_match_combinatorial_route(self):
         lam = Partition((1, 1, 1))

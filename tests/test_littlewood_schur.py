@@ -3,7 +3,6 @@ from overlapls.littlewood_schur import (
     lr_coefficient,
     ls_combinatorial,
     ls_determinantal,
-    ls_determinantal_plain,
     ls_sign,
 )
 from overlapls.partitions import Partition, partitions_in_box, rect
@@ -111,7 +110,8 @@ class TestDeterminantalLS:
     def test_plain_wrapper(self):
         X, Y = VarSeq.make("x", 2), VarSeq.make("y", 2)
         for lam in partitions_in_box(3, 3):
-            assert ls_determinantal_plain(lam, X, Y) == ls_combinatorial(lam, X, Y)
+            plain = ls_determinantal(lam, X, Y).negate_vars(X.names)
+            assert plain == ls_combinatorial(lam, X, Y)
 
     def test_distinctness_required(self):
         try:

@@ -7,12 +7,10 @@ import pytest
 from overlapls.polyring import (
     MultiPoly,
     NonExactDivision,
-    PolyFraction,
     PolyMatrix,
     VarSeq,
     ZERO,
     ONE,
-    as_fraction,
     delta_pair,
     det,
     det_bareiss,
@@ -24,10 +22,8 @@ from overlapls.polyring import (
     eval_at,
     grid_equal,
     laplace_expand,
-    laplace_expand_cols,
     poly_equal,
     sort_sign,
-    sum_fractions,
     vandermonde,
 )
 
@@ -87,9 +83,12 @@ class TestMultiPoly:
         assert g == x("x", 2) - x("x") * x("y") + x("y")
 
     def test_invert_vars(self):
-        f = x("x", 2) + 1
-        g = f.invert_vars(["x"])
-        assert g == PolyFraction(x("x", 2) + 1, x("x", 2))
+        f = x("x", 2) + x("x") * x("y") + 1
+        assert f.invert_vars(["x"], 2) == 1 + x("x") * x("y") + x("x", 2)
+        assert f.invert_vars(["x"], 3) == x("x") + x("x", 2) * x("y") + x("x", 3)
+        assert f.invert_vars(["x", "y"], 2) == x("y", 2) + x("x") * x("y") + x("x", 2) * x("y", 2)
+        with pytest.raises(ValueError):
+            f.invert_vars(["x"], 1)
 
 
 class TestDivision:
@@ -108,35 +107,6 @@ class TestDivision:
             g = x("a", rng.randint(0, 2)) * x("b", rng.randint(0, 2)) + rng.randint(1, 5)
             q = x("a") * x("b", rng.randint(0, 2)) - rng.randint(0, 9)
             assert divexact(g * q, g) == q
-
-
-class TestFractions:
-    def test_reduction_and_equality(self):
-        a = PolyFraction(2 * x("x") * x("y"), 4 * x("y", 2))
-        b = PolyFraction(x("x"), 2 * x("y"))
-        assert a == b
-
-    def test_arithmetic(self):
-        half = PolyFraction(ONE, 2 * ONE)
-        assert half + half == as_fraction(ONE)
-        inv = PolyFraction(ONE, x("x"))
-        assert inv * x("x") == as_fraction(ONE)
-        assert (inv + inv) / 2 == inv
-
-    def test_to_poly_certifies(self):
-        f = PolyFraction((x("x") ** 2 - x("y") ** 2), x("x") + x("y"))
-        assert f.to_poly() == x("x") - x("y")
-        with pytest.raises(NonExactDivision):
-            PolyFraction(x("x", 2) + 1, x("x") + 1).to_poly()
-
-    def test_sum_fractions_groups_denominators(self):
-        terms = [
-            PolyFraction(ONE, x("x") - x("y")),
-            PolyFraction(ONE, x("y") - x("x")),
-        ]
-        assert sum_fractions(terms).is_zero
-        terms = [PolyFraction(x("x"), x("y")), PolyFraction(x("y"), x("y"))]
-        assert sum_fractions(terms) == PolyFraction(x("x") + x("y"), x("y"))
 
 
 class TestVandermonde:
@@ -254,14 +224,6 @@ class TestDeterminants:
             )
             assert det_cofactor(A) == det_bareiss(A) == det_leibniz(A)
 
-    def test_fraction_matrix(self):
-        A = [
-            [PolyFraction(ONE, x("x") - x("y")), ONE],
-            [ONE, x("x")],
-        ]
-        expected = as_fraction(x("x")) / (x("x") - x("y")) - 1
-        assert as_fraction(det(A)) == expected
-
     def test_singular(self):
         A = [[1, 2, 3], [2, 4, 6], [5, 1, 0]]
         assert det_bareiss(A) == 0 == det_cofactor(A)
@@ -295,16 +257,6 @@ class TestLaplace:
         d = det(A)
         for K in combinations(range(1, 7), 3):
             assert laplace_expand(A, K) == d
-
-    def test_column_variant(self):
-        rng = random.Random(23)
-        from itertools import combinations
-
-        A = PolyMatrix([[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)])
-        d = det(A)
-        for size in (1, 2, 4):
-            for K in combinations(range(1, 6), size):
-                assert laplace_expand_cols(A, K) == d
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):

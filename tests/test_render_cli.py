@@ -160,6 +160,20 @@ class TestVerifyCommand:
         assert "counterexample" in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "walks", "--n", "-1", "--m", "2"),
+        ("render", "walk", "HV", "--labels", "5,4,3"),
+        ("verify", "first-overlap", "--max-box", "0", "--vars", "0"),
+    ],
+)
+def test_bad_input_is_usage_error(argv):
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestOutputFile:
     def test_out_flag(self, tmp_path):
         target = tmp_path / "result.json"
