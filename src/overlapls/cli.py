@@ -1,7 +1,9 @@
 """Command-line front end: compute, enumerate, render, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All output is
-deterministic for a fixed set of flags and seed.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  main maps a
+UsageError, and every ValueError the library raises on rejected input
+outside verify, to exit 2, in one place.  All output is deterministic for a
+fixed set of flags and seed.
 """
 
 from __future__ import annotations
@@ -41,10 +43,7 @@ def parse_partition(text: str) -> Partition:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError as e:
         raise UsageError(f"malformed partition {text!r}: {e}") from None
-    try:
-        return Partition(parts)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return Partition(parts)
 
 
 def _emit(args, text: str):
@@ -62,10 +61,7 @@ def _emit(args, text: str):
 def cmd_overlap(args) -> int:
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
-    try:
-        result = overlap(mu, nu, args.m, args.n)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    result = overlap(mu, nu, args.m, args.n)
     payload = result.to_json()
     if result.is_infinite and args.infinite_witness:
         pi, alpha = infinite_overlap_witness(mu, nu, args.m, args.n)
@@ -78,26 +74,17 @@ def cmd_enumerate(args) -> int:
     lines = []
     if args.what == "pairs":
         lam = parse_partition(args.lam)
-        try:
-            for mu, nu, sign in enumerate_overlap_pairs(lam, args.m, args.n):
-                lines.append(json.dumps({"mu": mu.to_json(), "nu": nu.to_json(), "sign": sign}))
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        for mu, nu, sign in enumerate_overlap_pairs(lam, args.m, args.n):
+            lines.append(json.dumps({"mu": mu.to_json(), "nu": nu.to_json(), "sign": sign}))
     elif args.what == "walks":
-        try:
-            for pi in enumerate_walks(args.n, args.m):
-                lines.append(json.dumps({"walk": pi.to_json()}))
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        for pi in enumerate_walks(args.n, args.m):
+            lines.append(json.dumps({"walk": pi.to_json()}))
     elif args.what == "subpairs":
         kappa = parse_partition(args.kappa)
         if args.l is None:
             raise UsageError("subpairs needs --l")
-        try:
-            for lam, K in enumerate_subpartition_pairs(kappa, args.m, args.n, args.l):
-                lines.append(json.dumps({"lambda": lam.to_json(), "K": list(K)}))
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        for lam, K in enumerate_subpartition_pairs(kappa, args.m, args.n, args.l):
+            lines.append(json.dumps({"lambda": lam.to_json(), "K": list(K)}))
     else:
         raise UsageError(f"unknown enumeration {args.what!r}")
     _emit(args, "\n".join(lines) + ("\n" if lines else ""))
@@ -110,10 +97,7 @@ def cmd_render(args) -> int:
         lam = parse_partition(args.value)
         text = render.ferrers_svg(lam) if args.format == "svg" else render.ferrers_ascii(lam)
     elif args.what == "walk":
-        try:
-            pi = StaircaseWalk(args.value)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        pi = StaircaseWalk(args.value)
         labels = None
         if args.labels:
             lam = parse_partition(args.labels)
@@ -133,6 +117,8 @@ def cmd_render(args) -> int:
 
 def cmd_verify(args) -> int:
     names = None if args.name == "all" else [args.name]
+    if args.max_box < 0 or args.vars < 0:
+        raise UsageError("--max-box and --vars must be non-negative")
     try:
         reports = identities.run_catalog(
             names, max_box=args.max_box, nvars=args.vars,
@@ -212,7 +198,11 @@ def main(argv=None) -> int:
         args.seed = int(os.environ.get("OVERLAP_LS_SEED", "0"))
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, ValueError) as e:
+        # verify checks its flags itself, so a ValueError from inside a
+        # verifier is a defect and keeps its traceback.
+        if not isinstance(e, UsageError) and args.command == "verify":
+            raise
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -2,17 +2,24 @@
 
 Each verifier re-checks its own preconditions and reports "inapplicable"
 rather than pass/fail when they are violated; dropping a hypothesis silently
-is exactly how the counterexample kept in this module arises.  Fiber sums
-are always generated through the walk and subpartition enumerators, never by
-scanning partitions, so a passing verifier simultaneously certifies the
-bijections behind those enumerators.
+is exactly how the counterexample kept in this module arises.  Sweeps keep
+every report they produce, and run_catalog drops the inapplicable ones, so a
+catalog run lists only checks that ran.  Fiber sums are always generated
+through the walk and subpartition enumerators, never by scanning partitions,
+so a passing verifier simultaneously certifies the bijections behind those
+enumerators.
 
-Each split sum iterates over order-preserving subsequences of a fixed
-variable order; every Vandermonde-type sign follows from that single rule.
+Both overlap identities come from one Laplace expansion, and each split sum
+has one term shape, built in one place: _x_split_terms for sums over splits
+(S, T) of X, _y_split_factor and _y_split_term for sums over splits (U, V)
+of Y.  Each split sum iterates over order-preserving subsequences of a
+fixed variable order; every Vandermonde-type sign follows from that single
+rule.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from . import report
@@ -22,8 +29,6 @@ from .overlap import (
     enumerate_subpartition_pairs,
     overlap,
     subpartition_to_overlap,
-    sub_partition,
-    c_indices,
     walk_overlap_pair,
 )
 from .partitions import Partition, partitions_in_box, shift_first
@@ -106,6 +111,14 @@ def _conclude(ident, instance, mode, lhs, terms, names, clear):
 # -- first overlap identity ---------------------------------------------------
 
 
+def _x_split_terms(head, tail, l, X: VarSeq, Y: VarSeq, sign=1):
+    """(sign * LS(head; S) * LS(tail; T), delta(T, S)) over the splits (S, T) of X with l(S) = l."""
+    return [
+        (sign * ls_determinantal(head, S, Y) * ls_determinantal(tail, T, Y), delta_pair(T, S))
+        for S, T in X.splits(l)
+    ]
+
+
 def verify_first_overlap(lam, m, n, l, mu, nu, X: VarSeq, Y: VarSeq, mode="symbolic"):
     """Split sum over subsequences of X against LS of the full alphabet.
 
@@ -131,13 +144,8 @@ def verify_first_overlap(lam, m, n, l, mu, nu, X: VarSeq, Y: VarSeq, mode="symbo
         head = shift_first(mu, k, l)
     except ValueError:
         return report.inapplicable(ident, instance, "mu + <k^l> is not a partition")
-    tail_index = nu.union(lam.drop(n - k))
     lhs = ls_determinantal(lam, X, Y)
-    terms = []
-    for S, T in X.splits(l):
-        t1 = ls_determinantal(head, S, Y)
-        t2 = ls_determinantal(tail_index, T, Y)
-        terms.append((ov.sign * t1 * t2, delta_pair(T, S)))
+    terms = _x_split_terms(head, nu.union(lam.drop(n - k)), l, X, Y, ov.sign)
     return _conclude(ident, instance, mode, lhs, terms, X.names + Y.names, vandermonde(X))
 
 
@@ -148,13 +156,7 @@ def sorted_split_sum(lam, l, X: VarSeq, Y: VarSeq) -> MultiPoly:
     remaining parts over all splits; valid only while l stays at most n - k.
     """
     n = len(X)
-    head = shift_first(lam.take(l), n - l, l)
-    tail = lam.drop(l)
-    terms = []
-    for S, T in X.splits(l):
-        t1 = ls_determinantal(head, S, Y)
-        t2 = ls_determinantal(tail, T, Y)
-        terms.append((t1 * t2, delta_pair(T, S)))
+    terms = _x_split_terms(shift_first(lam.take(l), n - l, l), lam.drop(l), l, X, Y)
     vand = vandermonde(X)
     return divexact(_cleared(terms, vand), vand)
 
@@ -173,16 +175,8 @@ def counterexample_regression(mode="symbolic"):
     instance = {"lambda": lam.to_json(), "n": 2, "m": 3, "l": 1}
     diff = ls_determinantal(lam, X, Y) - sorted_split_sum(lam, 1, X, Y)
     target = e_prod(Y)
-    if mode == "grid":
-        ok = all(
-            diff.evaluate(p) == target.evaluate(p)
-            for p in spot_points(X.names + Y.names)
-        )
-    else:
-        ok = diff == target
-    if ok:
-        return report.VerificationReport(ident, instance, mode, report.PASS, str(target))
-    return report.failed(ident, instance, f"difference {diff}, expected {target}", mode)
+    r = _compare(ident, instance, mode, diff, target, X.names + Y.names)
+    return replace(r, witness=str(target)) if r.passed else r
 
 
 def verify_cor_max_index(mu, nu, l, X: VarSeq, Y: VarSeq, mode="symbolic"):
@@ -211,11 +205,7 @@ def verify_cor_max_index(mu, nu, l, X: VarSeq, Y: VarSeq, mode="symbolic"):
         lhs = ls_determinantal(lhs_part, X, Y)
     else:
         lhs = ZERO
-    terms = []
-    for S, T in X.splits(l):
-        t1 = ls_determinantal(head, S, Y)
-        t2 = ls_determinantal(nu, T, Y)
-        terms.append((ov.sign * t1 * t2, delta_pair(T, S)))
+    terms = _x_split_terms(head, nu, l, X, Y, ov.sign)
     return _conclude(ident, instance, mode, lhs, terms, X.names + Y.names, vandermonde(X))
 
 
@@ -230,27 +220,57 @@ def _second_overlap_setup(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
     return n, m, l, k
 
 
-def _second_overlap_terms(lam, S, T, Y, k):
-    """Triple-sum terms keyed by (p, U, V, mu, nu) for the bijection check.
+def _y_split_factor(S, T, U, V):
+    """delta(V, S) delta(T, U) / (delta(V, U) delta(T, S)) for the split (U, V) of Y, as (num, den)."""
+    return delta_pair(V, S) * delta_pair(T, U), delta_pair(V, U) * delta_pair(T, S)
 
-    The split count p starts at l - (n - k) when the cut runs past the index
-    columns: smaller p would ask the fiber for a negative-length side.
+
+def _y_split_term(sign, factor, reduced, below, S, T, U, V):
+    """sign * factor * LS(reduced; S, U) * LS(below; T, V) as a (num, den) term."""
+    num, den = factor
+    return sign * num * ls_determinantal(reduced, S, U) * ls_determinantal(below, T, V), den
+
+
+def _conclude_y_splits(ident, instance, mode, lhs, terms, S, T, Y):
+    """Conclude a sum over splits of Y; its denominators divide V(S u T) V(Y)."""
+    clear = vandermonde(S.concat(T)) * vandermonde(Y)
+    return _conclude(ident, instance, mode, lhs, terms, S.names + T.names + Y.names, clear)
+
+
+def _fiber_labels(head, c, l, Y):
+    """(p, U, V, mu, nu, sign) over splits (U, V) of Y times overlap fibers of head.
+
+    c = n - k is the cut at the index columns.  The split count p starts at
+    l - c when the cut runs past them: smaller p would ask the fiber for a
+    negative-length side.
     """
+    for p in range(max(0, l - c), min(l, len(Y)) + 1):
+        for U, V in Y.splits(p):
+            for mu, nu, sign in enumerate_overlap_pairs(head, l - p, c - l + p):
+                yield p, U, V, mu, nu, sign
+
+
+def _walk_labels(head, c, l, Y):
+    """The same labels from single walks: the prefix carries the fiber pair, the suffix the split of Y."""
+    for pi in enumerate_walks(len(Y) + c - l, l):
+        pi1, pi2 = pi.split(c)
+        U = Y.subseq([t - 1 for t in pi2.v_times()])
+        V = Y.subseq([t - 1 for t in pi2.h_times()])
+        yield (pi2.m, U, V) + walk_overlap_pair(head, pi1)
+
+
+def _second_overlap_terms(lam, S, T, Y, k, labels):
+    """Triple-sum terms keyed by (p, U, V, mu, nu), one per label, for the bijection check."""
     n, m, l = len(S) + len(T), len(Y), len(S)
     tail = lam.drop(n - k)
-    head = lam.take(n - k)
-    dts = delta_pair(T, S)
+    factors = {}
     terms = {}
-    for p in range(max(0, l - (n - k)), min(l, m) + 1):
-        for U, V in Y.splits(p):
-            pref_num = delta_pair(V, S) * delta_pair(T, U)
-            pref_den = delta_pair(V, U) * dts
-            for mu, nu, sign in enumerate_overlap_pairs(head, l - p, n - k - l + p):
-                reduced = shift_first(mu, -(m - k), l - p)
-                t1 = ls_determinantal(reduced, S, U)
-                t2 = ls_determinantal(nu.union(tail), T, V)
-                key = (p, U.names, V.names, mu.parts, nu.parts)
-                terms[key] = (sign * pref_num * t1 * t2, pref_den)
+    for p, U, V, mu, nu, sign in labels(lam.take(n - k), n - k, l, Y):
+        if (U, V) not in factors:
+            factors[U, V] = _y_split_factor(S, T, U, V)
+        reduced = shift_first(mu, -(m - k), l - p)
+        key = (p, U.names, V.names, mu.parts, nu.parts)
+        terms[key] = _y_split_term(sign, factors[U, V], reduced, nu.union(tail), S, T, U, V)
     return terms
 
 
@@ -264,32 +284,8 @@ def verify_second_overlap(lam, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic")
     n, m, l, k = _second_overlap_setup(lam, S, T, Y)
     instance = {"lambda": lam.to_json(), "l(S)": l, "l(T)": n - l, "m": m}
     lhs = ls_determinantal(lam, S.concat(T), Y)
-    terms = _second_overlap_terms(lam, S, T, Y, k)
-    clear = vandermonde(S.concat(T)) * vandermonde(Y)
-    return _conclude(ident, instance, mode, lhs, terms.values(), S.names + T.names + Y.names, clear)
-
-
-def _walk_split_terms(lam, S, T, Y, k):
-    """Walk-sum terms in the same key space as the triple sum."""
-    n, m, l = len(S) + len(T), len(Y), len(S)
-    tail = lam.drop(n - k)
-    head = lam.take(n - k)
-    dts = delta_pair(T, S)
-    terms = {}
-    for pi in enumerate_walks(m + n - k - l, l):
-        pi1, pi2 = pi.split(n - k)
-        p = pi2.m
-        U = Y.subseq([t - 1 for t in pi2.v_times()])
-        V = Y.subseq([t - 1 for t in pi2.h_times()])
-        mu, nu, sign = walk_overlap_pair(head, pi1)
-        reduced = shift_first(mu, -(m - k), l - p)
-        t1 = ls_determinantal(reduced, S, U)
-        t2 = ls_determinantal(nu.union(tail), T, V)
-        pref_num = delta_pair(V, S) * delta_pair(T, U)
-        pref_den = delta_pair(V, U) * dts
-        key = (p, U.names, V.names, mu.parts, nu.parts)
-        terms[key] = (sign * pref_num * t1 * t2, pref_den)
-    return terms
+    terms = _second_overlap_terms(lam, S, T, Y, k, _fiber_labels)
+    return _conclude_y_splits(ident, instance, mode, lhs, terms.values(), S, T, Y)
 
 
 def verify_walk_split(lam, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic"):
@@ -300,9 +296,8 @@ def verify_walk_split(lam, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic"):
     if l > m + n - k:
         return report.inapplicable(ident, instance, f"no walks carry {l} vertical steps")
     lhs = ls_determinantal(lam, S.concat(T), Y)
-    terms = _walk_split_terms(lam, S, T, Y, k)
-    clear = vandermonde(S.concat(T)) * vandermonde(Y)
-    return _conclude(ident, instance, mode, lhs, terms.values(), S.names + T.names + Y.names, clear)
+    terms = _second_overlap_terms(lam, S, T, Y, k, _walk_labels)
+    return _conclude_y_splits(ident, instance, mode, lhs, terms.values(), S, T, Y)
 
 
 def walk_split_bijection_check(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
@@ -316,8 +311,8 @@ def walk_split_bijection_check(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
     instance = {"lambda": lam.to_json(), "l(S)": l, "l(T)": n - l, "m": m}
     if l > m + n - k:
         return report.inapplicable(ident, instance, f"no walks carry {l} vertical steps")
-    a = _second_overlap_terms(lam, S, T, Y, k)
-    b = _walk_split_terms(lam, S, T, Y, k)
+    a = _second_overlap_terms(lam, S, T, Y, k, _fiber_labels)
+    b = _second_overlap_terms(lam, S, T, Y, k, _walk_labels)
     if set(a) != set(b):
         mismatch = (set(a) - set(b)) | (set(b) - set(a))
         return report.failed(ident, instance, f"key mismatch: {mismatch}")
@@ -426,26 +421,17 @@ def verify_subpartition_ls(kappa, m, n, n_tilde, l, q, S: VarSeq, T: VarSeq, Y: 
     if not kappa.contains_cell(m + n, q - n_tilde):
         return report.inapplicable(ident, instance, "kappa misses the corner cell")
     lhs = ls_determinantal(kappa.conjugate(), S.concat(T), Y)
-    dts = delta_pair(T, S)
     terms = []
     for p in range(0, min(m, q) + 1):
-        nn = n + p + l
         summands = []
         for lam, K in enumerate_subpartition_pairs(kappa, m - p, n + p, l):
-            C = c_indices(K, nn)
-            comp = lam.complement(m - p, nn)
-            sign = -1 if sum(comp.select(C)) % 2 else 1
-            reduced = shift_first(lam.conjugate(), -(q - n_tilde), m - p)
-            summands.append((sign, reduced, sub_partition(comp, nn, C)))
+            mu, below, sign = subpartition_to_overlap(lam, K, m - p, n + p + l)
+            summands.append((sign, shift_first(mu, -(q - n_tilde), m - p), below))
         for U, V in Y.splits(p):
-            pref_num = delta_pair(V, S) * delta_pair(T, U)
-            pref_den = delta_pair(V, U) * dts
+            factor = _y_split_factor(S, T, U, V)
             for sign, reduced, below in summands:
-                t1 = ls_determinantal(reduced, S, U)
-                t2 = ls_determinantal(below, T, V)
-                terms.append((sign * pref_num * t1 * t2, pref_den))
-    clear = vandermonde(S.concat(T)) * vandermonde(Y)
-    return _conclude(ident, instance, mode, lhs, terms, S.names + T.names + Y.names, clear)
+                terms.append(_y_split_term(sign, factor, reduced, below, S, T, U, V))
+    return _conclude_y_splits(ident, instance, mode, lhs, terms, S, T, Y)
 
 
 # -- classical specializations -------------------------------------------------
@@ -473,40 +459,31 @@ def _sweep_max_index(max_box, nvars, mode, seed):
     for mu in partitions_in_box(max_box, max_box):
         for nu in partitions_in_box(max_box, max_box):
             for l in range(mu.length, n + 1):
-                r = verify_cor_max_index(mu, nu, l, X, Y, mode)
-                if not r.inapplicable:
-                    out.append(r)
+                out.append(verify_cor_max_index(mu, nu, l, X, Y, mode))
     return out
 
 
-def _sweep_second_overlap(max_box, nvars, mode, seed):
-    out = []
+def _y_split_instances(max_box, nvars):
+    """(lam, S, T, Y) for the second-overlap and walk-split sweeps."""
     for lam in partitions_in_box(max_box, max_box):
         for n in range(0, nvars + 1):
             for l in range(0, n + 1):
-                S = VarSeq.make("s", l)
-                T = VarSeq.make("t", n - l)
+                S, T = VarSeq.make("s", l), VarSeq.make("t", n - l)
                 for m in range(0, min(nvars, 2) + 1):
-                    Y = VarSeq.make("y", m)
-                    r = verify_second_overlap(lam, S, T, Y, mode)
-                    if not r.inapplicable:
-                        out.append(r)
-    return out
+                    yield lam, S, T, VarSeq.make("y", m)
+
+
+def _sweep_second_overlap(max_box, nvars, mode, seed):
+    return [verify_second_overlap(*inst, mode) for inst in _y_split_instances(max_box, nvars)]
 
 
 def _sweep_walk_split(max_box, nvars, mode, seed):
     out = []
-    for lam in partitions_in_box(max_box, max_box):
-        for n in range(0, nvars + 1):
-            for l in range(0, n + 1):
-                S = VarSeq.make("s", l)
-                T = VarSeq.make("t", n - l)
-                for m in range(0, min(nvars, 2) + 1):
-                    Y = VarSeq.make("y", m)
-                    r = verify_walk_split(lam, S, T, Y, mode)
-                    if not r.inapplicable:
-                        out.append(r)
-                        out.append(walk_split_bijection_check(lam, S, T, Y))
+    for inst in _y_split_instances(max_box, nvars):
+        r = verify_walk_split(*inst, mode)
+        out.append(r)
+        if not r.inapplicable:
+            out.append(walk_split_bijection_check(*inst))
     return out
 
 
@@ -520,28 +497,21 @@ def _sweep_first_overlap_schur(max_box, nvars, mode, seed):
     return out
 
 
-def _sweep_second_overlap_schur(max_box, nvars, mode, seed):
-    out = []
+def _union_instances(max_box, nvars):
+    """(lam, S, T) with l(lam) <= l(S) + l(T), for the Schur sweeps over the union S u T."""
     for lam in partitions_in_box(max_box, max_box):
         for m in range(0, nvars + 1):
             for n in range(0, nvars + 1):
-                if lam.length > m + n:
-                    continue
-                S, T = VarSeq.make("s", m), VarSeq.make("t", n)
-                out.append(verify_second_overlap_schur(lam, S, T, mode))
-    return out
+                if lam.length <= m + n:
+                    yield lam, VarSeq.make("s", m), VarSeq.make("t", n)
+
+
+def _sweep_second_overlap_schur(max_box, nvars, mode, seed):
+    return [verify_second_overlap_schur(*inst, mode) for inst in _union_instances(max_box, nvars)]
 
 
 def _sweep_labeled_walk_schur(max_box, nvars, mode, seed):
-    out = []
-    for lam in partitions_in_box(max_box, max_box):
-        for m in range(0, nvars + 1):
-            for n in range(0, nvars + 1):
-                if lam.length > m + n:
-                    continue
-                S, T = VarSeq.make("s", m), VarSeq.make("t", n)
-                out.append(verify_labeled_walk_schur(lam, S, T, mode))
-    return out
+    return [verify_labeled_walk_schur(*inst, mode) for inst in _union_instances(max_box, nvars)]
 
 
 def _sweep_subpartition_schur(max_box, nvars, mode, seed):
@@ -566,9 +536,7 @@ def _sweep_subpartition_ls(max_box, nvars, mode, seed):
                         T = VarSeq.make("t", n + nt)
                         Y = VarSeq.make("y", q)
                         for kappa in partitions_in_box(m + n, l):
-                            r = verify_subpartition_ls(kappa, m, n, nt, l, q, S, T, Y, mode)
-                            if not r.inapplicable:
-                                out.append(r)
+                            out.append(verify_subpartition_ls(kappa, m, n, nt, l, q, S, T, Y, mode))
     return out
 
 
@@ -665,14 +633,18 @@ CATALOG = {
 
 
 def run_catalog(names=None, max_box=2, nvars=2, mode="symbolic", seed=0):
-    """Run named verifier sweeps (all of them when names is None), in catalog order."""
+    """Run named verifier sweeps (all of them when names is None), in catalog order.
+
+    Inapplicable reports are dropped: a sweep may pass instances whose
+    preconditions fail, and only the checks that ran are returned.
+    """
     if names is None:
         names = list(CATALOG)
     reports = []
     for name in names:
         if name not in CATALOG:
             raise KeyError(f"unknown verifier {name!r}")
-        reports.extend(CATALOG[name](max_box, nvars, mode, seed))
+        reports.extend(r for r in CATALOG[name](max_box, nvars, mode, seed) if not r.inapplicable)
     return reports
 
 

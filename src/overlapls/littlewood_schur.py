@@ -9,6 +9,7 @@ on the partition and both alphabet lengths jointly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import report
@@ -27,11 +28,8 @@ from .polyring import (
 )
 from .schur import schur_ssyt
 
-_lr_cache: dict = {}
-_ls_det_cache: dict = {}
-_ls_comb_cache: dict = {}
 
-
+@functools.cache
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient: skew tableaux of shape lam/mu, content nu.
 
@@ -41,10 +39,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """
     if not lam.contains(mu) or mu.size + nu.size != lam.size:
         return 0
-    key = (lam.parts, mu.parts, nu.parts)
-    got = _lr_cache.get(key)
-    if got is not None:
-        return got
     outer = lam.parts
     inner = mu.padded(lam.length)
     nmax = nu.length
@@ -83,11 +77,10 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
             del filling[(r, c)]
         return total
 
-    count = 1 if not cells else place(0)
-    _lr_cache[key] = count
-    return count
+    return 1 if not cells else place(0)
 
 
+@functools.cache
 def ls_combinatorial(lam, X: VarSeq, Y: VarSeq):
     """Sum of c^lam_(mu,nu) s_mu(X) s_nu'(Y) over partition pairs inside lam.
 
@@ -96,10 +89,6 @@ def ls_combinatorial(lam, X: VarSeq, Y: VarSeq):
     """
     if lam is None:
         return ZERO
-    key = (lam.parts, X, Y)
-    got = _ls_comb_cache.get(key)
-    if got is not None:
-        return got
     nx, ny = len(X), len(Y)
     total = ZERO
     for mu in partitions_in_box(lam.part(1), min(lam.length, nx) if nx else 0):
@@ -119,7 +108,6 @@ def ls_combinatorial(lam, X: VarSeq, Y: VarSeq):
             if s_nu.is_zero:
                 continue
             total = total + c * (s_mu * s_nu)
-    _ls_comb_cache[key] = total
     return total
 
 
@@ -130,6 +118,7 @@ def ls_sign(lam: Partition, m: int, n: int) -> int:
     return -1 if e % 2 else 1
 
 
+@functools.cache
 def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
     """LS of the negated first alphabet, via the block determinant.
 
@@ -148,14 +137,9 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
         raise ValueError("alphabets share identifiers")
     if X.neg or Y.neg:
         raise ValueError("determinantal route expects unmarked alphabets")
-    key = (lam.parts, X, Y)
-    got = _ls_det_cache.get(key)
-    if got is not None:
-        return got
     n, m = len(X), len(Y)
     k = lam.index(m, n)
     if k < 0:
-        _ls_det_cache[key] = ZERO
         return ZERO
     lam_c = lam.conjugate()
     x_exp = [lam.part(j) + n - m - j for j in range(1, n - k + 1)]
@@ -210,9 +194,7 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
     for y in Y.names:
         if cy:
             denom = denom * MultiPoly.var(y, cy)
-    result = divexact(total, denom) * ls_sign(lam, m, n)
-    _ls_det_cache[key] = result
-    return result
+    return divexact(total, denom) * ls_sign(lam, m, n)
 
 
 def littlewood_square_check(

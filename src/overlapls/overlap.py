@@ -105,11 +105,12 @@ def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
 
 
 def walk_overlap_pair(lam: Partition, pi: StaircaseWalk):
-    """The fiber triple (mu, nu, sign) carried by one labeled walk."""
-    mu = pi.mu().add(Partition(lam.select(pi.v_times())))
-    nu = pi.nu_conj().add(Partition(lam.select(pi.h_times())))
-    sign = -1 if pi.nu().size % 2 else 1
-    return mu, nu, sign
+    """The fiber triple (mu, nu, sign) carried by the walk pi labeled by lam.
+
+    The sign counts the boxes below the walk; l(lam) <= len(pi) is required.
+    """
+    mu, nu = reconstruct_from_witness(pi, lam.padded(len(pi)))
+    return mu, nu, -1 if pi.nu_conj().size % 2 else 1
 
 
 def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):

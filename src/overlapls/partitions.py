@@ -166,30 +166,6 @@ def rect(m: int, n: int) -> Partition:
     return Partition((m,) * n)
 
 
-def conjugate(lam: Partition) -> Partition:
-    return lam.conjugate()
-
-
-def contains_cell(lam: Partition, i: int, j: int) -> bool:
-    return lam.contains_cell(i, j)
-
-
-def add(lam: Partition, kappa: Partition) -> Partition:
-    return lam.add(kappa)
-
-
-def union(lam: Partition, kappa: Partition) -> Partition:
-    return lam.union(kappa)
-
-
-def index(lam: Partition, m: int, n: int) -> int:
-    return lam.index(m, n)
-
-
-def complement(lam: Partition, m: int, n: int) -> Partition:
-    return lam.complement(m, n)
-
-
 def shift_first(lam: Partition, k: int, l: int) -> Partition:
     """Add k (possibly negative) to each of the first l parts.
 

@@ -604,7 +604,7 @@ def det_bareiss(A) -> "MultiPoly | int":
     return M[n - 1][n - 1] * sign if sign < 0 else M[n - 1][n - 1]
 
 
-def det(A, method: str = "auto"):
+def det(A):
     """Exact determinant.
 
     Cofactor expansion for order <= 6, fraction-free elimination above; both
@@ -613,12 +613,6 @@ def det(A, method: str = "auto"):
     A = _as_matrix(A)
     if not A.is_square:
         raise ValueError("determinant of a non-square matrix")
-    if method == "cofactor":
-        return det_cofactor(A)
-    if method == "bareiss":
-        return det_bareiss(A)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if A.nrows <= 6:
         return det_cofactor(A)
     return det_bareiss(A)

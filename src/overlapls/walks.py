@@ -133,30 +133,6 @@ def count_walks(n: int, m: int) -> int:
     return binomial(n + m, m)
 
 
-def v_times(pi: StaircaseWalk) -> tuple:
-    return pi.v_times()
-
-
-def h_times(pi: StaircaseWalk) -> tuple:
-    return pi.h_times()
-
-
-def mu_of(pi: StaircaseWalk) -> Partition:
-    return pi.mu()
-
-
-def nu_of(pi: StaircaseWalk) -> Partition:
-    return pi.nu()
-
-
-def split_walk(pi: StaircaseWalk, c: int):
-    return pi.split(c)
-
-
-def complement_walk(pi: StaircaseWalk) -> StaircaseWalk:
-    return pi.complement_walk()
-
-
 def is_quasi_partition(alpha, pi: StaircaseWalk) -> bool:
     """Check the four quasi-partition conditions of a label sequence on a walk.
 

@@ -309,6 +309,13 @@ class TestCatalog:
         else:
             raise AssertionError("unknown names must be rejected")
 
+    @pytest.mark.parametrize("mode", ["symbolic", "grid"])
+    def test_run_catalog_drops_inapplicable(self, mode):
+        swept = identities.CATALOG["max-index"](2, 2, mode, 0)
+        assert any(r.inapplicable for r in swept)
+        kept = identities.run_catalog(["max-index"], max_box=2, nvars=2, mode=mode)
+        assert kept and kept == [r for r in swept if not r.inapplicable]
+
     def test_laplace_entry_uses_seed(self):
         a = identities.run_catalog(["laplace"], seed=1)
         b = identities.run_catalog(["laplace"], seed=1)

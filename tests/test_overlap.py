@@ -97,13 +97,13 @@ class TestFiberEnumeration:
         assert pairs == {((1,), (), 1), ((), (1,), -1)}
 
     def test_every_pair_overlaps_back(self):
-        lam = Partition((2, 1))
-        for m in range(0, 4):
-            for n in range(0, 4):
-                if lam.length > m + n:
-                    continue
-                for mu, nu, sign in enumerate_overlap_pairs(lam, m, n):
-                    assert overlap(mu, nu, m, n) == OverlapResult.finite(lam, sign)
+        for m in range(0, 5):
+            for n in range(0, 5):
+                for lam in partitions_in_box(3, m + n):
+                    fiber = list(enumerate_overlap_pairs(lam, m, n))
+                    assert len(fiber) == count_fiber(m, n)
+                    for mu, nu, sign in fiber:
+                        assert overlap(mu, nu, m, n) == OverlapResult.finite(lam, sign)
 
     def test_matches_brute_force(self):
         for lam in [Partition(()), Partition((1,)), Partition((3, 1)), Partition((2, 2, 1))]:

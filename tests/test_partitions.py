@@ -4,17 +4,11 @@ import pytest
 
 from overlapls.partitions import (
     Partition,
-    add,
     binomial,
-    complement,
-    conjugate,
-    contains_cell,
-    index,
     partitions_in_box,
     rect,
     rho,
     shift_first,
-    union,
 )
 
 
@@ -56,113 +50,113 @@ class TestRho:
 
 class TestConjugate:
     def test_reference_example(self):
-        assert conjugate(Partition((5, 5, 2))) == Partition((3, 3, 2, 2, 2))
+        assert Partition((5, 5, 2)).conjugate() == Partition((3, 3, 2, 2, 2))
 
     def test_empty(self):
-        assert conjugate(Partition(())) == Partition(())
+        assert Partition(()).conjugate() == Partition(())
 
     def test_subpartition_example(self):
-        assert conjugate(Partition((7, 3, 2, 1))) == Partition((4, 3, 2, 1, 1, 1, 1))
+        assert Partition((7, 3, 2, 1)).conjugate() == Partition((4, 3, 2, 1, 1, 1, 1))
 
     def test_involution_and_size(self):
         for lam in partitions_in_box(5, 5):
-            assert conjugate(conjugate(lam)) == lam
-            assert conjugate(lam).size == lam.size
+            assert lam.conjugate().conjugate() == lam
+            assert lam.conjugate().size == lam.size
 
 
 class TestContainsCell:
     def test_beyond_row(self):
-        assert contains_cell(Partition((7, 4, 2, 2)), 6, 2) is False
+        assert Partition((7, 4, 2, 2)).contains_cell(6, 2) is False
 
     def test_zero_conventions(self):
         lam = Partition((2, 1))
-        assert contains_cell(lam, 0, 9) is True
-        assert contains_cell(lam, 9, 0) is True
+        assert lam.contains_cell(0, 9) is True
+        assert lam.contains_cell(9, 0) is True
 
     def test_inside(self):
-        assert contains_cell(Partition((7, 4, 2, 2)), 2, 4) is True
+        assert Partition((7, 4, 2, 2)).contains_cell(2, 4) is True
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            contains_cell(Partition((1,)), -1, 0)
+            Partition((1,)).contains_cell(-1, 0)
 
 
 class TestAddUnion:
     def test_reference_add(self):
-        assert add(Partition((5, 5, 2)), Partition((4, 3))) == Partition((9, 8, 2))
+        assert Partition((5, 5, 2)).add(Partition((4, 3))) == Partition((9, 8, 2))
 
     def test_union_with_empty(self):
         lam = Partition((3, 2))
-        assert union(lam, Partition(())) == lam
+        assert lam.union(Partition(())) == lam
 
     def test_union_conjugate_is_add_of_conjugates(self):
         box = list(partitions_in_box(4, 4))
         for mu in box:
             for nu in box:
-                lhs = conjugate(union(mu, nu))
-                rhs = add(conjugate(mu), conjugate(nu))
+                lhs = mu.union(nu).conjugate()
+                rhs = mu.conjugate().add(nu.conjugate())
                 assert lhs == rhs
 
 
 class TestIndex:
     def test_reference_values(self):
         lam = Partition((7, 4, 2, 2))
-        assert index(lam, 6, 3) == 2
-        assert index(lam, 3, 5) == 1
-        assert index(lam, 2, 1) == -1
+        assert lam.index(6, 3) == 2
+        assert lam.index(3, 5) == 1
+        assert lam.index(2, 1) == -1
 
     def test_empty_partition(self):
         for m in range(5):
             for n in range(5):
-                assert index(Partition(()), m, n) == min(m, n)
+                assert Partition(()).index(m, n) == min(m, n)
 
     def test_two_characterizations_agree(self):
         # the largest k with the outside cell is the smallest k with the inside cell
         for lam in partitions_in_box(4, 4):
             for m in range(5):
                 for n in range(5):
-                    k = index(lam, m, n)
-                    assert not contains_cell(lam, m + 1 - k, n + 1 - k)
-                    assert contains_cell(lam, m - k, n - k)
+                    k = lam.index(m, n)
+                    assert not lam.contains_cell(m + 1 - k, n + 1 - k)
+                    assert lam.contains_cell(m - k, n - k)
 
     def test_conjugation_invariance(self):
         for lam in partitions_in_box(5, 5):
             for m in range(6):
                 for n in range(6):
-                    assert index(lam, m, n) == index(conjugate(lam), n, m)
+                    assert lam.index(m, n) == lam.conjugate().index(n, m)
 
 
 class TestComplement:
     def test_reference_example(self):
-        assert complement(Partition((5, 5, 2)), 6, 3) == Partition((4, 1, 1))
+        assert Partition((5, 5, 2)).complement(6, 3) == Partition((4, 1, 1))
 
     def test_full_rectangle(self):
-        assert complement(rect(4, 3), 4, 3) == Partition(())
+        assert rect(4, 3).complement(4, 3) == Partition(())
 
     def test_derived_example(self):
-        assert complement(Partition((4, 4, 2, 2, 1, 1, 1)), 4, 7) == Partition((3, 3, 3, 2, 2))
+        assert Partition((4, 4, 2, 2, 1, 1, 1)).complement(4, 7) == Partition((3, 3, 3, 2, 2))
 
     def test_rejects_oversized(self):
         with pytest.raises(ValueError):
-            complement(Partition((5,)), 4, 2)
+            Partition((5,)).complement(4, 2)
 
     def test_involution(self):
         for lam in partitions_in_box(4, 3):
-            assert complement(complement(lam, 4, 3), 4, 3) == lam
+            assert lam.complement(4, 3).complement(4, 3) == lam
 
     def test_commutes_with_conjugation(self):
         for m in range(1, 6):
             for n in range(1, 6):
                 for lam in partitions_in_box(m, n):
-                    lhs = conjugate(complement(lam, m, n))
-                    rhs = complement(conjugate(lam), n, m)
+                    lhs = lam.complement(m, n).conjugate()
+                    rhs = lam.conjugate().complement(n, m)
                     assert lhs == rhs
 
     def test_commutes_with_addition(self):
         for lam in partitions_in_box(3, 2):
             for kappa in partitions_in_box(2, 2):
-                lhs = complement(add(lam, kappa), 3 + 2, 2)
-                rhs = add(complement(lam, 3, 2), complement(kappa, 2, 2))
+                lhs = lam.add(kappa).complement(3 + 2, 2)
+                rhs = lam.complement(3, 2).add(kappa.complement(2, 2))
                 assert lhs == rhs
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from overlapls import identities
 from overlapls.cli import main, parse_partition
 from overlapls.partitions import Partition
 from overlapls.render import (
@@ -166,12 +167,23 @@ class TestVerifyCommand:
         ("enumerate", "walks", "--n", "-1", "--m", "2"),
         ("render", "walk", "HV", "--labels", "5,4,3"),
         ("verify", "first-overlap", "--max-box", "0", "--vars", "0"),
+        ("verify", "all", "--max-box", "-1", "--vars", "1"),
+        ("verify", "all", "--max-box", "1", "--vars", "-1"),
     ],
 )
 def test_bad_input_is_usage_error(argv):
     code, _, err = run_cli(*argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verifier_value_error_is_not_a_usage_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(identities, "run_catalog", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        main(["verify", "counterexample"])
 
 
 class TestOutputFile:

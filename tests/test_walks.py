@@ -4,15 +4,9 @@ from overlapls.partitions import Partition, binomial, rho
 from overlapls.walks import (
     StaircaseWalk,
     count_walks,
-    complement_walk,
     enumerate_walks,
-    h_times,
     is_quasi_partition,
     step_time_encoding,
-    mu_of,
-    nu_of,
-    split_walk,
-    v_times,
 )
 
 REFERENCE_WALK = StaircaseWalk("HVVHHHVHH")
@@ -40,44 +34,44 @@ class TestEnumeration:
 
 class TestStepTimes:
     def test_reference_walk(self):
-        assert v_times(REFERENCE_WALK) == (2, 3, 7)
-        assert h_times(REFERENCE_WALK) == (1, 4, 5, 6, 8, 9)
+        assert REFERENCE_WALK.v_times() == (2, 3, 7)
+        assert REFERENCE_WALK.h_times() == (1, 4, 5, 6, 8, 9)
 
     def test_all_horizontal(self):
         w = StaircaseWalk("HHHH")
-        assert v_times(w) == ()
-        assert h_times(w) == (1, 2, 3, 4)
+        assert w.v_times() == ()
+        assert w.h_times() == (1, 2, 3, 4)
 
     def test_times_partition_the_interval(self):
         for n in range(5):
             for m in range(5):
                 for w in enumerate_walks(n, m):
-                    assert tuple(sorted(v_times(w) + h_times(w))) == tuple(range(1, n + m + 1))
+                    assert tuple(sorted(w.v_times() + w.h_times())) == tuple(range(1, n + m + 1))
 
 
 class TestWalkPartitions:
     def test_reference_walk(self):
-        assert mu_of(REFERENCE_WALK) == Partition((5, 5, 2))
-        assert nu_of(REFERENCE_WALK) == Partition((4, 1, 1))
+        assert REFERENCE_WALK.mu() == Partition((5, 5, 2))
+        assert REFERENCE_WALK.nu() == Partition((4, 1, 1))
 
     def test_all_vertical_first(self):
         for n in range(1, 4):
             for m in range(1, 4):
                 w = StaircaseWalk("V" * m + "H" * n)
-                assert mu_of(w) == Partition((n,) * m)
-                assert nu_of(w) == Partition(())
+                assert w.mu() == Partition((n,) * m)
+                assert w.nu() == Partition(())
 
     def test_nu_is_complement_of_mu(self):
         for n in range(5):
             for m in range(5):
                 for w in enumerate_walks(n, m):
-                    assert nu_of(w) == mu_of(w).complement(n, m)
+                    assert w.nu() == w.mu().complement(n, m)
 
     def test_sizes_fill_rectangle(self):
         for n in range(5):
             for m in range(5):
                 for w in enumerate_walks(n, m):
-                    assert mu_of(w).size + nu_of(w).size == m * n
+                    assert w.mu().size + w.nu().size == m * n
 
     def test_step_time_encoding_exhaustive(self):
         for n in range(7):
@@ -85,20 +79,20 @@ class TestWalkPartitions:
                 r_m, r_n = rho(m), rho(n)
                 for w in enumerate_walks(n, m):
                     enc_v, enc_h = step_time_encoding(w)
-                    assert mu_of(w).add(r_m).padded(m) == enc_v.padded(m)
+                    assert w.mu().add(r_m).padded(m) == enc_v.padded(m)
                     assert w.nu_conj().add(r_n).padded(n) == enc_h.padded(n)
 
 
 class TestSplit:
     def test_reference_nine_step_split(self):
         # 9-step walk, cut after n - k = 4 steps: 2x2 prefix and 4x1 suffix
-        pi1, pi2 = split_walk(REFERENCE_WALK, 4)
+        pi1, pi2 = REFERENCE_WALK.split(4)
         assert (pi1.n, pi1.m) == (2, 2)
         assert (pi2.n, pi2.m) == (4, 1)
         assert len(pi1) == 4 and len(pi2) == 5
 
     def test_zero_cut(self):
-        pi1, pi2 = split_walk(REFERENCE_WALK, 0)
+        pi1, pi2 = REFERENCE_WALK.split(0)
         assert pi1.steps == ""
         assert pi2 == REFERENCE_WALK
 
@@ -109,34 +103,34 @@ class TestSplit:
                     continue
                 for w in enumerate_walks(n, m):
                     for c in range(len(w) + 1):
-                        a, b = split_walk(w, c)
+                        a, b = w.split(c)
                         assert a.steps + b.steps == w.steps
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            split_walk(REFERENCE_WALK, 10)
+            REFERENCE_WALK.split(10)
 
 
 class TestComplementWalk:
     def test_reversal(self):
-        assert complement_walk(REFERENCE_WALK).steps == "HHVHHHVVH"
+        assert REFERENCE_WALK.complement_walk().steps == "HHVHHHVVH"
 
     def test_involution(self):
         for w in enumerate_walks(3, 2):
-            assert complement_walk(complement_walk(w)) == w
+            assert w.complement_walk().complement_walk() == w
 
     def test_swaps_partitions(self):
         for n in range(5):
             for m in range(5):
                 for w in enumerate_walks(n, m):
-                    tau = complement_walk(w)
-                    assert mu_of(tau) == nu_of(w)
-                    assert nu_of(tau) == mu_of(w)
+                    tau = w.complement_walk()
+                    assert tau.mu() == w.nu()
+                    assert tau.nu() == w.mu()
 
     def test_step_time_reflection(self):
         for w in enumerate_walks(4, 3):
-            tau = complement_walk(w)
-            vt, vw = v_times(tau), v_times(w)
+            tau = w.complement_walk()
+            vt, vw = tau.v_times(), w.v_times()
             total = len(w)
             for i in range(w.m):
                 assert vw[w.m - 1 - i] == total + 1 - vt[i]
