@@ -9,6 +9,8 @@ fixed set of flags and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -46,16 +48,21 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def _emit(args, text: str):
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, opened for writing, or stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str):
+    with _output(args) as fh:
+        fh.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
+            fh.write("\n")
 
 
 def cmd_overlap(args) -> int:
@@ -70,25 +77,35 @@ def cmd_overlap(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    lines = []
+def _enumeration(args):
+    """JSON lines of the requested enumeration, produced one at a time."""
     if args.what == "pairs":
         lam = parse_partition(args.lam)
         for mu, nu, sign in enumerate_overlap_pairs(lam, args.m, args.n):
-            lines.append(json.dumps({"mu": mu.to_json(), "nu": nu.to_json(), "sign": sign}))
+            yield json.dumps({"mu": mu.to_json(), "nu": nu.to_json(), "sign": sign})
     elif args.what == "walks":
         for pi in enumerate_walks(args.n, args.m):
-            lines.append(json.dumps({"walk": pi.to_json()}))
+            yield json.dumps({"walk": pi.to_json()})
     elif args.what == "subpairs":
         kappa = parse_partition(args.kappa)
         if args.l is None:
             raise UsageError("subpairs needs --l")
         for lam, K in enumerate_subpartition_pairs(kappa, args.m, args.n, args.l):
-            lines.append(json.dumps({"lambda": lam.to_json(), "K": list(K)}))
+            yield json.dumps({"lambda": lam.to_json(), "K": list(K)})
     else:
         raise UsageError(f"unknown enumeration {args.what!r}")
-    _emit(args, "\n".join(lines) + ("\n" if lines else ""))
-    print(f"{len(lines)} items", file=sys.stderr)
+
+
+def cmd_enumerate(args) -> int:
+    lines = _enumeration(args)
+    # Rejected input raises before the first line, so it leaves --out untouched.
+    first = next(lines, None)
+    count = 0
+    with _output(args) as fh:
+        for line in itertools.chain(() if first is None else (first,), lines):
+            fh.write(line + "\n")
+            count += 1
+    print(f"{count} items", file=sys.stderr)
     return 0
 
 
@@ -119,6 +136,8 @@ def cmd_verify(args) -> int:
     names = None if args.name == "all" else [args.name]
     if args.max_box < 0 or args.vars < 0:
         raise UsageError("--max-box and --vars must be non-negative")
+    if args.vars > identities.MAX_VARS:
+        raise UsageError(f"--vars {args.vars} exceeds the budget of {identities.MAX_VARS}")
     try:
         reports = identities.run_catalog(
             names, max_box=args.max_box, nvars=args.vars,

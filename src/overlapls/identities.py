@@ -47,6 +47,9 @@ from .walks import enumerate_walks
 
 _SPOT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _SPOT_COUNT = 4
+# Largest --vars: a check may use two alphabets of that many variables, and
+# the spot points give each variable its own base.
+MAX_VARS = len(_SPOT_BASES) // 2
 
 
 def spot_points(names, count: int = _SPOT_COUNT):

@@ -1,61 +1,94 @@
 """Exact multivariate polynomial arithmetic over arbitrary-precision integers.
 
-Polynomials are stored sparsely as {monomial: coefficient} with monomials
-encoded as sorted tuples of (variable, exponent) pairs.  There is no
-fraction field: identities with denominators are multiplied through by a
-Vandermonde-type product that every denominator divides, and each such
-division is certified by divexact.  No floating point anywhere.
+Polynomials are stored sparsely as {monomial: coefficient}.  A monomial is
+one packed int (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007): variable names are
+interned into one append-only order, the i-th name owns the BITS-wide field
+at bit BITS * (i + 1), and the lowest field holds the total degree.  Adding
+two keys multiplies the monomials, and integer order on keys is a lex
+monomial order (later-interned names weigh more).  An exponent or total
+degree above MAX_EXP would spill into the next field, so every operation
+that could make one raises OverflowError before building any key.  The
+public monomial form, taken by MultiPoly(mapping) and returned by
+monomials(), is a tuple of (name, exponent) pairs sorted by name.
+
+There is no fraction field: identities with denominators are multiplied
+through by a Vandermonde-type product that every denominator divides, and
+each such division is certified by divexact.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-Mono = tuple  # sorted tuple of (name, exponent) pairs, exponents > 0
+Mono = int  # packed exponent vector: degree in the low field, one field per interned name
+BITS = 16
+MAX_EXP = (1 << BITS) - 1
+
+_NAMES = []  # interned names; the i-th owns the field at bit BITS * (i + 1)
+_SHIFTS = {}  # name -> bit offset of its field
+_INTERN_LOCK = threading.Lock()
 
 
 class NonExactDivision(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    """Merge two sorted (name, exp) tuples, adding exponents."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        na, ea = a[i]
-        nb, eb = b[j]
-        if na < nb:
-            out.append(a[i])
-            i += 1
-        elif na > nb:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append((na, ea + eb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _shift(name) -> int:
+    """Bit offset of name's field, interning name on first use."""
+    s = _SHIFTS.get(name)
+    if s is None:
+        with _INTERN_LOCK:
+            s = _SHIFTS.get(name)
+            if s is None:
+                _NAMES.append(name)
+                s = _SHIFTS[name] = BITS * len(_NAMES)
+    return s
 
 
-def _mono_deg(m: Mono) -> int:
-    return sum(e for _, e in m)
+def _check_exp(e: int, what) -> None:
+    if e > MAX_EXP:
+        raise OverflowError(f"{what} {e} exceeds the {BITS}-bit exponent field (max {MAX_EXP})")
+
+
+def _pack(mono) -> Mono:
+    """Packed key of a (name, exponent) tuple; a repeated name adds exponents."""
+    key = deg = 0
+    for n, e in mono:
+        if e < 0:
+            raise ValueError("negative exponent")
+        key += e << _shift(n)
+        deg += e
+    _check_exp(deg, "total degree")  # bounds every field too
+    return key + deg
+
+
+def _fields(m: Mono):
+    """(name index, exponent) for each nonzero variable field of m."""
+    m >>= BITS
+    i = 0
+    while m:
+        e = m & MAX_EXP
+        if e:
+            yield i, e
+        m >>= BITS
+        i += 1
+
+
+def _degree(terms) -> int:
+    """Largest total degree among some packed keys (at least one)."""
+    return max(map(MAX_EXP.__and__, terms))
 
 
 def _mono_cmp_key(names: tuple) -> callable:
-    """Dense (degree, exponent-vector) sort key over a fixed name order."""
+    """Dense (degree, exponent-vector) sort key of tuple monomials over a fixed name order."""
     pos = {n: i for i, n in enumerate(names)}
 
-    def key(m: Mono):
+    def key(m):
         dense = [0] * len(names)
         for n, e in m:
             dense[pos[n]] = e
@@ -65,31 +98,48 @@ def _mono_cmp_key(names: tuple) -> callable:
 
 
 class MultiPoly:
-    """Canonical sparse polynomial; structural equality is mathematical equality."""
+    """Canonical sparse polynomial; structural equality is mathematical equality.
+
+    terms maps packed monomials to nonzero coefficients; MultiPoly(mapping)
+    and monomials() use (name, exponent) tuples instead.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {}
+        for m, c in (terms or {}).items():
+            k = _pack(m)
+            c += self.terms.pop(k, 0)
+            if c:
+                self.terms[k] = c
+
+    @staticmethod
+    def _of(terms: dict) -> "MultiPoly":
+        """Wrap a packed {monomial: nonzero coefficient} dict without copying."""
+        p = MultiPoly.__new__(MultiPoly)
+        p.terms = terms
+        return p
 
     @staticmethod
     def const(c: int) -> "MultiPoly":
-        p = MultiPoly()
-        if c:
-            p.terms[()] = int(c)
-        return p
+        return MultiPoly._of({0: int(c)} if c else {})
 
     @staticmethod
     def var(name: str, exp: int = 1, coeff: int = 1) -> "MultiPoly":
         if exp < 0:
             raise ValueError("negative exponent")
-        p = MultiPoly()
-        if coeff:
-            p.terms[((name, exp),) if exp else ()] = coeff
-        return p
+        _check_exp(exp, f"exponent of {name}")
+        if not coeff:
+            return MultiPoly()
+        return MultiPoly._of({(exp << _shift(name)) + exp if exp else 0: coeff})
+
+    def monomials(self) -> dict:
+        """{(name, exponent) pairs sorted by name: coefficient}, the form MultiPoly() takes."""
+        return {
+            tuple(sorted((_NAMES[i], e) for i, e in _fields(m))): c
+            for m, c in self.terms.items()
+        }
 
     # -- ring structure -------------------------------------------------
 
@@ -111,9 +161,7 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        p = MultiPoly()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return MultiPoly._of({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -127,9 +175,7 @@ class MultiPoly:
                 out[m] = nc
             else:
                 out.pop(m, None)
-        p = MultiPoly()
-        p.terms = out
-        return p
+        return MultiPoly._of(out)
 
     __radd__ = __add__
 
@@ -147,11 +193,13 @@ class MultiPoly:
         if isinstance(other, int):
             if not other:
                 return MultiPoly()
-            p = MultiPoly()
-            p.terms = {m: c * other for m, c in self.terms.items()}
-            return p
+            return MultiPoly._of({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        if not (self.terms and other.terms):
+            return MultiPoly()
+        # The product's total degree bounds every field of every product key.
+        _check_exp(_degree(self.terms) + _degree(other.terms), "total degree of a product")
         out = {}
         if len(self.terms) > len(other.terms):
             a, b = other, self
@@ -159,15 +207,13 @@ class MultiPoly:
             a, b = self, other
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
-                m = _mono_mul(ma, mb)
+                m = ma + mb
                 nc = out.get(m, 0) + ca * cb
                 if nc:
                     out[m] = nc
                 else:
                     del out[m]
-        p = MultiPoly()
-        p.terms = out
-        return p
+        return MultiPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -186,30 +232,23 @@ class MultiPoly:
     # -- queries ---------------------------------------------------------
 
     def variables(self) -> set:
-        vs = set()
+        used = 0
         for m in self.terms:
-            for n, _ in m:
-                vs.add(n)
-        return vs
+            used |= m  # a field of the union is nonzero iff it is in some key
+        return {_NAMES[i] for i, _ in _fields(used)}
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(_mono_deg(m) for m in self.terms)
+        return _degree(self.terms) if self.terms else -1
 
     def degree_in(self, name: str) -> int:
-        d = 0
-        for m in self.terms:
-            for n, e in m:
-                if n == name and e > d:
-                    d = e
-        return d
+        s = _SHIFTS.get(name)
+        if s is None:
+            return 0
+        return max(((m >> s) & MAX_EXP for m in self.terms), default=0)
 
     def content(self) -> int:
         """gcd of all coefficients (non-negative); 0 for the zero polynomial."""
-        import math
-
         g = 0
         for c in self.terms.values():
             g = math.gcd(g, c)
@@ -218,25 +257,42 @@ class MultiPoly:
         return g
 
     def evaluate(self, point: dict) -> Fraction:
-        """Exact evaluation; every variable of the polynomial must be assigned."""
-        total = Fraction(0)
+        """Exact evaluation; every variable of the polynomial must be assigned.
+
+        With L the lcm of the denominators, each value is a / L, so each
+        term times L ** degree is an integer: the sum runs over integers,
+        with a ** e cached per call, and one Fraction is made at the end.
+        """
+        if not self.terms:
+            return Fraction(0)
+        used = 0
+        for m in self.terms:
+            used |= m
+        values = {i: Fraction(point[_NAMES[i]]) for i, _ in _fields(used)}
+        L = math.lcm(*(v.denominator for v in values.values()))
+        nums = {i: v.numerator * (L // v.denominator) for i, v in values.items()}
+        top = _degree(self.terms)
+        powers = {}  # (name index, exponent) -> numerator ** exponent
+        total = 0
         for m, c in self.terms.items():
-            v = Fraction(c)
-            for n, e in m:
-                v *= Fraction(point[n]) ** e
+            v = c * L ** (top - (m & MAX_EXP))
+            for ie in _fields(m):
+                p = powers.get(ie)
+                if p is None:
+                    p = powers[ie] = nums[ie[0]] ** ie[1]
+                v *= p
             total += v
-        return total
+        return Fraction(total, L**top)
 
     def negate_vars(self, names) -> "MultiPoly":
         """Substitute x -> -x for each x in names."""
-        names = set(names)
-        out = {}
-        for m, c in self.terms.items():
-            odd = sum(e for n, e in m if n in names) & 1
-            out[m] = -c if odd else c
-        p = MultiPoly()
-        p.terms = out
-        return p
+        low = 0  # lowest bit of each named field: their sum's parity
+        for n in set(names):
+            if n in _SHIFTS:
+                low |= 1 << _SHIFTS[n]
+        return MultiPoly._of(
+            {m: -c if (m & low).bit_count() & 1 else c for m, c in self.terms.items()}
+        )
 
     def invert_vars(self, names, top: int) -> "MultiPoly":
         """Substitute x -> 1/x for each x in names, then multiply by x^top.
@@ -245,30 +301,32 @@ class MultiPoly:
         ValueError when some degree exceeds top, as the result would not be
         a polynomial.
         """
-        names = set(names)
+        fields = [(n, _shift(n)) for n in set(names)]
+        top_all = sum(top << s for _, s in fields) + top * len(fields)
         out = {}
         for m, c in self.terms.items():
-            kept = [(n, e) for n, e in m if n not in names]
-            have = dict((n, e) for n, e in m if n in names)
-            for n in names:
-                e = top - have.get(n, 0)
-                if e < 0:
-                    raise ValueError(f"degree {have[n]} in {n} exceeds {top}")
-                if e:
-                    kept.append((n, e))
-            out[tuple(sorted(kept))] = c
-        return MultiPoly(out)
+            have = deg = 0
+            for n, s in fields:
+                a = (m >> s) & MAX_EXP
+                if a > top:
+                    raise ValueError(f"degree {a} in {n} exceeds {top}")
+                have += a << s
+                deg += a
+            # the new total degree bounds every new field
+            _check_exp((m & MAX_EXP) - 2 * deg + top * len(fields), "total degree")
+            out[m - 2 * (have + deg) + top_all] = c
+        return MultiPoly._of(out)
 
     # -- text ------------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
             return "0"
-        names = tuple(sorted(self.variables()))
-        key = _mono_cmp_key(names)
+        monos = self.monomials()
+        key = _mono_cmp_key(tuple(sorted(self.variables())))
         parts = []
-        for m in sorted(self.terms, key=key, reverse=True):
-            c = self.terms[m]
+        for m in sorted(monos, key=key, reverse=True):
+            c = monos[m]
             factors = [f"{n}^{e}" if e > 1 else n for n, e in m]
             body = "*".join(factors)
             mag = abs(c)
@@ -302,60 +360,45 @@ def as_poly(x) -> MultiPoly:
 
 
 def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact division f / g; raises NonExactDivision on any remainder."""
+    """Exact division f / g; raises NonExactDivision on any remainder.
+
+    Long division by leading terms in the lex order of packed keys.  Each
+    quotient monomial is certified field by field against g's leading
+    monomial before the key subtraction, so no borrow can cross a field.
+    """
     f = as_poly(f)
     g = as_poly(g)
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero:
         return ZERO
-    names = tuple(sorted(f.variables() | g.variables()))
-    pos = {n: i for i, n in enumerate(names)}
-    nv = len(names)
-
-    def dense(m: Mono):
-        v = [0] * nv
-        for n, e in m:
-            v[pos[n]] = e
-        return tuple(v)
-
-    fd = {}
-    for m, c in f.terms.items():
-        e = dense(m)
-        fd[(sum(e), e)] = c
-    gd = {}
-    for m, c in g.terms.items():
-        e = dense(m)
-        gd[(sum(e), e)] = c
-    glead = max(gd)
-    glc = gd[glead]
-    gitems = list(gd.items())
+    glead = max(g.terms)
+    glc = g.terms[glead]
+    gneeds = [(BITS * (i + 1), e) for i, e in _fields(glead)]
+    gdeg = _degree(g.terms)
+    gitems = list(g.terms.items())
     q = {}
-    rem = fd
+    rem = dict(f.terms)
     while rem:
         lead = max(rem)
         c = rem[lead]
         qc, r = divmod(c, glc)
         if r:
             raise NonExactDivision(f"leading coefficient {c} not divisible by {glc}")
-        qe = tuple(a - b for a, b in zip(lead[1], glead[1]))
-        if any(x < 0 for x in qe):
-            raise NonExactDivision("leading monomial not divisible")
-        qk = (lead[0] - glead[0], qe)
-        q[qk] = qc
-        for (gdeg, ge), gc in gitems:
-            ne = tuple(a + b for a, b in zip(qe, ge))
-            nk = (qk[0] + gdeg, ne)
+        for s, e in gneeds:
+            if (lead >> s) & MAX_EXP < e:
+                raise NonExactDivision("leading monomial not divisible")
+        qm = lead - glead
+        _check_exp((qm & MAX_EXP) + gdeg, "total degree of a partial product")
+        q[qm] = qc
+        for gm, gc in gitems:
+            nk = qm + gm
             nc = rem.get(nk, 0) - qc * gc
             if nc:
                 rem[nk] = nc
             else:
-                rem.pop(nk, None)
-    out = {}
-    for (_, e), c in q.items():
-        m = tuple((names[i], x) for i, x in enumerate(e) if x)
-        out[m] = c
-    return MultiPoly(out)
+                del rem[nk]
+    return MultiPoly._of(q)
 
 
 as_fraction = as_poly

@@ -127,7 +127,7 @@ class TestDeterminantalLS:
             p = ls_determinantal(lam, X, Y)
             if p.is_zero:
                 continue
-            degrees = {sum(e for _, e in mono) for mono in p.terms}
+            degrees = {sum(e for _, e in mono) for mono in p.monomials()}
             assert degrees == {lam.size}
 
     def test_conjugation_duality(self):
@@ -146,7 +146,7 @@ class TestDeterminantalLS:
                     tuple(
                         sorted((b if n == a else a if n == b else n, e) for n, e in mono)
                     ): c
-                    for mono, c in p.terms.items()
+                    for mono, c in p.monomials().items()
                 }
             )
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overlapls.polyring import (
+    MAX_EXP,
     MultiPoly,
     NonExactDivision,
     PolyMatrix,
@@ -285,3 +287,164 @@ class TestGridEqual:
             g = rand_poly()
             assert grid_equal(f, g) == (f == g)
             assert grid_equal(f, f + ZERO)
+
+
+# -- reference model: the sorted (name, exponent) tuple encoding ---------------
+
+NAMES = ("a", "b", "c", "x1", "y1")
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_mono(exps):
+    return tuple(sorted((n, e) for n, e in exps.items() if e))
+
+
+def ref_add(f, g):
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(f, g):
+    out = {}
+    for ma, ca in f.items():
+        for mb, cb in g.items():
+            exps = dict(ma)
+            for n, e in mb:
+                exps[n] = exps.get(n, 0) + e
+            m = ref_mono(exps)
+            out[m] = out.get(m, 0) + ca * cb
+    return ref_clean(out)
+
+
+def ref_negate_vars(f, names):
+    return {m: c * (-1) ** sum(e for n, e in m if n in names) for m, c in f.items()}
+
+
+def ref_invert_vars(f, names, top):
+    out = {}
+    for m, c in f.items():
+        exps = dict(m)
+        if any(exps.get(n, 0) > top for n in names):
+            return None
+        exps.update((n, top - exps.get(n, 0)) for n in names)
+        out[ref_mono(exps)] = c
+    return out
+
+
+def ref_evaluate(f, point):
+    total = Fraction(0)
+    for m, c in f.items():
+        v = Fraction(c)
+        for n, e in m:
+            v *= point[n] ** e
+        total += v
+    return total
+
+
+def ref_str(f):
+    if not f:
+        return "0"
+    names = sorted({n for m in f for n, _ in m})
+
+    def key(m):
+        dense = [dict(m).get(n, 0) for n in names]
+        return (sum(dense), dense)
+
+    pieces = []
+    for m in sorted(f, key=key, reverse=True):
+        body = "*".join(f"{n}^{e}" if e > 1 else n for n, e in m)
+        mag = abs(f[m])
+        text = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        pieces.append(("- " if f[m] < 0 else "+ ") + text)
+    head = pieces[0]
+    out = ("-" + head[2:]) if head[0] == "-" else head[2:]
+    return " ".join([out] + pieces[1:])
+
+
+ref_polys = st.dictionaries(
+    st.dictionaries(st.sampled_from(NAMES), st.integers(0, 3), max_size=3).map(ref_mono),
+    st.integers(-5, 5),
+    max_size=5,
+).map(ref_clean)
+name_sets = st.frozensets(st.sampled_from(NAMES))
+points = st.fixed_dictionaries(
+    {n: st.fractions(min_value=-3, max_value=3, max_denominator=4) for n in NAMES}
+)
+
+
+class TestAgainstTupleReference:
+    @given(ref_polys, ref_polys)
+    def test_add_mul_str(self, f, g):
+        pf, pg = MultiPoly(f), MultiPoly(g)
+        assert pf.monomials() == f
+        assert (pf + pg).monomials() == ref_add(f, g)
+        assert (pf * pg).monomials() == ref_mul(f, g)
+        assert str(pf) == ref_str(f)
+        assert str(pf * pg) == ref_str(ref_mul(f, g))
+
+    @given(ref_polys, st.integers(0, 3))
+    def test_pow(self, f, n):
+        expected = {(): 1}
+        for _ in range(n):
+            expected = ref_mul(expected, f)
+        assert (MultiPoly(f) ** n).monomials() == expected
+
+    @given(ref_polys, name_sets, st.integers(0, 4))
+    def test_substitutions(self, f, names, top):
+        p = MultiPoly(f)
+        assert p.negate_vars(names).monomials() == ref_negate_vars(f, names)
+        expected = ref_invert_vars(f, names, top)
+        if expected is None:
+            with pytest.raises(ValueError):
+                p.invert_vars(names, top)
+        else:
+            assert p.invert_vars(names, top).monomials() == expected
+
+    @given(ref_polys, points)
+    def test_evaluate(self, f, point):
+        assert MultiPoly(f).evaluate(point) == ref_evaluate(f, point)
+
+    @settings(deadline=None)
+    @given(ref_polys, ref_polys.filter(bool))
+    def test_divexact_roundtrip(self, f, g):
+        pf, pg = MultiPoly(f), MultiPoly(g)
+        assert divexact(pf * pg, pg) == pf
+
+    @settings(deadline=None)
+    @given(ref_polys, ref_polys.filter(lambda g: MultiPoly(g).degree() > 0))
+    def test_divexact_rejects_remainder(self, f, g):
+        pf, pg = MultiPoly(f), MultiPoly(g)
+        with pytest.raises(NonExactDivision):
+            divexact(pf * pg + 1, pg)
+
+
+class TestExponentOverflow:
+    def test_product_field_overflow(self):
+        with pytest.raises(OverflowError):
+            x("x", 40000) * x("x", 40000)
+
+    def test_product_degree_overflow(self):
+        # fields of 40000 fit, but the total degree field would not
+        with pytest.raises(OverflowError):
+            x("x", 40000) * x("y", 40000)
+
+    def test_largest_exponent_fits(self):
+        f = x("x", MAX_EXP - 1) * x("x")
+        assert f.degree_in("x") == MAX_EXP
+        assert f.monomials() == {(("x", MAX_EXP),): 1}
+
+    def test_var_and_invert_vars(self):
+        with pytest.raises(OverflowError):
+            x("x", MAX_EXP + 1)
+        assert x("x").invert_vars(["x"], MAX_EXP + 1) == x("x", MAX_EXP)
+        with pytest.raises(OverflowError):
+            x("y").invert_vars(["x"], MAX_EXP + 1)
+        with pytest.raises(OverflowError):
+            x("y", 2).invert_vars(["x"], MAX_EXP - 1)
+        with pytest.raises(OverflowError):
+            MultiPoly({(("x", MAX_EXP), ("y", 1)): 1})

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from overlapls import identities
+from overlapls import cli, identities
 from overlapls.cli import main, parse_partition
 from overlapls.partitions import Partition
 from overlapls.render import (
@@ -94,6 +94,28 @@ class TestEnumerateCommand:
         code, _, _ = run_cli("enumerate", "pairs", "--lam", "1,1,1", "--m", "1", "--n", "1")
         assert code == 2
 
+    def test_rejected_input_leaves_out_file_untouched(self, tmp_path):
+        target = tmp_path / "pairs.jsonl"
+        target.write_text("kept\n")
+        argv = ["enumerate", "pairs", "--lam", "1,1,1", "--m", "1", "--n", "1", "--out", str(target)]
+        assert main(argv) == 2
+        assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_lines_are_written_as_produced(self, monkeypatch, capsys, tmp_path, to_file):
+        def one_then_fail(n, m):
+            yield StaircaseWalk("HV")
+            raise ValueError("enumeration stopped")
+
+        monkeypatch.setattr(cli, "enumerate_walks", one_then_fail)
+        target = tmp_path / "walks.jsonl"
+        argv = ["enumerate", "walks", "--n", "1", "--m", "1"]
+        assert main(argv + (["--out", str(target)] if to_file else [])) == 2
+        captured = capsys.readouterr()
+        written = target.read_text() if to_file else captured.out
+        assert written == '{"walk": "HV"}\n'
+        assert "error: enumeration stopped" in captured.err
+
 
 class TestRenderCommand:
     def test_intro_walk_labels(self):
@@ -169,6 +191,7 @@ class TestVerifyCommand:
         ("verify", "first-overlap", "--max-box", "0", "--vars", "0"),
         ("verify", "all", "--max-box", "-1", "--vars", "1"),
         ("verify", "all", "--max-box", "1", "--vars", "-1"),
+        ("verify", "dual-cauchy", "--max-box", "0", "--vars", "9", "--mode", "grid"),
     ],
 )
 def test_bad_input_is_usage_error(argv):
