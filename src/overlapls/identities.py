@@ -19,11 +19,12 @@ rule.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 from . import report
-from .littlewood_schur import ls_determinantal
+from .littlewood_schur import littlewood_square_check, ls_determinantal
 from .overlap import (
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
@@ -35,14 +36,17 @@ from .partitions import Partition, partitions_in_box, shift_first
 from .polyring import (
     ONE,
     MultiPoly,
+    PolyMatrix,
     VarSeq,
     ZERO,
     delta_pair,
+    det,
     divexact,
     e_prod,
+    laplace_expand,
     vandermonde,
 )
-from .schur import schur, schur_value
+from .schur import complement_reciprocity_check, factor_rule_check, schur, schur_value
 from .walks import enumerate_walks
 
 _SPOT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -361,6 +365,15 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
     return _conclude(ident, instance, mode, lhs, terms, X.names, vandermonde(X))
 
 
+def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
+    """schur(target, S u T) * delta(S, T) against sum sign * s_mu(S) * s_nu(T) over the triples."""
+    lhs = schur(target, S.concat(T)) * delta_pair(S, T)
+    total = ZERO
+    for mu, nu, sign in triples:
+        total = total + sign * schur(mu, S) * schur(nu, T)
+    return _compare(ident, instance, mode, lhs, total, S.names + T.names)
+
+
 def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
     """Schur of the union alphabet against the overlap fiber of lam."""
     ident = "second-overlap-schur"
@@ -368,11 +381,7 @@ def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
     instance = {"lambda": lam.to_json(), "l(S)": m, "l(T)": n}
     if lam.length > m + n:
         return report.inapplicable(ident, instance, "lambda too long")
-    lhs = schur(lam, S.concat(T)) * delta_pair(S, T)
-    total = ZERO
-    for mu, nu, sign in enumerate_overlap_pairs(lam, m, n):
-        total = total + sign * schur(mu, S) * schur(nu, T)
-    return _compare(ident, instance, mode, lhs, total, S.names + T.names)
+    return _union_schur(ident, instance, mode, lam, S, T, enumerate_overlap_pairs(lam, m, n))
 
 
 def verify_labeled_walk_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
@@ -382,12 +391,8 @@ def verify_labeled_walk_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
     instance = {"lambda": lam.to_json(), "l(S)": m, "l(T)": n}
     if lam.length > m + n:
         return report.inapplicable(ident, instance, "lambda too long")
-    lhs = schur(lam, S.concat(T)) * delta_pair(S, T)
-    total = ZERO
-    for pi in enumerate_walks(n, m):
-        mu, nu, sign = walk_overlap_pair(lam, pi)
-        total = total + sign * schur(mu, S) * schur(nu, T)
-    return _compare(ident, instance, mode, lhs, total, S.names + T.names)
+    triples = (walk_overlap_pair(lam, pi) for pi in enumerate_walks(n, m))
+    return _union_schur(ident, instance, mode, lam, S, T, triples)
 
 
 # -- subpartition identities -----------------------------------------------------
@@ -401,12 +406,11 @@ def verify_subpartition_schur(kappa, m, n, l, S: VarSeq, T: VarSeq, mode="symbol
         return report.inapplicable(ident, instance, "alphabet lengths do not match m, n")
     if not kappa.fits_in(m + n, l):
         return report.inapplicable(ident, instance, f"kappa not inside {m + n}x{l}")
-    lhs = schur(kappa.conjugate(), S.concat(T)) * delta_pair(S, T)
-    total = ZERO
-    for lam, K in enumerate_subpartition_pairs(kappa, m, n, l):
-        muK, nuK, sign = subpartition_to_overlap(lam, K, m, n + l)
-        total = total + sign * schur(muK, S) * schur(nuK, T)
-    return _compare(ident, instance, mode, lhs, total, S.names + T.names)
+    triples = (
+        subpartition_to_overlap(lam, K, m, n + l)
+        for lam, K in enumerate_subpartition_pairs(kappa, m, n, l)
+    )
+    return _union_schur(ident, instance, mode, kappa.conjugate(), S, T, triples)
 
 
 def verify_subpartition_ls(kappa, m, n, n_tilde, l, q, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic"):
@@ -552,8 +556,6 @@ def _sweep_dual_cauchy(max_box, nvars, mode, seed):
 
 
 def _sweep_littlewood_square(max_box, nvars, mode, seed):
-    from .littlewood_schur import littlewood_square_check
-
     out = []
     for n in range(0, min(nvars, 2) + 1):
         for m in range(0, min(nvars, 2) + 1):
@@ -564,8 +566,6 @@ def _sweep_littlewood_square(max_box, nvars, mode, seed):
 
 
 def _sweep_factor_rule(max_box, nvars, mode, seed):
-    from .schur import factor_rule_check
-
     out = []
     for n in range(1, nvars + 1):
         X = VarSeq.make("x", n)
@@ -576,8 +576,6 @@ def _sweep_factor_rule(max_box, nvars, mode, seed):
 
 
 def _sweep_complement_reciprocity(max_box, nvars, mode, seed):
-    from .schur import complement_reciprocity_check
-
     out = []
     for n in range(1, nvars + 1):
         X = VarSeq.make("x", n)
@@ -592,10 +590,6 @@ def _sweep_counterexample(max_box, nvars, mode, seed):
 
 
 def _sweep_laplace(max_box, nvars, mode, seed):
-    import random
-
-    from .polyring import PolyMatrix, det, laplace_expand
-
     rng = random.Random(seed)
     out = []
     for trial in range(5):

@@ -152,8 +152,8 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
     for J in itertools.combinations(range(m), m - k):
         kept = [j for j in range(m) if j not in J]
         alt_rows = [[MultiPoly.var(Y.names[j], e + cy) for j in J] for e in y_exp]
-        alt = det(PolyMatrix(alt_rows)) if y_exp else ONE
-        if isinstance(alt, MultiPoly) and alt.is_zero:
+        alt = det(PolyMatrix(alt_rows))
+        if not alt:
             continue
         cleared = []
         for x in X.names:
@@ -172,8 +172,8 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
             for e in x_exp:
                 row.append(full * MultiPoly.var(x, e + cx))
             cleared.append(row)
-        p = det(PolyMatrix(cleared)) if cleared else ONE
-        if isinstance(p, MultiPoly) and p.is_zero:
+        p = det(PolyMatrix(cleared))
+        if not p:
             continue
         q = divexact(p, vand_x)
         extra = ONE

@@ -577,17 +577,20 @@ class PolyMatrix:
     def submatrix(self, rows, cols) -> "PolyMatrix":
         return PolyMatrix([[self.rows[i][j] for j in cols] for i in rows])
 
-    def to_json(self) -> list:
-        """Nested arrays of polynomial text."""
-        return [[str(e) for e in row] for row in self.rows]
-
 
 def _as_matrix(A):
     return A if isinstance(A, PolyMatrix) else PolyMatrix(A)
 
 
-def det_cofactor(A) -> "MultiPoly | int":
-    """Determinant by cofactor expansion, memoized over column subsets."""
+def det(A) -> "MultiPoly | int":
+    """Exact determinant by cofactor expansion along the rows, top first.
+
+    Each minor on the bottom rows is keyed by its column subset and computed
+    once, so order n costs at most n * 2^(n-1) products and no division.  An
+    empty matrix gives 1.  The result (an int or a MultiPoly) is falsy
+    exactly when it is zero.  Tested against the Leibniz-sum oracle
+    det_leibniz.
+    """
     A = _as_matrix(A)
     if not A.is_square:
         raise ValueError("determinant of a non-square matrix")
@@ -608,7 +611,7 @@ def det_cofactor(A) -> "MultiPoly | int":
         sign = 1
         for pos, c in enumerate(cols):
             entry = rows[r][c]
-            if not (isinstance(entry, int) and entry == 0):
+            if entry:
                 sub = minor(cols[:pos] + cols[pos + 1 :])
                 total = total + sign * entry * sub
             sign = -sign
@@ -616,49 +619,6 @@ def det_cofactor(A) -> "MultiPoly | int":
         return total
 
     return minor(tuple(range(n)))
-
-
-def det_bareiss(A) -> "MultiPoly | int":
-    """Fraction-free determinant (Bareiss elimination) for polynomial entries."""
-    A = _as_matrix(A)
-    if not A.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    n = A.nrows
-    if n == 0:
-        return 1
-    M = [[as_poly(e) for e in row] for row in A.rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if M[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = divexact(pivot * M[i][j] - M[i][k] * M[k][j], prev)
-            M[i][k] = ZERO
-        prev = pivot
-    return M[n - 1][n - 1] * sign if sign < 0 else M[n - 1][n - 1]
-
-
-def det(A):
-    """Exact determinant.
-
-    Cofactor expansion for order <= 6, fraction-free elimination above; both
-    routes agree (and are tested against a Leibniz-sum oracle).
-    """
-    A = _as_matrix(A)
-    if not A.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    if A.nrows <= 6:
-        return det_cofactor(A)
-    return det_bareiss(A)
 
 
 def det_leibniz(A):
@@ -673,12 +633,6 @@ def det_leibniz(A):
             prod = prod * A.rows[i][perm[i]]
         total = total + (-1) ** inv * prod
     return total
-
-
-def _is_zero_entry(x) -> bool:
-    if isinstance(x, int):
-        return x == 0
-    return x.is_zero
 
 
 def _subset_sign(K, J) -> int:
@@ -702,7 +656,7 @@ def laplace_expand(A, K) -> "MultiPoly | int":
         J0 = [j - 1 for j in J]
         Jbar = [j for j in range(n) if j not in set(J0)]
         d1 = det(A.submatrix(K0, J0))
-        if _is_zero_entry(d1):
+        if not d1:
             continue
         d2 = det(A.submatrix(Kbar, Jbar))
         total = total + _subset_sign(K, J) * d1 * d2
