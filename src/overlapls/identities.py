@@ -11,20 +11,27 @@ enumerators.
 
 Both overlap identities come from one Laplace expansion, and each split sum
 has one term shape, built in one place: _x_split_terms for sums over splits
-(S, T) of X, _y_split_factor and _y_split_term for sums over splits (U, V)
-of Y.  Each split sum iterates over order-preserving subsequences of a
-fixed variable order; every Vandermonde-type sign follows from that single
-rule.
+(S, T) of X, _conclude_y_splits for sums over splits (U, V) of Y.  Each
+split sum iterates over order-preserving subsequences of a fixed variable
+order; every Vandermonde-type sign follows from that single rule.
+
+Each verifier writes its two sides once, as build(R), from the primitives
+R.ls, R.schur and R.delta.  _conclude, the one place that reads the mode,
+passes polynomials in symbolic mode and values at the spot points in grid
+mode, so grid mode expands no polynomial.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import report
-from .littlewood_schur import littlewood_square_check, ls_determinantal
+from .littlewood_schur import littlewood_square_check, ls_determinantal, ls_value
 from .overlap import (
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
@@ -41,6 +48,7 @@ from .polyring import (
     ZERO,
     delta_pair,
     det,
+    diff_product,
     divexact,
     e_prod,
     laplace_expand,
@@ -67,61 +75,74 @@ def spot_points(names, count: int = _SPOT_COUNT):
         }
 
 
-def _on_points(ident, instance, names, left, right):
-    """Grid comparison; left and right map a spot point to the exact value of a side."""
-    for point in spot_points(names):
-        if left(point) != right(point):
-            return report.failed(ident, instance, f"point {point}", "grid")
-    return report.passed(ident, instance, "grid")
+# Symbolic primitives: the cached polynomials, looked up at call time.
+_POLYS = SimpleNamespace(
+    ls=lambda lam, X, Y: ls_determinantal(lam, X, Y),
+    schur=lambda lam, X: schur(lam, X),
+    delta=lambda X, Y: delta_pair(X, Y),
+    poly=lambda p: p,
+)
 
 
-def _compare(ident, instance, mode, lhs, rhs, names):
-    """Compare two polynomials, symbolically or at the spot points."""
-    if mode == "grid":
-        return _on_points(ident, instance, names, lhs.evaluate, rhs.evaluate)
-    if mode != "symbolic":
-        raise ValueError(f"unknown mode {mode!r}")
-    if lhs == rhs:
-        return report.passed(ident, instance)
-    return report.failed(ident, instance, str(lhs - rhs))
+def _at_point(point):
+    """Grid primitives on unmarked alphabets: exact values at one spot point, no polynomial built."""
+    def at(X: VarSeq):
+        return tuple(map(point.__getitem__, X.names))
+
+    return SimpleNamespace(
+        ls=lambda lam, X, Y: ls_value(lam, at(X), at(Y)),
+        schur=lambda lam, X: schur_value(lam, at(X)),
+        delta=lambda X, Y: diff_product(itertools.product(at(X), at(Y))),
+        poly=lambda p: p.evaluate(point),
+    )
 
 
 def _cleared(terms, clear) -> MultiPoly:
     """clear times the sum of (num, den) terms; every den must divide clear.
 
     Numerators are grouped by denominator first, so each distinct
-    denominator costs one division, and divexact certifies that it is exact.
+    denominator costs at most one division, which divexact certifies exact.
     """
     groups = {}
     for num, den in terms:
         groups[den] = groups[den] + num if den in groups else num
     total = ZERO
     for den, num in groups.items():
-        total = total + num * divexact(clear, den)
+        total = total + (num if den == clear else num * divexact(clear, den))
     return total
 
 
-def _conclude(ident, instance, mode, lhs, terms, names, clear):
-    """Compare lhs with a sum of (num, den) terms whose denominators divide clear.
+def _conclude(ident, instance, mode, build, names, clear=()):
+    """Check lhs = sum of num / den over the (lhs, terms) that build(R) returns.
 
-    Symbolic mode compares lhs * clear with the cleared sum, so a failing
-    witness is clear * (lhs - sum); grid mode evaluates every term.
+    Symbolic mode compares lhs * V with the cleared sum, V being the product
+    of the Vandermondes of the alphabets in clear, which every den must
+    divide; a failing witness is V * (lhs - sum).  Grid mode compares the
+    two sides' values at each spot point of names.
     """
     if mode == "grid":
-        def rhs(point):
-            return sum((num.evaluate(point) / den.evaluate(point) for num, den in terms), Fraction(0))
-
-        return _on_points(ident, instance, names, lhs.evaluate, rhs)
-    return _compare(ident, instance, mode, lhs * clear, _cleared(terms, clear), names)
+        for point in spot_points(names):
+            lhs, terms = build(_at_point(point))
+            if lhs != sum(Fraction(num, den) for num, den in terms):
+                return report.failed(ident, instance, f"point {point}", "grid")
+        return report.passed(ident, instance, "grid")
+    if mode != "symbolic":
+        raise ValueError(f"unknown mode {mode!r}")
+    lhs, terms = build(_POLYS)
+    vand = math.prod(map(vandermonde, clear), start=1)
+    lhs, rhs = lhs * vand, _cleared(terms, vand)
+    if lhs == rhs:
+        return report.passed(ident, instance)
+    return report.failed(ident, instance, str(lhs - rhs))
 
 
 # -- first overlap identity ---------------------------------------------------
 
 
-def _x_split_terms(head, tail, l, X: VarSeq, Y: VarSeq, sign=1):
+def _x_split_terms(R, head, tail, l, X: VarSeq, Y: VarSeq, sign=1):
     """(sign * LS(head; S) * LS(tail; T), delta(T, S)) over the splits (S, T) of X with l(S) = l."""
     return [
-        (sign * ls_determinantal(head, S, Y) * ls_determinantal(tail, T, Y), delta_pair(T, S))
+        (sign * R.ls(head, S, Y) * R.ls(tail, T, Y), R.delta(T, S))
         for S, T in X.splits(l)
     ]
 
@@ -151,9 +172,12 @@ def verify_first_overlap(lam, m, n, l, mu, nu, X: VarSeq, Y: VarSeq, mode="symbo
         head = shift_first(mu, k, l)
     except ValueError:
         return report.inapplicable(ident, instance, "mu + <k^l> is not a partition")
-    lhs = ls_determinantal(lam, X, Y)
-    terms = _x_split_terms(head, nu.union(lam.drop(n - k)), l, X, Y, ov.sign)
-    return _conclude(ident, instance, mode, lhs, terms, X.names + Y.names, vandermonde(X))
+    tail = nu.union(lam.drop(n - k))
+
+    def build(R):
+        return R.ls(lam, X, Y), _x_split_terms(R, head, tail, l, X, Y, ov.sign)
+
+    return _conclude(ident, instance, mode, build, X.names + Y.names, (X,))
 
 
 def sorted_split_sum(lam, l, X: VarSeq, Y: VarSeq) -> MultiPoly:
@@ -163,7 +187,7 @@ def sorted_split_sum(lam, l, X: VarSeq, Y: VarSeq) -> MultiPoly:
     remaining parts over all splits; valid only while l stays at most n - k.
     """
     n = len(X)
-    terms = _x_split_terms(shift_first(lam.take(l), n - l, l), lam.drop(l), l, X, Y)
+    terms = _x_split_terms(_POLYS, shift_first(lam.take(l), n - l, l), lam.drop(l), l, X, Y)
     vand = vandermonde(X)
     return divexact(_cleared(terms, vand), vand)
 
@@ -182,7 +206,7 @@ def counterexample_regression(mode="symbolic"):
     instance = {"lambda": lam.to_json(), "n": 2, "m": 3, "l": 1}
     diff = ls_determinantal(lam, X, Y) - sorted_split_sum(lam, 1, X, Y)
     target = e_prod(Y)
-    r = _compare(ident, instance, mode, diff, target, X.names + Y.names)
+    r = _conclude(ident, instance, mode, lambda R: (R.poly(diff), [(R.poly(target), 1)]), X.names + Y.names)
     return replace(r, witness=str(target)) if r.passed else r
 
 
@@ -207,41 +231,39 @@ def verify_cor_max_index(mu, nu, l, X: VarSeq, Y: VarSeq, mode="symbolic"):
     if head.index(m, l) != 0:
         return report.inapplicable(ident, instance, "mu + <k^l> does not have maximal index 0")
     ov = overlap(mu, nu.take(n - l - k), l, n - l - k)
-    if ov.is_finite:
-        lhs_part = ov.value.union(nu.drop(n - l - k))
-        lhs = ls_determinantal(lhs_part, X, Y)
-    else:
-        lhs = ZERO
-    terms = _x_split_terms(head, nu, l, X, Y, ov.sign)
-    return _conclude(ident, instance, mode, lhs, terms, X.names + Y.names, vandermonde(X))
+    glued = ov.value.union(nu.drop(n - l - k)) if ov.is_finite else None
+
+    def build(R):
+        return R.ls(glued, X, Y), _x_split_terms(R, head, nu, l, X, Y, ov.sign)
+
+    return _conclude(ident, instance, mode, build, X.names + Y.names, (X,))
 
 
 # -- second overlap identity and walk split -----------------------------------
 
 
 def _second_overlap_setup(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
-    n = len(S) + len(T)
-    m = len(Y)
-    l = len(S)
-    k = lam.index(m, n)
-    return n, m, l, k
+    """(n, m, l, k) and the report instance of the second-overlap checks."""
+    n, m, l = len(S) + len(T), len(Y), len(S)
+    return n, m, l, lam.index(m, n), {"lambda": lam.to_json(), "l(S)": l, "l(T)": n - l, "m": m}
 
 
-def _y_split_factor(S, T, U, V):
-    """delta(V, S) delta(T, U) / (delta(V, U) delta(T, S)) for the split (U, V) of Y, as (num, den)."""
-    return delta_pair(V, S) * delta_pair(T, U), delta_pair(V, U) * delta_pair(T, S)
+def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
+    """LS(lam; S u T, Y) against the sum over splits (U, V) of Y of the summands' terms.
 
+    The delta factor is made once per split; every denominator divides V(S u T) V(Y).
+    """
+    def build(R):
+        factors = {}
+        terms = []
+        for U, V, sign, reduced, below in summands:
+            if (U, V) not in factors:
+                factors[U, V] = R.delta(V, S) * R.delta(T, U), R.delta(V, U) * R.delta(T, S)
+            num, den = factors[U, V]
+            terms.append((sign * num * R.ls(reduced, S, U) * R.ls(below, T, V), den))
+        return R.ls(lam, S.concat(T), Y), terms
 
-def _y_split_term(sign, factor, reduced, below, S, T, U, V):
-    """sign * factor * LS(reduced; S, U) * LS(below; T, V) as a (num, den) term."""
-    num, den = factor
-    return sign * num * ls_determinantal(reduced, S, U) * ls_determinantal(below, T, V), den
-
-
-def _conclude_y_splits(ident, instance, mode, lhs, terms, S, T, Y):
-    """Conclude a sum over splits of Y; its denominators divide V(S u T) V(Y)."""
-    clear = vandermonde(S.concat(T)) * vandermonde(Y)
-    return _conclude(ident, instance, mode, lhs, terms, S.names + T.names + Y.names, clear)
+    return _conclude(ident, instance, mode, build, S.names + T.names + Y.names, (S.concat(T), Y))
 
 
 def _fiber_labels(head, c, l, Y):
@@ -266,19 +288,14 @@ def _walk_labels(head, c, l, Y):
         yield (pi2.m, U, V) + walk_overlap_pair(head, pi1)
 
 
-def _second_overlap_terms(lam, S, T, Y, k, labels):
-    """Triple-sum terms keyed by (p, U, V, mu, nu), one per label, for the bijection check."""
+def _second_overlap_summands(lam, S, T, Y, k, labels):
+    """The summands of the triple sum, one per label of labels(head, n - k, l, Y)."""
     n, m, l = len(S) + len(T), len(Y), len(S)
     tail = lam.drop(n - k)
-    factors = {}
-    terms = {}
-    for p, U, V, mu, nu, sign in labels(lam.take(n - k), n - k, l, Y):
-        if (U, V) not in factors:
-            factors[U, V] = _y_split_factor(S, T, U, V)
-        reduced = shift_first(mu, -(m - k), l - p)
-        key = (p, U.names, V.names, mu.parts, nu.parts)
-        terms[key] = _y_split_term(sign, factors[U, V], reduced, nu.union(tail), S, T, U, V)
-    return terms
+    return [
+        (U, V, sign, shift_first(mu, -(m - k), l - p), nu.union(tail))
+        for p, U, V, mu, nu, sign in labels(lam.take(n - k), n - k, l, Y)
+    ]
 
 
 def verify_second_overlap(lam, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic"):
@@ -287,45 +304,41 @@ def verify_second_overlap(lam, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic")
     Valid for every cut of the first alphabet: cutting past the index columns
     only shifts where the split count starts.
     """
-    ident = "second-overlap"
-    n, m, l, k = _second_overlap_setup(lam, S, T, Y)
-    instance = {"lambda": lam.to_json(), "l(S)": l, "l(T)": n - l, "m": m}
-    lhs = ls_determinantal(lam, S.concat(T), Y)
-    terms = _second_overlap_terms(lam, S, T, Y, k, _fiber_labels)
-    return _conclude_y_splits(ident, instance, mode, lhs, terms.values(), S, T, Y)
+    n, m, l, k, instance = _second_overlap_setup(lam, S, T, Y)
+    summands = _second_overlap_summands(lam, S, T, Y, k, _fiber_labels)
+    return _conclude_y_splits("second-overlap", instance, mode, lam, S, T, Y, summands)
 
 
 def verify_walk_split(lam, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic"):
     """Single walk sum with prefix/suffix splitting against LS of the union."""
-    ident = "walk-split"
-    n, m, l, k = _second_overlap_setup(lam, S, T, Y)
-    instance = {"lambda": lam.to_json(), "l(S)": l, "l(T)": n - l, "m": m}
+    n, m, l, k, instance = _second_overlap_setup(lam, S, T, Y)
     if l > m + n - k:
-        return report.inapplicable(ident, instance, f"no walks carry {l} vertical steps")
-    lhs = ls_determinantal(lam, S.concat(T), Y)
-    terms = _second_overlap_terms(lam, S, T, Y, k, _walk_labels)
-    return _conclude_y_splits(ident, instance, mode, lhs, terms.values(), S, T, Y)
+        return report.inapplicable("walk-split", instance, f"no walks carry {l} vertical steps")
+    summands = _second_overlap_summands(lam, S, T, Y, k, _walk_labels)
+    return _conclude_y_splits("walk-split", instance, mode, lam, S, T, Y, summands)
 
 
 def walk_split_bijection_check(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
-    """Term-for-term agreement of the walk sum with the triple sum.
+    """Label-for-label agreement of the walk sum with the triple sum.
 
     The prefix of each walk carries the fiber pair, the suffix carries the
-    split of Y; the check asserts the two term families coincide key by key.
+    split of Y; the check asserts the two label families coincide, sign
+    included.  Each triple-sum term is a fixed function of its label, so
+    equal labels give equal terms.
     """
     ident = "walk-split-bijection"
-    n, m, l, k = _second_overlap_setup(lam, S, T, Y)
-    instance = {"lambda": lam.to_json(), "l(S)": l, "l(T)": n - l, "m": m}
+    n, m, l, k, instance = _second_overlap_setup(lam, S, T, Y)
     if l > m + n - k:
         return report.inapplicable(ident, instance, f"no walks carry {l} vertical steps")
-    a = _second_overlap_terms(lam, S, T, Y, k, _fiber_labels)
-    b = _second_overlap_terms(lam, S, T, Y, k, _walk_labels)
-    if set(a) != set(b):
-        mismatch = (set(a) - set(b)) | (set(b) - set(a))
-        return report.failed(ident, instance, f"key mismatch: {mismatch}")
-    for key in a:
-        if a[key] != b[key]:
-            return report.failed(ident, instance, f"terms differ at {key}")
+    a, b = (
+        {
+            (p, U.names, V.names, mu.parts, nu.parts): sign
+            for p, U, V, mu, nu, sign in labels(lam.take(n - k), n - k, l, Y)
+        }
+        for labels in (_fiber_labels, _walk_labels)
+    )
+    if a != b:
+        return report.failed(ident, instance, f"labels differ: {sorted(a.items() ^ b.items())}")
     return report.passed(ident, instance)
 
 
@@ -341,37 +354,23 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
     if mu.length > m or nu.length > n:
         return report.inapplicable(ident, instance, "mu or nu too long")
     ov = overlap(mu, nu, m, n)
-    if mode == "grid":
-        def left(point):
-            return Fraction(0) if ov.is_infinite else schur_value(ov.value, [point[x] for x in X.names])
 
-        def right(point):
-            rv = Fraction(0)
-            for S, T in X.splits(m):
-                sv = schur_value(mu, [point[x] for x in S.names])
-                tv = schur_value(nu, [point[x] for x in T.names])
-                d = Fraction(1)
-                for s in S.names:
-                    for t in T.names:
-                        d *= point[s] - point[t]
-                rv += ov.sign * sv * tv / d
-            return rv
+    def build(R):
+        terms = [(ov.sign * R.schur(mu, S) * R.schur(nu, T), R.delta(S, T)) for S, T in X.splits(m)]
+        return (0 if ov.is_infinite else R.schur(ov.value, X)), terms
 
-        return _on_points(ident, instance, X.names, left, right)
-    lhs = ZERO if ov.is_infinite else schur(ov.value, X)
-    terms = []
-    for S, T in X.splits(m):
-        terms.append((ov.sign * schur(mu, S) * schur(nu, T), delta_pair(S, T)))
-    return _conclude(ident, instance, mode, lhs, terms, X.names, vandermonde(X))
+    return _conclude(ident, instance, mode, build, X.names, (X,))
 
 
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
     """schur(target, S u T) * delta(S, T) against sum sign * s_mu(S) * s_nu(T) over the triples."""
-    lhs = schur(target, S.concat(T)) * delta_pair(S, T)
-    total = ZERO
-    for mu, nu, sign in triples:
-        total = total + sign * schur(mu, S) * schur(nu, T)
-    return _compare(ident, instance, mode, lhs, total, S.names + T.names)
+    triples = list(triples)
+
+    def build(R):
+        lhs = R.schur(target, S.concat(T)) * R.delta(S, T)
+        return lhs, ((sign * R.schur(mu, S) * R.schur(nu, T), 1) for mu, nu, sign in triples)
+
+    return _conclude(ident, instance, mode, build, S.names + T.names)
 
 
 def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
@@ -427,18 +426,14 @@ def verify_subpartition_ls(kappa, m, n, n_tilde, l, q, S: VarSeq, T: VarSeq, Y: 
         return report.inapplicable(ident, instance, f"kappa not inside {m + n}x{l}")
     if not kappa.contains_cell(m + n, q - n_tilde):
         return report.inapplicable(ident, instance, "kappa misses the corner cell")
-    lhs = ls_determinantal(kappa.conjugate(), S.concat(T), Y)
-    terms = []
+    summands = []
     for p in range(0, min(m, q) + 1):
-        summands = []
+        at_p = []
         for lam, K in enumerate_subpartition_pairs(kappa, m - p, n + p, l):
             mu, below, sign = subpartition_to_overlap(lam, K, m - p, n + p + l)
-            summands.append((sign, shift_first(mu, -(q - n_tilde), m - p), below))
-        for U, V in Y.splits(p):
-            factor = _y_split_factor(S, T, U, V)
-            for sign, reduced, below in summands:
-                terms.append(_y_split_term(sign, factor, reduced, below, S, T, U, V))
-    return _conclude_y_splits(ident, instance, mode, lhs, terms, S, T, Y)
+            at_p.append((sign, shift_first(mu, -(q - n_tilde), m - p), below))
+        summands += [(U, V) + summand for U, V in Y.splits(p) for summand in at_p]
+    return _conclude_y_splits(ident, instance, mode, kappa.conjugate(), S, T, Y, summands)
 
 
 # -- classical specializations -------------------------------------------------
@@ -663,4 +658,6 @@ def verify_dual_cauchy(X: VarSeq, Y: VarSeq, mode="symbolic"):
     for i in range(n):
         for j in range(m):
             product = product * (ONE + X.term(i) * Y.term(j))
-    return _compare(ident, instance, mode, total, product, X.names + Y.names)
+    return _conclude(
+        ident, instance, mode, lambda R: (R.poly(total), [(R.poly(product), 1)]), X.names + Y.names
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 
 from . import report
 from .partitions import Partition, partitions_in_box, rect
@@ -23,6 +24,8 @@ from .polyring import (
     delta_pair,
     divexact,
     det,
+    det_field,
+    diff_product,
     e_prod,
     vandermonde,
 )
@@ -195,6 +198,31 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
         if cy:
             denom = denom * MultiPoly.var(y, cy)
     return divexact(total, denom) * ls_sign(lam, m, n)
+
+
+@functools.cache
+def ls_value(lam, xs: tuple, ys: tuple) -> Fraction:
+    """ls_determinantal(lam, X, Y) at X = xs, Y = ys: the Moens-Van der Jeugt determinant over Q.
+
+    Exponents may be negative, so the rational values must be nonzero and
+    pairwise distinct.
+    """
+    if lam is None:
+        return Fraction(0)
+    xs, ys = tuple(map(Fraction, xs)), tuple(map(Fraction, ys))
+    n, m = len(xs), len(ys)
+    k = lam.index(m, n)
+    if k < 0:
+        return Fraction(0)
+    lam_c = lam.conjugate()
+    rows = [
+        [1 / (x - y) for y in ys] + [x ** (lam.part(j) + n - m - j) for j in range(1, n - k + 1)]
+        for x in xs
+    ]
+    rows += [[y ** (lam_c.part(i) + m - n - i) for y in ys] + [0] * (n - k) for i in range(1, m - k + 1)]
+    cauchy = diff_product(itertools.product(xs, ys))
+    vand = diff_product(itertools.chain(itertools.combinations(xs, 2), itertools.combinations(ys, 2)))
+    return ls_sign(lam, m, n) * (-1) ** (n * m) * det_field(rows) * cauchy / vand
 
 
 def littlewood_square_check(

@@ -241,21 +241,6 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         return _degree(self.terms) if self.terms else -1
 
-    def degree_in(self, name: str) -> int:
-        s = _SHIFTS.get(name)
-        if s is None:
-            return 0
-        return max(((m >> s) & MAX_EXP for m in self.terms), default=0)
-
-    def content(self) -> int:
-        """gcd of all coefficients (non-negative); 0 for the zero polynomial."""
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, c)
-            if g == 1:
-                return 1
-        return g
-
     def evaluate(self, point: dict) -> Fraction:
         """Exact evaluation; every variable of the polynomial must be assigned.
 
@@ -412,27 +397,6 @@ def poly_equal(f, g) -> bool:
 def eval_at(f, point: dict) -> Fraction:
     """Exact rational evaluation of a polynomial."""
     return as_poly(f).evaluate(point)
-
-
-def grid_equal(f, g) -> bool:
-    """Certified equality check on a full per-variable-degree grid.
-
-    Two polynomials agreeing on a grid with (max degree + 1) distinct values
-    per variable are identical; the grid is deterministic.
-    """
-    f, g = as_poly(f), as_poly(g)
-    names = sorted(f.variables() | g.variables())
-    sizes = [max(f.degree_in(n), g.degree_in(n)) + 1 for n in names]
-    npoints = 1
-    for s in sizes:
-        npoints *= s
-    if npoints > 500_000:
-        raise ValueError(f"grid of {npoints} points exceeds certified-grid budget")
-    for values in itertools.product(*(range(s) for s in sizes)):
-        point = dict(zip(names, values))
-        if f.evaluate(point) != g.evaluate(point):
-            return False
-    return True
 
 
 # -- variable sequences ------------------------------------------------------
@@ -619,6 +583,40 @@ def det(A) -> "MultiPoly | int":
         return total
 
     return minor(tuple(range(n)))
+
+
+def det_field(rows) -> Fraction:
+    """Exact determinant of a square matrix of rationals by Gaussian elimination.
+
+    Values at a point go here; polynomial matrices go to det, which never divides.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    result = Fraction(1)
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            result = -result
+        pivot = Fraction(m[k][k])
+        result *= pivot
+        for r in range(k + 1, n):
+            factor = m[r][k] / pivot
+            if factor:
+                for c in range(k, n):
+                    m[r][c] -= factor * m[k][c]
+    return result
+
+
+def diff_product(pairs) -> Fraction:
+    """Product of a - b over pairs of rationals, multiplied as integers, normalized once."""
+    num = den = 1
+    for a, b in pairs:
+        num *= a.numerator * b.denominator - b.numerator * a.denominator
+        den *= a.denominator * b.denominator
+    return Fraction(num, den)
 
 
 def det_leibniz(A):

@@ -9,6 +9,8 @@ all inputs, which the test suite checks exhaustively at desk scale.
 from __future__ import annotations
 
 import functools
+import itertools
+from fractions import Fraction
 
 from . import report
 from .partitions import Partition, rect
@@ -18,6 +20,8 @@ from .polyring import (
     VarSeq,
     ZERO,
     det,
+    det_field,
+    diff_product,
     divexact,
     e_prod,
     vandermonde,
@@ -97,53 +101,25 @@ def schur(lam: Partition, X: VarSeq):
     return schur_ssyt(lam, X)
 
 
-def schur_value(lam: Partition, values):
+def schur_value(lam: Partition, values) -> Fraction:
     """Schur polynomial evaluated at pairwise distinct rational values.
 
-    Uses the numeric alternant over the numeric Vandermonde, so arbitrary
-    variable counts stay cheap.
+    The numeric alternant over the numeric Vandermonde, so arbitrary variable
+    counts stay cheap; values may be any sequence, and results are cached.
     """
-    from fractions import Fraction
+    return _schur_at(lam, tuple(map(Fraction, values)))
 
-    values = [Fraction(v) for v in values]
+
+@functools.cache
+def _schur_at(lam: Partition, values: tuple) -> Fraction:
     n = len(values)
     if lam.length > n:
         return Fraction(0)
-    if n == 0:
-        return Fraction(1)
     if len(set(values)) != n:
         raise ValueError("alternant evaluation needs distinct values")
     p = lam.padded(n)
     rows = [[x ** (p[j] + n - 1 - j) for j in range(n)] for x in values]
-    vdm = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vdm *= values[i] - values[j]
-    return _numeric_det(rows) / vdm
-
-
-def _numeric_det(rows):
-    """Fraction-exact determinant by Gaussian elimination."""
-    from fractions import Fraction
-
-    m = [list(r) for r in rows]
-    n = len(m)
-    result = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            result = -result
-        pivot = m[k][k]
-        result *= pivot
-        for r in range(k + 1, n):
-            factor = m[r][k] / pivot
-            if factor:
-                for c in range(k, n):
-                    m[r][c] -= factor * m[k][c]
-    return result
+    return det_field(rows) / diff_product(itertools.combinations(values, 2))
 
 
 def factor_rule_check(lam: Partition, m: int, X: VarSeq) -> report.VerificationReport:

@@ -4,7 +4,8 @@ from overlapls import identities
 from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap
 from overlapls.partitions import Partition, partitions_in_box
-from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, ZERO, e_prod, vandermonde
+from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, e_prod
+from overlapls.schur import schur_bialternant, schur_ssyt
 
 
 class TestConclude:
@@ -16,7 +17,11 @@ class TestConclude:
     def conclude(self, terms, mode):
         # (x1^2 - x2^2) / (x1 - x2) = x1 + x2, cleared by the Vandermonde x1 - x2
         lhs = self.x(1) + self.x(2)
-        return identities._conclude("t", {}, mode, lhs, terms, self.X.names, vandermonde(self.X))
+
+        def build(R):
+            return R.poly(lhs), [(R.poly(num), R.poly(den)) for num, den in terms]
+
+        return identities._conclude("t", {}, mode, build, self.X.names, (self.X,))
 
     def test_split_terms_pass(self):
         d = self.x(1) - self.x(2)
@@ -187,6 +192,19 @@ class TestSecondOverlapAndWalkSplit:
         S, T, Y = VarSeq.make("s", 1), VarSeq.make("t", 1), VarSeq.make("y", 1)
         assert identities.verify_second_overlap(lam, S, T, Y, mode="grid").passed
 
+    def test_bijection_check_sees_a_flipped_sign(self, monkeypatch):
+        lam = Partition((1, 1, 1))
+        S, T, Y = VarSeq.of("x1"), VarSeq.of("x2"), VarSeq.make("y", 3)
+        walk_labels = identities._walk_labels
+
+        def flipped(*args):
+            for i, label in enumerate(walk_labels(*args)):
+                yield label[:-1] + (-label[-1],) if i == 0 else label
+
+        monkeypatch.setattr(identities, "_walk_labels", flipped)
+        r = identities.walk_split_bijection_check(lam, S, T, Y)
+        assert r.failed and r.witness.startswith("labels differ: ")
+
 
 class TestSchurCorollaries:
     def test_first_overlap_schur_infinite_gives_zero(self):
@@ -294,6 +312,28 @@ class TestDualCauchy:
         X, Y = VarSeq.make("x", 2), VarSeq.make("y", 2)
         assert identities.verify_dual_cauchy(X, Y).passed
         assert identities.verify_dual_cauchy(X, Y, mode="grid").passed
+
+
+SPLIT_SUM_SWEEPS = [
+    "first-overlap", "max-index", "second-overlap", "walk-split",
+    "first-overlap-schur", "second-overlap-schur", "labeled-walk-schur",
+    "subpartition-schur", "subpartition-ls",
+]
+
+
+@pytest.mark.parametrize("name", SPLIT_SUM_SWEEPS)
+def test_grid_mode_expands_no_polynomial(name, monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("grid mode multiplied two polynomials")
+
+    # a cached polynomial would hide an expansion, so start from empty caches
+    for cached in (ls_determinantal, schur_bialternant, schur_ssyt):
+        cached.cache_clear()
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
+    reports = identities.run_catalog([name], max_box=2, nvars=2, mode="grid")
+    assert reports and all(r.passed for r in reports)
+    assert all(r.mode == "grid" for r in reports if r.identity == name)
 
 
 class TestCatalog:

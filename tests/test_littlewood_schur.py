@@ -1,9 +1,13 @@
+import random
+from fractions import Fraction
+
 from overlapls.littlewood_schur import (
     littlewood_square_check,
     lr_coefficient,
     ls_combinatorial,
     ls_determinantal,
     ls_sign,
+    ls_value,
 )
 from overlapls.partitions import Partition, partitions_in_box, rect
 from overlapls.polyring import (
@@ -159,6 +163,32 @@ class TestDeterminantalLS:
         lam = Partition((2, 1))
         signs = {ls_sign(lam, m, n) for m in range(4) for n in range(4)}
         assert signs == {1, -1}
+
+
+class TestLSValue:
+    def test_matches_polynomial_at_random_points(self):
+        rng = random.Random(7)
+        checked = 0
+        for lam in partitions_in_box(4, 3):
+            for n in range(0, 4):
+                for m in range(0, 3):
+                    X, Y = VarSeq.make("x", n), VarSeq.make("y", m)
+                    nums = rng.sample(range(1, 100), n + m)
+                    vals = [Fraction(v * rng.choice((1, -1)), rng.randint(1, 6)) for v in nums]
+                    if len(set(vals)) < n + m:
+                        continue
+                    point = dict(zip(X.names + Y.names, vals))
+                    got = ls_value(lam, tuple(vals[:n]), tuple(vals[n:]))
+                    assert got == ls_determinantal(lam, X, Y).evaluate(point), (lam, n, m)
+                    checked += 1
+        assert checked > 300
+
+    def test_zero_cases(self):
+        xs, ys = (Fraction(2), Fraction(3)), (Fraction(5),)
+        # three columns never fit against two x variables and no y: k < 0
+        assert Partition((1, 1, 1)).index(0, 2) < 0
+        assert ls_value(Partition((1, 1, 1)), xs, ()) == 0
+        assert ls_value(None, xs, ys) == 0
 
 
 class TestLittlewoodSquare:

@@ -20,7 +20,6 @@ from overlapls.polyring import (
     e_prod,
     elem_sym,
     eval_at,
-    grid_equal,
     laplace_expand,
     poly_equal,
     sort_sign,
@@ -261,30 +260,6 @@ class TestLaplace:
             laplace_expand([[1, 0], [0, 1]], (3,))
 
 
-class TestGridEqual:
-    def test_agrees_with_symbolic(self):
-        rng = random.Random(31)
-        names = ["a", "b", "c", "d"]
-
-        def rand_poly():
-            p = ZERO
-            for _ in range(rng.randint(1, 6)):
-                m = ONE * rng.randint(-5, 5)
-                total = 0
-                for n in names:
-                    e = rng.randint(0, max(0, 2 - total // 2))
-                    total += e
-                    m = m * MultiPoly.var(n, e)
-                p = p + m
-            return p
-
-        for _ in range(10):
-            f = rand_poly()
-            g = rand_poly()
-            assert grid_equal(f, g) == (f == g)
-            assert grid_equal(f, f + ZERO)
-
-
 # -- reference model: the sorted (name, exponent) tuple encoding ---------------
 
 NAMES = ("a", "b", "c", "x1", "y1")
@@ -431,7 +406,6 @@ class TestExponentOverflow:
 
     def test_largest_exponent_fits(self):
         f = x("x", MAX_EXP - 1) * x("x")
-        assert f.degree_in("x") == MAX_EXP
         assert f.monomials() == {(("x", MAX_EXP),): 1}
 
     def test_var_and_invert_vars(self):

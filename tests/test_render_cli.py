@@ -156,6 +156,11 @@ class TestVerifyCommand:
         assert payload["outcome"] == "pass"
         assert payload["witness"] == "y1*y2*y3"
 
+    def test_grid_second_overlap_at_seven_vars(self):
+        # grid mode evaluates LS at the spot points instead of expanding 9-variable LS polynomials
+        code, _, err = run_cli("verify", "second-overlap", "--max-box", "0", "--vars", "7", "--mode", "grid")
+        assert code == 0, err
+
     def test_unknown_name_usage_error(self):
         code, _, _ = run_cli("verify", "nonsense")
         assert code == 2
