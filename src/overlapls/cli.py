@@ -52,7 +52,11 @@ def parse_partition(text: str) -> Partition:
 def _output(args):
     """The --out file, opened for writing, or stdout."""
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as e:
+            raise UsageError(f"cannot write --out {args.out}: {e.strerror}") from None
+        with fh:
             yield fh
     else:
         yield sys.stdout
@@ -132,8 +136,17 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _env_seed() -> int:
+    text = os.environ.get("OVERLAP_LS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"OVERLAP_LS_SEED must be an integer, not {text!r}") from None
+
+
 def cmd_verify(args) -> int:
     names = None if args.name == "all" else [args.name]
+    seed = _env_seed() if args.seed is None else args.seed
     if args.max_box < 0 or args.vars < 0:
         raise UsageError("--max-box and --vars must be non-negative")
     if args.vars > identities.MAX_VARS:
@@ -141,7 +154,7 @@ def cmd_verify(args) -> int:
     try:
         reports = identities.run_catalog(
             names, max_box=args.max_box, nvars=args.vars,
-            mode=args.mode, seed=args.seed,
+            mode=args.mode, seed=seed,
         )
     except KeyError as e:
         raise UsageError(str(e)) from None
@@ -213,8 +226,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
-    if getattr(args, "seed", None) is None and args.command == "verify":
-        args.seed = int(os.environ.get("OVERLAP_LS_SEED", "0"))
     try:
         return args.func(args)
     except (UsageError, ValueError) as e:

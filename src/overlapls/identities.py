@@ -18,7 +18,9 @@ order; every Vandermonde-type sign follows from that single rule.
 Each verifier writes its two sides once, as build(R), from the primitives
 R.ls, R.schur and R.delta.  _conclude, the one place that reads the mode,
 passes polynomials in symbolic mode and values at the spot points in grid
-mode, so grid mode expands no polynomial.
+mode, so grid mode expands no polynomial.  The one exception is
+_union_schur: in symbolic mode it compares the integer coefficients of the
+alternants the two sides become, and expands no polynomial either.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .polyring import (
     divexact,
     e_prod,
     laplace_expand,
+    sort_sign,
     vandermonde,
 )
 from .schur import complement_reciprocity_check, factor_rule_check, schur, schur_value
@@ -362,15 +365,46 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
     return _conclude(ident, instance, mode, build, X.names, (X,))
 
 
+def _staircase(lam, k: int) -> tuple:
+    """lam + delta_k = (lam_1 + k - 1, ..., lam_k), strictly decreasing; l(lam) <= k."""
+    return tuple(p + k - 1 - j for j, p in enumerate(lam.padded(k)))
+
+
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
-    """schur(target, S u T) * delta(S, T) against sum sign * s_mu(S) * s_nu(T) over the triples."""
+    """schur(target, S u T) * delta(S, T) against sum sign * s_mu(S) * s_nu(T) over the triples.
+
+    Symbolic mode builds no polynomial.  Times V(S) V(T), the left side is
+    the alternant a_(target + delta)(S u T) (bialternant formula) and each
+    term is sign * a_(mu + delta)(S) * a_(nu + delta)(T).  Both sides are
+    then antisymmetric in S and in T, so they are equal exactly when their
+    coefficients agree at the pairs (alpha, beta) of strictly decreasing
+    exponent vectors.  The left side's coefficients are the Laplace
+    expansion of the alternant along the rows of S: the shuffle sign of
+    each split of gamma = target + delta_(m+n) into alpha and beta.
+    """
     triples = list(triples)
+    if mode != "symbolic":
+        def build(R):
+            lhs = R.schur(target, S.concat(T)) * R.delta(S, T)
+            return lhs, ((sign * R.schur(mu, S) * R.schur(nu, T), 1) for mu, nu, sign in triples)
 
-    def build(R):
-        lhs = R.schur(target, S.concat(T)) * R.delta(S, T)
-        return lhs, ((sign * R.schur(mu, S) * R.schur(nu, T), 1) for mu, nu, sign in triples)
-
-    return _conclude(ident, instance, mode, build, S.names + T.names)
+        return _conclude(ident, instance, mode, build, S.names + T.names)
+    m, n = len(S), len(T)
+    lhs = {}
+    if target.length <= m + n:
+        gamma = _staircase(target, m + n)
+        for alpha in itertools.combinations(gamma, m):
+            beta = tuple(g for g in gamma if g not in alpha)
+            lhs[alpha, beta] = sort_sign(alpha + beta)
+    rhs = {}
+    for mu, nu, sign in triples:
+        if mu.length <= m and nu.length <= n:
+            key = _staircase(mu, m), _staircase(nu, n)
+            rhs[key] = rhs.get(key, 0) + sign
+    rhs = {key: c for key, c in rhs.items() if c}
+    if lhs != rhs:
+        return report.failed(ident, instance, f"coefficients differ: {sorted(lhs.items() ^ rhs.items())}")
+    return report.passed(ident, instance)
 
 
 def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):

@@ -8,9 +8,11 @@ at bit BITS * (i + 1), and the lowest field holds the total degree.  Adding
 two keys multiplies the monomials, and integer order on keys is a lex
 monomial order (later-interned names weigh more).  An exponent or total
 degree above MAX_EXP would spill into the next field, so every operation
-that could make one raises OverflowError before building any key.  The
-public monomial form, taken by MultiPoly(mapping) and returned by
-monomials(), is a tuple of (name, exponent) pairs sorted by name.
+that could make one raises OverflowError before building any key.  Each
+polynomial keeps an upper bound on its total degree, so a product checks
+without scanning its operands.  The public monomial form, taken by
+MultiPoly(mapping) and returned by monomials(), is a tuple of (name,
+exponent) pairs sorted by name.
 
 There is no fraction field: identities with denominators are multiplied
 through by a Vandermonde-type product that every denominator divides, and
@@ -104,7 +106,7 @@ class MultiPoly:
     and monomials() use (name, exponent) tuples instead.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "deg")
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -113,17 +115,23 @@ class MultiPoly:
             c += self.terms.pop(k, 0)
             if c:
                 self.terms[k] = c
+        self.deg = _degree(self.terms) if self.terms else 0
 
     @staticmethod
-    def _of(terms: dict) -> "MultiPoly":
-        """Wrap a packed {monomial: nonzero coefficient} dict without copying."""
+    def _of(terms: dict, deg: int | None = None) -> "MultiPoly":
+        """Wrap a packed {monomial: nonzero coefficient} dict without copying.
+
+        deg, an upper bound on the total degree of every key, is kept for the
+        overflow check of products; left out, it is computed exactly.
+        """
         p = MultiPoly.__new__(MultiPoly)
         p.terms = terms
+        p.deg = (_degree(terms) if terms else 0) if deg is None else deg
         return p
 
     @staticmethod
     def const(c: int) -> "MultiPoly":
-        return MultiPoly._of({0: int(c)} if c else {})
+        return MultiPoly._of({0: int(c)} if c else {}, 0)
 
     @staticmethod
     def var(name: str, exp: int = 1, coeff: int = 1) -> "MultiPoly":
@@ -132,7 +140,7 @@ class MultiPoly:
         _check_exp(exp, f"exponent of {name}")
         if not coeff:
             return MultiPoly()
-        return MultiPoly._of({(exp << _shift(name)) + exp if exp else 0: coeff})
+        return MultiPoly._of({(exp << _shift(name)) + exp if exp else 0: coeff}, exp)
 
     def monomials(self) -> dict:
         """{(name, exponent) pairs sorted by name: coefficient}, the form MultiPoly() takes."""
@@ -161,7 +169,7 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return MultiPoly._of({m: -c for m, c in self.terms.items()})
+        return MultiPoly._of({m: -c for m, c in self.terms.items()}, self.deg)
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -175,7 +183,7 @@ class MultiPoly:
                 out[m] = nc
             else:
                 out.pop(m, None)
-        return MultiPoly._of(out)
+        return MultiPoly._of(out, max(self.deg, other.deg))
 
     __radd__ = __add__
 
@@ -193,13 +201,17 @@ class MultiPoly:
         if isinstance(other, int):
             if not other:
                 return MultiPoly()
-            return MultiPoly._of({m: c * other for m, c in self.terms.items()})
+            return MultiPoly._of({m: c * other for m, c in self.terms.items()}, self.deg)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if not (self.terms and other.terms):
             return MultiPoly()
         # The product's total degree bounds every field of every product key.
-        _check_exp(_degree(self.terms) + _degree(other.terms), "total degree of a product")
+        # The kept degrees may be loose bounds, so only the exact ones can reject.
+        deg = self.deg + other.deg
+        if deg > MAX_EXP:
+            deg = _degree(self.terms) + _degree(other.terms)
+            _check_exp(deg, "total degree of a product")
         out = {}
         if len(self.terms) > len(other.terms):
             a, b = other, self
@@ -213,7 +225,7 @@ class MultiPoly:
                     out[m] = nc
                 else:
                     del out[m]
-        return MultiPoly._of(out)
+        return MultiPoly._of(out, deg)
 
     __rmul__ = __mul__
 
@@ -276,7 +288,7 @@ class MultiPoly:
             if n in _SHIFTS:
                 low |= 1 << _SHIFTS[n]
         return MultiPoly._of(
-            {m: -c if (m & low).bit_count() & 1 else c for m, c in self.terms.items()}
+            {m: -c if (m & low).bit_count() & 1 else c for m, c in self.terms.items()}, self.deg
         )
 
     def invert_vars(self, names, top: int) -> "MultiPoly":

@@ -4,8 +4,8 @@ from overlapls import identities
 from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap
 from overlapls.partitions import Partition, partitions_in_box
-from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, e_prod
-from overlapls.schur import schur_bialternant, schur_ssyt
+from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, delta_pair, e_prod
+from overlapls.schur import schur, schur_bialternant, schur_ssyt
 
 
 class TestConclude:
@@ -321,19 +321,88 @@ SPLIT_SUM_SWEEPS = [
 ]
 
 
-@pytest.mark.parametrize("name", SPLIT_SUM_SWEEPS)
-def test_grid_mode_expands_no_polynomial(name, monkeypatch):
+def _sweep_refusing_products(name, mode, monkeypatch):
     def refuse(self, other):
-        raise AssertionError("grid mode multiplied two polynomials")
+        raise AssertionError(f"{mode} mode multiplied two polynomials")
 
     # a cached polynomial would hide an expansion, so start from empty caches
     for cached in (ls_determinantal, schur_bialternant, schur_ssyt):
         cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
-    reports = identities.run_catalog([name], max_box=2, nvars=2, mode="grid")
+    reports = identities.run_catalog([name], max_box=2, nvars=2, mode=mode)
     assert reports and all(r.passed for r in reports)
-    assert all(r.mode == "grid" for r in reports if r.identity == name)
+    assert all(r.mode == mode for r in reports if r.identity == name)
+
+
+@pytest.mark.parametrize("name", SPLIT_SUM_SWEEPS)
+def test_grid_mode_expands_no_polynomial(name, monkeypatch):
+    _sweep_refusing_products(name, "grid", monkeypatch)
+
+
+UNION_SWEEPS = ["second-overlap-schur", "labeled-walk-schur", "subpartition-schur"]
+
+
+def _union_checks(lam, S, T):
+    """The three union-Schur verifiers on one (lam, S, T); subpartition-schur takes kappa = lam'."""
+    m, n = len(S), len(T)
+    yield lambda: identities.verify_second_overlap_schur(lam, S, T)
+    yield lambda: identities.verify_labeled_walk_schur(lam, S, T)
+    yield lambda: identities.verify_subpartition_schur(lam.conjugate(), m, n, 3, S, T)
+
+
+class TestUnionSchurCoefficients:
+    """The alternant-coefficient check against the expanded polynomials, kept as an oracle."""
+
+    def test_verdicts_match_the_expansion(self, monkeypatch):
+        union_schur = identities._union_schur
+        seen = []
+
+        def checked(ident, instance, mode, target, S, T, triples):
+            triples = list(triples)
+            # the oracle: schur(target, S u T) * delta(S, T) == sum sign * s_mu(S) * s_nu(T)
+            lhs = schur(target, S.concat(T)) * delta_pair(S, T)
+            terms = [sign * schur(mu, S) * schur(nu, T) for mu, nu, sign in triples]
+            rhs = sum(terms, MultiPoly())
+            verdict = union_schur(ident, instance, mode, target, S, T, triples)
+            assert verdict.passed == (lhs == rhs)
+            # flip the sign of the first triple whose sides fit their alphabets
+            i = next(i for i, (mu, nu, _) in enumerate(triples) if mu.length <= len(S) and nu.length <= len(T))
+            mu, nu, sign = triples[i]
+            r = union_schur(ident, instance, mode, target, S, T, triples[:i] + [(mu, nu, -sign)] + triples[i + 1:])
+            assert r.passed == (lhs == rhs - 2 * terms[i])
+            assert r.failed and r.witness.startswith("coefficients differ: ")
+            seen.append(ident)
+            return verdict
+
+        monkeypatch.setattr(identities, "_union_schur", checked)
+        instances = list(identities._union_instances(3, 3))
+        for lam, S, T in instances:
+            for check in _union_checks(lam, S, T):
+                assert check().passed
+        assert sorted(set(seen)) == sorted(UNION_SWEEPS) and len(seen) == 3 * len(instances)
+
+    def test_flipped_sign_and_vanishing_terms(self):
+        # s_1(s, t) (s - t) = s^2 - t^2 = s_2(s) - s_2(t)
+        S, T = VarSeq.make("s", 1), VarSeq.make("t", 1)
+        two, empty = Partition((2,)), Partition(())
+
+        def check(sign, *extra):
+            return identities._union_schur(
+                "t", {}, "symbolic", Partition((1,)), S, T, [(two, empty, 1), (empty, two, sign), *extra]
+            )
+
+        assert check(-1).passed
+        # s_(1,1) of one variable is 0, so a term with that side adds nothing
+        assert check(-1, (Partition((1, 1)), empty, 1), (empty, Partition((2, 1)), 1)).passed
+        r = check(1)
+        assert r.failed
+        assert r.witness == "coefficients differ: [(((0,), (2,)), -1), (((0,), (2,)), 1)]"
+
+
+@pytest.mark.parametrize("name", UNION_SWEEPS)
+def test_symbolic_union_schur_expands_no_polynomial(name, monkeypatch):
+    _sweep_refusing_products(name, "symbolic", monkeypatch)
 
 
 class TestCatalog:

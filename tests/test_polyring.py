@@ -404,6 +404,12 @@ class TestExponentOverflow:
         with pytest.raises(OverflowError):
             x("x", 40000) * x("y", 40000)
 
+    def test_loose_degree_bound_does_not_reject(self):
+        # the sum keeps 40000 as its degree bound, but only y survives
+        f = (x("x", 40000) + x("y")) - x("x", 40000)
+        assert f == x("y")
+        assert (f * x("x", 40000)).monomials() == {(("x", 40000), ("y", 1)): 1}
+
     def test_largest_exponent_fits(self):
         f = x("x", MAX_EXP - 1) * x("x")
         assert f.monomials() == {(("x", MAX_EXP),): 1}

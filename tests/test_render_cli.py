@@ -182,6 +182,24 @@ class TestVerifyCommand:
         explicit = run_cli("verify", "laplace", "--seed", "5")
         assert proc.stdout == explicit[1]
 
+    def test_env_seed_must_be_an_integer(self):
+        import os
+
+        env = dict(os.environ, OVERLAP_LS_SEED="abc")
+        proc = subprocess.run(
+            [sys.executable, "-m", "overlapls.cli", "verify", "laplace"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "OVERLAP_LS_SEED" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("name", ["second-overlap-schur", "labeled-walk-schur"])
+    def test_union_schur_at_four_vars(self, name):
+        # symbolic mode compares alternant coefficients instead of expanding 8-variable products
+        code, _, err = run_cli("verify", name, "--max-box", "3", "--vars", "4")
+        assert code == 0, err
+
     def test_main_entry_in_process(self, capsys):
         assert main(["verify", "counterexample"]) == 0
         captured = capsys.readouterr()
@@ -223,3 +241,18 @@ class TestOutputFile:
         ])
         assert code == 0
         assert json.loads(target.read_text()) == {"value": [4, 2, 2, 2, 2, 1], "sign": -1}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("overlap", "--mu", "1", "--nu", "1", "--m", "1", "--n", "1"),
+            ("enumerate", "walks", "--n", "1", "--m", "1"),
+            ("render", "partition", "2,1"),
+            ("verify", "laplace"),
+        ],
+    )
+    def test_unwritable_out_is_usage_error(self, tmp_path, argv):
+        target = tmp_path / "missing" / "x"
+        code, _, err = run_cli(*argv, "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: ") and str(target) in err and "Traceback" not in err
