@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import identities, render
+from . import identities, render, report
 from .overlap import (
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
@@ -145,19 +145,17 @@ def _env_seed() -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.name != "all" and args.name not in identities.CATALOG:
+        raise UsageError(f"unknown verifier {args.name!r}")
     names = None if args.name == "all" else [args.name]
     seed = _env_seed() if args.seed is None else args.seed
     if args.max_box < 0 or args.vars < 0:
         raise UsageError("--max-box and --vars must be non-negative")
     if args.vars > identities.MAX_VARS:
         raise UsageError(f"--vars {args.vars} exceeds the budget of {identities.MAX_VARS}")
-    try:
-        reports = identities.run_catalog(
-            names, max_box=args.max_box, nvars=args.vars,
-            mode=args.mode, seed=seed,
-        )
-    except KeyError as e:
-        raise UsageError(str(e)) from None
+    reports = identities.run_catalog(
+        names, max_box=args.max_box, nvars=args.vars, mode=args.mode, seed=seed,
+    )
     if not reports:
         raise UsageError(
             f"{args.name} ran no checks at --max-box {args.max_box} --vars {args.vars}"
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-box", type=int, default=2, dest="max_box",
                    help="partitions range over a box of this side")
     p.add_argument("--vars", type=int, default=2, help="variable count cap")
-    p.add_argument("--mode", choices=["symbolic", "grid"], default="symbolic")
+    p.add_argument("--mode", choices=report.MODES, default=report.MODES[0])
     p.add_argument("--seed", type=int, default=None,
                    help="seed for sampled checks (falls back to OVERLAP_LS_SEED)")
     p.add_argument("--out", default=None)

@@ -15,12 +15,13 @@ has one term shape, built in one place: _x_split_terms for sums over splits
 split sum iterates over order-preserving subsequences of a fixed variable
 order; every Vandermonde-type sign follows from that single rule.
 
-Each verifier writes its two sides once, as build(R), from the primitives
-R.ls, R.schur and R.delta.  _conclude, the one place that reads the mode,
-passes polynomials in symbolic mode and values at the spot points in grid
-mode, so grid mode expands no polynomial.  The one exception is
-_union_schur: in symbolic mode it compares the integer coefficients of the
-alternants the two sides become, and expands no polynomial either.
+A check whose two sides are exact data compares them exactly in both modes,
+through _exact: the union-Schur checks (_union_schur compares the integer
+coefficients of the alternants the two sides become), dual Cauchy and the
+counterexample.  Only the split sums depend on the mode.  They write their
+two sides once, as build(R), from the primitives R.ls, R.schur and R.delta;
+_conclude passes polynomials in symbolic mode and values at the spot points
+in grid mode, so grid mode expands no polynomial.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .overlap import (
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
     overlap,
+    staircase,
     subpartition_to_overlap,
     walk_overlap_pair,
 )
@@ -83,7 +85,6 @@ _POLYS = SimpleNamespace(
     ls=lambda lam, X, Y: ls_determinantal(lam, X, Y),
     schur=lambda lam, X: schur(lam, X),
     delta=lambda X, Y: delta_pair(X, Y),
-    poly=lambda p: p,
 )
 
 
@@ -96,7 +97,6 @@ def _at_point(point):
         ls=lambda lam, X, Y: ls_value(lam, at(X), at(Y)),
         schur=lambda lam, X: schur_value(lam, at(X)),
         delta=lambda X, Y: diff_product(itertools.product(at(X), at(Y))),
-        poly=lambda p: p.evaluate(point),
     )
 
 
@@ -115,6 +115,14 @@ def _cleared(terms, clear) -> MultiPoly:
     return total
 
 
+def _exact(ident, instance, mode, lhs, rhs, witness=lambda lhs, rhs: str(lhs - rhs)):
+    """Compare two exact sides with ==, in either mode; witness(lhs, rhs) runs only on a failure."""
+    report.check_mode(mode)
+    if lhs == rhs:
+        return report.passed(ident, instance, mode)
+    return report.failed(ident, instance, witness(lhs, rhs), mode)
+
+
 def _conclude(ident, instance, mode, build, names, clear=()):
     """Check lhs = sum of num / den over the (lhs, terms) that build(R) returns.
 
@@ -123,20 +131,16 @@ def _conclude(ident, instance, mode, build, names, clear=()):
     divide; a failing witness is V * (lhs - sum).  Grid mode compares the
     two sides' values at each spot point of names.
     """
+    report.check_mode(mode)
     if mode == "grid":
         for point in spot_points(names):
             lhs, terms = build(_at_point(point))
             if lhs != sum(Fraction(num, den) for num, den in terms):
-                return report.failed(ident, instance, f"point {point}", "grid")
-        return report.passed(ident, instance, "grid")
-    if mode != "symbolic":
-        raise ValueError(f"unknown mode {mode!r}")
+                return report.failed(ident, instance, f"point {point}", mode)
+        return report.passed(ident, instance, mode)
     lhs, terms = build(_POLYS)
     vand = math.prod(map(vandermonde, clear), start=1)
-    lhs, rhs = lhs * vand, _cleared(terms, vand)
-    if lhs == rhs:
-        return report.passed(ident, instance)
-    return report.failed(ident, instance, str(lhs - rhs))
+    return _exact(ident, instance, mode, lhs * vand, _cleared(terms, vand))
 
 
 # -- first overlap identity ---------------------------------------------------
@@ -209,7 +213,7 @@ def counterexample_regression(mode="symbolic"):
     instance = {"lambda": lam.to_json(), "n": 2, "m": 3, "l": 1}
     diff = ls_determinantal(lam, X, Y) - sorted_split_sum(lam, 1, X, Y)
     target = e_prod(Y)
-    r = _conclude(ident, instance, mode, lambda R: (R.poly(diff), [(R.poly(target), 1)]), X.names + Y.names)
+    r = _exact(ident, instance, mode, diff, target)
     return replace(r, witness=str(target)) if r.passed else r
 
 
@@ -365,46 +369,35 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
     return _conclude(ident, instance, mode, build, X.names, (X,))
 
 
-def _staircase(lam, k: int) -> tuple:
-    """lam + delta_k = (lam_1 + k - 1, ..., lam_k), strictly decreasing; l(lam) <= k."""
-    return tuple(p + k - 1 - j for j, p in enumerate(lam.padded(k)))
-
-
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
     """schur(target, S u T) * delta(S, T) against sum sign * s_mu(S) * s_nu(T) over the triples.
 
-    Symbolic mode builds no polynomial.  Times V(S) V(T), the left side is
-    the alternant a_(target + delta)(S u T) (bialternant formula) and each
-    term is sign * a_(mu + delta)(S) * a_(nu + delta)(T).  Both sides are
-    then antisymmetric in S and in T, so they are equal exactly when their
-    coefficients agree at the pairs (alpha, beta) of strictly decreasing
-    exponent vectors.  The left side's coefficients are the Laplace
-    expansion of the alternant along the rows of S: the shuffle sign of
-    each split of gamma = target + delta_(m+n) into alpha and beta.
+    Exact in both modes, and builds no polynomial.  Times V(S) V(T), the
+    left side is the alternant a_(target + delta)(S u T) (bialternant
+    formula) and each term is sign * a_(mu + delta)(S) * a_(nu + delta)(T).
+    Both sides are then antisymmetric in S and in T, so they are equal
+    exactly when their coefficients agree at the pairs (alpha, beta) of
+    strictly decreasing exponent vectors.  The left side's coefficients are
+    the Laplace expansion of the alternant along the rows of S: the shuffle
+    sign of each split of gamma = target + delta_(m+n) into alpha and beta.
+    The mode only labels the report.
     """
-    triples = list(triples)
-    if mode != "symbolic":
-        def build(R):
-            lhs = R.schur(target, S.concat(T)) * R.delta(S, T)
-            return lhs, ((sign * R.schur(mu, S) * R.schur(nu, T), 1) for mu, nu, sign in triples)
-
-        return _conclude(ident, instance, mode, build, S.names + T.names)
     m, n = len(S), len(T)
     lhs = {}
     if target.length <= m + n:
-        gamma = _staircase(target, m + n)
+        gamma = staircase(target, m + n)
         for alpha in itertools.combinations(gamma, m):
             beta = tuple(g for g in gamma if g not in alpha)
             lhs[alpha, beta] = sort_sign(alpha + beta)
     rhs = {}
     for mu, nu, sign in triples:
         if mu.length <= m and nu.length <= n:
-            key = _staircase(mu, m), _staircase(nu, n)
+            key = staircase(mu, m), staircase(nu, n)
             rhs[key] = rhs.get(key, 0) + sign
     rhs = {key: c for key, c in rhs.items() if c}
-    if lhs != rhs:
-        return report.failed(ident, instance, f"coefficients differ: {sorted(lhs.items() ^ rhs.items())}")
-    return report.passed(ident, instance)
+    return _exact(
+        ident, instance, mode, lhs, rhs, lambda a, b: f"coefficients differ: {sorted(a.items() ^ b.items())}"
+    )
 
 
 def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
@@ -692,6 +685,4 @@ def verify_dual_cauchy(X: VarSeq, Y: VarSeq, mode="symbolic"):
     for i in range(n):
         for j in range(m):
             product = product * (ONE + X.term(i) * Y.term(j))
-    return _conclude(
-        ident, instance, mode, lambda R: (R.poly(total), [(R.poly(product), 1)]), X.names + Y.names
-    )
+    return _exact(ident, instance, mode, total, product)

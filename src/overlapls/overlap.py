@@ -75,7 +75,7 @@ def overlap(mu: Partition, nu: Partition, m: int, n: int) -> OverlapResult:
         raise ValueError(f"length of {mu} exceeds m = {m}")
     if nu.length > n:
         raise ValueError(f"length of {nu} exceeds n = {n}")
-    merged = _shifted(mu, m) + _shifted(nu, n)
+    merged = staircase(mu, m) + staircase(nu, n)
     sign = sort_sign(merged)
     if sign == 0:
         return OverlapResult.infinite()
@@ -84,10 +84,9 @@ def overlap(mu: Partition, nu: Partition, m: int, n: int) -> OverlapResult:
     return OverlapResult.finite(Partition(value), sign)
 
 
-def _shifted(lam: Partition, k: int) -> tuple:
-    """lam + rho_k as a tuple of length k."""
-    p = lam.padded(k)
-    return tuple(p[i] + (k - 1 - i) for i in range(k))
+def staircase(lam: Partition, k: int) -> tuple:
+    """lam + rho_k = (lam_1 + k - 1, ..., lam_k), strictly decreasing; l(lam) <= k."""
+    return tuple(p + k - 1 - j for j, p in enumerate(lam.padded(k)))
 
 
 def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
@@ -125,8 +124,8 @@ def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):
         raise ValueError(f"length of {mu} exceeds m = {m}")
     if nu.length > n:
         raise ValueError(f"length of {nu} exceeds n = {n}")
-    mu_shift = _shifted(mu, m)
-    nu_shift = _shifted(nu, n)
+    mu_shift = staircase(mu, m)
+    nu_shift = staircase(nu, n)
     if sort_sign(mu_shift + nu_shift) != 0:
         return None
     total = m + n

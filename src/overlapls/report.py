@@ -8,6 +8,13 @@ from dataclasses import dataclass, field
 PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
+# The verification modes, the first being the default.
+MODES = ("symbolic", "grid")
+
+
+def check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,7 @@ def complement_reciprocity_check(
     ident = "complement-reciprocity"
     if not lam.fits_in(m, n):
         return report.inapplicable(ident, instance, f"lambda does not fit in {m}x{n}")
-    if mode not in ("symbolic", "grid"):
-        raise ValueError(f"unknown mode {mode!r}")
+    report.check_mode(mode)
     lhs = schur_bialternant(lam.complement(m, n), X)
     rhs = schur_bialternant(lam, X).invert_vars(X.names, m)
     if lhs == rhs:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from overlapls import identities
@@ -10,27 +12,27 @@ from overlapls.schur import schur, schur_bialternant, schur_ssyt
 
 class TestConclude:
     X = VarSeq.make("x", 2)
-
-    def x(self, i, e=1):
-        return MultiPoly.var(f"x{i}", e)
+    x1, x2 = VarSeq.of("x1"), VarSeq.of("x2")
+    one, two = Partition((1,)), Partition((2,))
 
     def conclude(self, terms, mode):
-        # (x1^2 - x2^2) / (x1 - x2) = x1 + x2, cleared by the Vandermonde x1 - x2
-        lhs = self.x(1) + self.x(2)
-
+        # s_1(x1, x2) = x1 + x2 = (x1^2 - x2^2) / (x1 - x2), cleared by the Vandermonde x1 - x2
         def build(R):
-            return R.poly(lhs), [(R.poly(num), R.poly(den)) for num, den in terms]
+            return R.schur(self.one, self.X), [term(R) for term in terms]
 
         return identities._conclude("t", {}, mode, build, self.X.names, (self.X,))
 
+    def square(self, x, sign=1):
+        """sign * x^2 = sign * s_2(x) over Delta(x1; x2) = x1 - x2."""
+        return lambda R: (sign * R.schur(self.two, x), R.delta(self.x1, self.x2))
+
     def test_split_terms_pass(self):
-        d = self.x(1) - self.x(2)
-        terms = [(self.x(1, 2), d), (-self.x(2, 2), d)]
+        terms = [self.square(self.x1), self.square(self.x2, -1)]
         for mode in ("symbolic", "grid"):
             assert self.conclude(terms, mode).passed
 
     def test_wrong_terms_fail_with_witness(self):
-        terms = [(self.x(1, 2), self.x(1) - self.x(2))]
+        terms = [self.square(self.x1)]
         r = self.conclude(terms, "symbolic")
         assert r.failed and r.witness == "-x2^2"
         r = self.conclude(terms, "grid")
@@ -38,7 +40,7 @@ class TestConclude:
 
     def test_denominator_must_divide_clear(self):
         with pytest.raises(NonExactDivision):
-            self.conclude([(MultiPoly.const(1), self.x(1) + self.x(2))], "symbolic")
+            self.conclude([lambda R: (1, R.schur(self.one, self.X))], "symbolic")
 
 
 class TestFirstOverlap:
@@ -87,7 +89,8 @@ class TestSortedSplitAndCounterexample:
         assert r.witness == "y1*y2*y3"
 
     def test_counterexample_grid_mode(self):
-        assert identities.counterexample_regression(mode="grid").passed
+        r = identities.counterexample_regression(mode="grid")
+        assert r.passed and r.mode == "grid" and r.witness == "y1*y2*y3"
 
     def test_l_zero_is_exact(self):
         lam = Partition((1, 1, 1))
@@ -343,12 +346,12 @@ def test_grid_mode_expands_no_polynomial(name, monkeypatch):
 UNION_SWEEPS = ["second-overlap-schur", "labeled-walk-schur", "subpartition-schur"]
 
 
-def _union_checks(lam, S, T):
+def _union_checks(lam, S, T, mode="symbolic"):
     """The three union-Schur verifiers on one (lam, S, T); subpartition-schur takes kappa = lam'."""
     m, n = len(S), len(T)
-    yield lambda: identities.verify_second_overlap_schur(lam, S, T)
-    yield lambda: identities.verify_labeled_walk_schur(lam, S, T)
-    yield lambda: identities.verify_subpartition_schur(lam.conjugate(), m, n, 3, S, T)
+    yield lambda: identities.verify_second_overlap_schur(lam, S, T, mode)
+    yield lambda: identities.verify_labeled_walk_schur(lam, S, T, mode)
+    yield lambda: identities.verify_subpartition_schur(lam.conjugate(), m, n, 3, S, T, mode)
 
 
 class TestUnionSchurCoefficients:
@@ -403,6 +406,50 @@ class TestUnionSchurCoefficients:
 @pytest.mark.parametrize("name", UNION_SWEEPS)
 def test_symbolic_union_schur_expands_no_polynomial(name, monkeypatch):
     _sweep_refusing_products(name, "symbolic", monkeypatch)
+
+
+class TestExactInGridMode:
+    """Checks whose two sides are exact data compare them exactly in grid mode too."""
+
+    def test_union_reports_agree_across_modes(self, monkeypatch):
+        union_schur = identities._union_schur
+        flipped = []
+
+        def checked(ident, instance, mode, target, S, T, triples):
+            triples = list(triples)
+            i = next(i for i, (mu, nu, _) in enumerate(triples) if mu.length <= len(S) and nu.length <= len(T))
+            mu, nu, sign = triples[i]
+            r = union_schur(ident, instance, mode, target, S, T, triples[:i] + [(mu, nu, -sign)] + triples[i + 1:])
+            assert r.failed and r.witness.startswith("coefficients differ: ")
+            flipped.append(mode)
+            return union_schur(ident, instance, mode, target, S, T, triples)
+
+        monkeypatch.setattr(identities, "_union_schur", checked)
+        for lam, S, T in identities._union_instances(2, 2):
+            for symbolic, grid in zip(_union_checks(lam, S, T), _union_checks(lam, S, T, "grid")):
+                a, b = symbolic(), grid()
+                assert a.passed and b.mode == "grid"
+                assert replace(b, mode="symbolic") == a
+        assert flipped.count("grid") == flipped.count("symbolic") > 0
+
+    @pytest.mark.parametrize("name", list(identities.CATALOG))
+    def test_no_sweep_evaluates_a_polynomial(self, name, monkeypatch):
+        def refuse(self, point):
+            raise AssertionError("grid mode evaluated a polynomial")
+
+        monkeypatch.setattr(MultiPoly, "evaluate", refuse)
+        reports = identities.run_catalog([name], max_box=2, nvars=2, mode="grid")
+        assert reports and all(r.passed for r in reports)
+        assert all(r.witness == "y1*y2*y3" for r in reports if r.identity == "counterexample")
+
+    def test_unknown_mode_is_rejected(self):
+        S, T = VarSeq.make("s", 1), VarSeq.make("t", 1)
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            identities.verify_second_overlap_schur(Partition((1,)), S, T, "exact")
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            identities.verify_dual_cauchy(S, T, "exact")
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            identities.counterexample_regression("exact")
 
 
 class TestCatalog:

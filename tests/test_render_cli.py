@@ -215,21 +215,33 @@ class TestVerifyCommand:
         ("verify", "all", "--max-box", "-1", "--vars", "1"),
         ("verify", "all", "--max-box", "1", "--vars", "-1"),
         ("verify", "dual-cauchy", "--max-box", "0", "--vars", "9", "--mode", "grid"),
+        ("verify", "nope"),
     ],
 )
 def test_bad_input_is_usage_error(argv):
     code, _, err = run_cli(*argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    if argv == ("verify", "nope"):
+        assert err == "error: unknown verifier 'nope'\n"
+
+
+def _verify_raising(monkeypatch, error):
+    """verify with a verifier that raises error: a defect, so it keeps its traceback."""
+    def broken(*args, **kwargs):
+        raise error("internal defect")
+
+    monkeypatch.setattr(identities, "run_catalog", broken)
+    with pytest.raises(error, match="internal defect"):
+        main(["verify", "counterexample"])
 
 
 def test_verifier_value_error_is_not_a_usage_error(monkeypatch):
-    def broken(*args, **kwargs):
-        raise ValueError("internal defect")
+    _verify_raising(monkeypatch, ValueError)
 
-    monkeypatch.setattr(identities, "run_catalog", broken)
-    with pytest.raises(ValueError, match="internal defect"):
-        main(["verify", "counterexample"])
+
+def test_verifier_key_error_is_not_a_usage_error(monkeypatch):
+    _verify_raising(monkeypatch, KeyError)
 
 
 class TestOutputFile:
