@@ -21,7 +21,11 @@ coefficients of the alternants the two sides become), dual Cauchy and the
 counterexample.  Only the split sums depend on the mode.  They write their
 two sides once, as build(R), from the primitives R.ls, R.schur and R.delta;
 _conclude passes polynomials in symbolic mode and values at the spot points
-in grid mode, so grid mode expands no polynomial.
+in grid mode, so grid mode expands no polynomial.  The spot points are
+integer, and so is every grid primitive's value there (ls_value and
+schur_value divide integer determinants exactly, R.delta multiplies integer
+differences); _conclude forms one rational sum per point to compare the
+sides.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .polyring import (
     ZERO,
     delta_pair,
     det,
-    diff_product,
     divexact,
     e_prod,
     laplace_expand,
@@ -70,14 +73,16 @@ MAX_VARS = len(_SPOT_BASES) // 2
 
 
 def spot_points(names, count: int = _SPOT_COUNT):
-    """Deterministic rational points with pairwise distinct coordinates."""
+    """Deterministic integer points with pairwise distinct, nonzero coordinates.
+
+    Coordinate i of point j is _SPOT_BASES[i] + 60 j: the bases are distinct
+    and below 60, so no two coordinates of a point meet and none is zero.
+    """
     names = list(names)
     if len(names) > len(_SPOT_BASES):
         raise ValueError("too many variables for the spot grid")
     for j in range(count):
-        yield {
-            n: Fraction(_SPOT_BASES[i] + 60 * j, j + 1) for i, n in enumerate(names)
-        }
+        yield {n: _SPOT_BASES[i] + 60 * j for i, n in enumerate(names)}
 
 
 # Symbolic primitives: the cached polynomials, looked up at call time.
@@ -89,14 +94,14 @@ _POLYS = SimpleNamespace(
 
 
 def _at_point(point):
-    """Grid primitives on unmarked alphabets: exact values at one spot point, no polynomial built."""
+    """Grid primitives on unmarked alphabets: exact integer values at one spot point, no polynomial built."""
     def at(X: VarSeq):
         return tuple(map(point.__getitem__, X.names))
 
     return SimpleNamespace(
         ls=lambda lam, X, Y: ls_value(lam, at(X), at(Y)),
         schur=lambda lam, X: schur_value(lam, at(X)),
-        delta=lambda X, Y: diff_product(itertools.product(at(X), at(Y))),
+        delta=lambda X, Y: math.prod(x - y for x, y in itertools.product(at(X), at(Y))),
     )
 
 
@@ -657,6 +662,7 @@ def run_catalog(names=None, max_box=2, nvars=2, mode="symbolic", seed=0):
     Inapplicable reports are dropped: a sweep may pass instances whose
     preconditions fail, and only the checks that ran are returned.
     """
+    report.check_mode(mode)
     if names is None:
         names = list(CATALOG)
     reports = []

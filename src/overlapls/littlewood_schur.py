@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from . import report
@@ -24,8 +25,6 @@ from .polyring import (
     delta_pair,
     divexact,
     det,
-    det_field,
-    diff_product,
     e_prod,
     vandermonde,
 )
@@ -201,28 +200,43 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
 
 
 @functools.cache
-def ls_value(lam, xs: tuple, ys: tuple) -> Fraction:
-    """ls_determinantal(lam, X, Y) at X = xs, Y = ys: the Moens-Van der Jeugt determinant over Q.
+def ls_value(lam, xs: tuple, ys: tuple):
+    """ls_determinantal(lam, X, Y) at X = xs, Y = ys, from the Moens-Van der Jeugt determinant.
 
-    Exponents may be negative, so the rational values must be nonzero and
-    pairwise distinct.
+    At integer values the result is an int.  Each x-row of the determinant
+    is multiplied by x^cx times the product of its (x - y), and each y-column
+    by y^cy, which clears the Cauchy entries and the negative exponents; the
+    integer determinant is then divided by V(X) V(Y) and those powers, an
+    exact division certified by divexact.  Rational values are scaled by the
+    lcm d of their denominators first: LS is homogeneous, so the value is
+    the one at the scaled point over d^|lam|.  The values must be nonzero
+    and pairwise distinct.
     """
     if lam is None:
-        return Fraction(0)
-    xs, ys = tuple(map(Fraction, xs)), tuple(map(Fraction, ys))
+        return 0
+    d = math.lcm(*(v.denominator for v in xs + ys))
+    xs, ys = (tuple(v.numerator * (d // v.denominator) for v in vs) for vs in (xs, ys))
+    if d != 1:
+        return Fraction(ls_value(lam, xs, ys), d**lam.size)
     n, m = len(xs), len(ys)
     k = lam.index(m, n)
     if k < 0:
-        return Fraction(0)
+        return 0
     lam_c = lam.conjugate()
-    rows = [
-        [1 / (x - y) for y in ys] + [x ** (lam.part(j) + n - m - j) for j in range(1, n - k + 1)]
-        for x in xs
-    ]
-    rows += [[y ** (lam_c.part(i) + m - n - i) for y in ys] + [0] * (n - k) for i in range(1, m - k + 1)]
-    cauchy = diff_product(itertools.product(xs, ys))
-    vand = diff_product(itertools.chain(itertools.combinations(xs, 2), itertools.combinations(ys, 2)))
-    return ls_sign(lam, m, n) * (-1) ** (n * m) * det_field(rows) * cauchy / vand
+    x_exp = [lam.part(j) + n - m - j for j in range(1, n - k + 1)]
+    y_exp = [lam_c.part(i) + m - n - i for i in range(1, m - k + 1)]
+    cx = max(0, -min(x_exp, default=0))
+    cy = max(0, -min(y_exp, default=0))
+    rows = []
+    for x in xs:
+        diffs = [x - y for y in ys]
+        full = x**cx * math.prod(diffs)
+        # full // (x - y) is exact: the factor x - y is in the product
+        rows.append([full // dxy * y**cy for dxy, y in zip(diffs, ys)] + [full * x**e for e in x_exp])
+    rows += [[y ** (e + cy) for y in ys] + [0] * (n - k) for e in y_exp]
+    denom = math.prod(a - b for vs in (xs, ys) for a, b in itertools.combinations(vs, 2))
+    denom *= math.prod(xs) ** cx * math.prod(ys) ** cy
+    return ls_sign(lam, m, n) * (-1) ** (n * m) * divexact(det(rows), denom)
 
 
 def littlewood_square_check(

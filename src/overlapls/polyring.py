@@ -21,6 +21,7 @@ each such division is certified by divexact.  No floating point anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -356,13 +357,20 @@ def as_poly(x) -> MultiPoly:
     raise TypeError(f"cannot promote {type(x).__name__} to MultiPoly")
 
 
-def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+def divexact(f, g):
     """Exact division f / g; raises NonExactDivision on any remainder.
 
-    Long division by leading terms in the lex order of packed keys.  Each
-    quotient monomial is certified field by field against g's leading
-    monomial before the key subtraction, so no borrow can cross a field.
+    Two ints give an int, so values at integer points divide under the same
+    certificate.  Polynomials use long division by leading terms in the lex
+    order of packed keys.  Each quotient monomial is certified field by field
+    against g's leading monomial before the key subtraction, so no borrow can
+    cross a field.
     """
+    if type(f) is int and type(g) is int:
+        q, r = divmod(f, g)
+        if r:
+            raise NonExactDivision(f"{f} not divisible by {g}")
+        return q
     f = as_poly(f)
     g = as_poly(g)
     if g.is_zero:
@@ -470,14 +478,22 @@ class VarSeq:
         rest = [i for i in range(len(self.names)) if i not in chosen]
         return self.subseq(sorted(chosen)), self.subseq(rest)
 
-    def splits(self, size: int):
-        """All order-preserving splits (S, T) with len(S) == size."""
-        for idx in itertools.combinations(range(len(self.names)), size):
-            yield self.split(idx)
+    @functools.cache
+    def splits(self, size: int) -> tuple:
+        """All order-preserving splits (S, T) with len(S) == size.
+
+        Memoized: a grid check walks the same splits once per spot point.
+        """
+        return tuple(self.split(idx) for idx in itertools.combinations(range(len(self.names)), size))
 
 
+@functools.cache
 def vandermonde(X: VarSeq):
-    """Product of all pairwise differences X_i - X_j over i < j; 1 if l(X) <= 1."""
+    """Product of all pairwise differences X_i - X_j over i < j; 1 if l(X) <= 1.
+
+    Memoized, like delta_pair: the split sums ask for the same few alphabets
+    again and again, and a MultiPoly is never changed in place.
+    """
     result = ONE
     for i in range(len(X)):
         for j in range(i + 1, len(X)):
@@ -485,6 +501,7 @@ def vandermonde(X: VarSeq):
     return result
 
 
+@functools.cache
 def delta_pair(X: VarSeq, Y: VarSeq):
     """Product of all differences x - y for x in X, y in Y; 1 if either side is empty."""
     result = ONE
@@ -595,40 +612,6 @@ def det(A) -> "MultiPoly | int":
         return total
 
     return minor(tuple(range(n)))
-
-
-def det_field(rows) -> Fraction:
-    """Exact determinant of a square matrix of rationals by Gaussian elimination.
-
-    Values at a point go here; polynomial matrices go to det, which never divides.
-    """
-    m = [list(r) for r in rows]
-    n = len(m)
-    result = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            result = -result
-        pivot = Fraction(m[k][k])
-        result *= pivot
-        for r in range(k + 1, n):
-            factor = m[r][k] / pivot
-            if factor:
-                for c in range(k, n):
-                    m[r][c] -= factor * m[k][c]
-    return result
-
-
-def diff_product(pairs) -> Fraction:
-    """Product of a - b over pairs of rationals, multiplied as integers, normalized once."""
-    num = den = 1
-    for a, b in pairs:
-        num *= a.numerator * b.denominator - b.numerator * a.denominator
-        den *= a.denominator * b.denominator
-    return Fraction(num, den)
 
 
 def det_leibniz(A):

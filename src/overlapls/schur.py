@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from . import report
@@ -20,8 +21,6 @@ from .polyring import (
     VarSeq,
     ZERO,
     det,
-    det_field,
-    diff_product,
     divexact,
     e_prod,
     vandermonde,
@@ -101,25 +100,32 @@ def schur(lam: Partition, X: VarSeq):
     return schur_ssyt(lam, X)
 
 
-def schur_value(lam: Partition, values) -> Fraction:
-    """Schur polynomial evaluated at pairwise distinct rational values.
+def schur_value(lam: Partition, values):
+    """Schur polynomial evaluated at pairwise distinct values, an int at integer values.
 
-    The numeric alternant over the numeric Vandermonde, so arbitrary variable
-    counts stay cheap; values may be any sequence, and results are cached.
+    The integer alternant over the integer Vandermonde, an exact division
+    certified by divexact, so arbitrary variable counts stay cheap.
+    Rational values are scaled by the lcm d of their denominators first:
+    s_lam is homogeneous, so the value is the one at the scaled point over
+    d^|lam|.  values may be any sequence, and results are cached.
     """
-    return _schur_at(lam, tuple(map(Fraction, values)))
+    return _schur_at(lam, tuple(values))
 
 
 @functools.cache
-def _schur_at(lam: Partition, values: tuple) -> Fraction:
+def _schur_at(lam: Partition, values: tuple):
     n = len(values)
     if lam.length > n:
-        return Fraction(0)
+        return 0
+    d = math.lcm(*(v.denominator for v in values))
+    values = tuple(v.numerator * (d // v.denominator) for v in values)
+    if d != 1:
+        return Fraction(_schur_at(lam, values), d**lam.size)
     if len(set(values)) != n:
         raise ValueError("alternant evaluation needs distinct values")
     p = lam.padded(n)
     rows = [[x ** (p[j] + n - 1 - j) for j in range(n)] for x in values]
-    return det_field(rows) / diff_product(itertools.combinations(values, 2))
+    return divexact(det(rows), math.prod(a - b for a, b in itertools.combinations(values, 2)))
 
 
 def factor_rule_check(lam: Partition, m: int, X: VarSeq) -> report.VerificationReport:

@@ -3,11 +3,11 @@ from dataclasses import replace
 import pytest
 
 from overlapls import identities
-from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal
+from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal, ls_value
 from overlapls.overlap import enumerate_overlap_pairs, overlap
 from overlapls.partitions import Partition, partitions_in_box
-from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, delta_pair, e_prod
-from overlapls.schur import schur, schur_bialternant, schur_ssyt
+from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, delta_pair, e_prod, vandermonde
+from overlapls.schur import _schur_at, schur, schur_bialternant, schur_ssyt
 
 
 class TestConclude:
@@ -328,11 +328,17 @@ def _sweep_refusing_products(name, mode, monkeypatch):
     def refuse(self, other):
         raise AssertionError(f"{mode} mode multiplied two polynomials")
 
-    # a cached polynomial would hide an expansion, so start from empty caches
-    for cached in (ls_determinantal, schur_bialternant, schur_ssyt):
+    def refuse_fraction(*args):
+        raise AssertionError(f"{mode} mode built a Fraction in a Schur or LS evaluation")
+
+    # a cached polynomial or value would hide an expansion, so start from empty caches
+    for cached in (ls_determinantal, schur_bialternant, schur_ssyt, delta_pair, vandermonde, ls_value, _schur_at):
         cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
+    # the spot points are integers, so the evaluators never take their rational path
+    monkeypatch.setattr("overlapls.schur.Fraction", refuse_fraction)
+    monkeypatch.setattr("overlapls.littlewood_schur.Fraction", refuse_fraction)
     reports = identities.run_catalog([name], max_box=2, nvars=2, mode=mode)
     assert reports and all(r.passed for r in reports)
     assert all(r.mode == mode for r in reports if r.identity == name)
@@ -452,7 +458,22 @@ class TestExactInGridMode:
             identities.counterexample_regression("exact")
 
 
+def test_spot_points_are_distinct_nonzero_integers():
+    names = [f"v{i}" for i in range(2 * identities.MAX_VARS)]
+    points = list(identities.spot_points(names))
+    assert len(points) == identities._SPOT_COUNT
+    for point in points:
+        values = [point[n] for n in names]
+        assert all(type(v) is int and v for v in values)
+        assert len(set(values)) == len(values)
+
+
 class TestCatalog:
+    def test_unknown_mode_before_any_sweep(self):
+        # none of these sweeps reads the mode, so only run_catalog can reject it
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            identities.run_catalog(["factor-rule", "littlewood-square", "laplace"], 2, 2, "bogus")
+
     def test_run_named(self):
         reports = identities.run_catalog(["counterexample"])
         assert len(reports) == 1 and reports[0].passed

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from overlapls import littlewood_schur
 from overlapls.littlewood_schur import (
     littlewood_square_check,
     lr_coefficient,
@@ -12,6 +15,7 @@ from overlapls.littlewood_schur import (
 from overlapls.partitions import Partition, partitions_in_box, rect
 from overlapls.polyring import (
     MultiPoly,
+    NonExactDivision,
     ONE,
     VarSeq,
     ZERO,
@@ -189,6 +193,35 @@ class TestLSValue:
         assert Partition((1, 1, 1)).index(0, 2) < 0
         assert ls_value(Partition((1, 1, 1)), xs, ()) == 0
         assert ls_value(None, xs, ys) == 0
+
+
+class TestLSIntegerValue:
+    xs, ys = (2, 9, 31), (5, 17)
+    shapes = [Partition(()), Partition((1,)), Partition((2, 1)), Partition((3, 1, 1)), Partition((2, 2, 2, 1))]
+
+    def test_int_at_integer_points(self):
+        for lam in self.shapes:
+            got = ls_value(lam, self.xs, self.ys)
+            assert type(got) is int
+            X, Y = VarSeq.make("x", 3), VarSeq.make("y", 2)
+            point = dict(zip(X.names + Y.names, self.xs + self.ys))
+            assert got == ls_determinantal(lam, X, Y).evaluate(point)
+
+    def test_homogeneity(self):
+        for lam in self.shapes:
+            base = ls_value(lam, self.xs, self.ys)
+            for d in (2, 3, -5):
+                scaled = ls_value(lam, tuple(d * v for v in self.xs), tuple(d * v for v in self.ys))
+                assert scaled == d**lam.size * base
+                shrunk = ls_value(lam, tuple(Fraction(v, d) for v in self.xs), tuple(Fraction(v, d) for v in self.ys))
+                assert shrunk == Fraction(base, d**lam.size)
+
+    def test_remainder_raises(self, monkeypatch):
+        det = littlewood_schur.det
+        monkeypatch.setattr(littlewood_schur, "det", lambda rows: det(rows) + 1)
+        ls_value.cache_clear()
+        with pytest.raises(NonExactDivision):
+            ls_value(Partition((2, 1)), self.xs, self.ys)
 
 
 class TestLittlewoodSquare:

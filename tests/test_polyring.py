@@ -100,6 +100,11 @@ class TestDivision:
         with pytest.raises(NonExactDivision):
             divexact(x("x", 2) + 1, x("x") + 1)
 
+    def test_integers(self):
+        assert divexact(-12, 4) == -3 and type(divexact(12, -4)) is int
+        with pytest.raises(NonExactDivision):
+            divexact(7, -2)
+
     def test_random_roundtrip(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -113,6 +118,13 @@ class TestVandermonde:
         assert vandermonde(VarSeq.of()) == ONE
         assert vandermonde(VarSeq.of("x1")) == ONE
         assert vandermonde(VarSeq.of("x1", "x2")) == x("x1") - x("x2")
+
+    def test_splits(self):
+        X = VarSeq.make("x", 3)
+        got = [(S.names, T.names) for S, T in X.splits(1)]
+        assert got == [(("x1",), ("x2", "x3")), (("x2",), ("x1", "x3")), (("x3",), ("x1", "x2"))]
+        assert [S.neg for S, _ in X.negated().splits(2)] == [frozenset({"x1", "x2"}), frozenset({"x1", "x3"}), frozenset({"x2", "x3"})]
+        assert X.splits(1) is X.splits(1)
 
     def test_delta_pair_empty(self):
         assert delta_pair(VarSeq.of(), VarSeq.make("y", 3)) == ONE

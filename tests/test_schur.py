@@ -1,8 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
+from overlapls import schur as schur_module
 from overlapls.partitions import Partition, partitions_in_box, rect
 from overlapls.polyring import (
     MultiPoly,
+    NonExactDivision,
     ONE,
     VarSeq,
     ZERO,
@@ -99,6 +103,33 @@ class TestProperties:
         for lam in partitions_in_box(3, 3):
             s = schur_bialternant(lam, X)
             assert schur_value(lam, [point[n] for n in X.names]) == eval_at(s, point)
+
+
+class TestIntegerSchurValue:
+    values = (2, 9, 31, 4)
+    shapes = [Partition(()), Partition((1,)), Partition((2, 1)), Partition((3, 2, 2)), Partition((1, 1, 1, 1))]
+
+    def test_int_at_integer_points(self):
+        X = VarSeq.make("x", 4)
+        point = dict(zip(X.names, self.values))
+        for lam in self.shapes:
+            got = schur_value(lam, self.values)
+            assert type(got) is int
+            assert got == eval_at(schur_bialternant(lam, X), point)
+
+    def test_homogeneity(self):
+        for lam in self.shapes:
+            base = schur_value(lam, self.values)
+            for d in (2, 3, -5):
+                assert schur_value(lam, [d * v for v in self.values]) == d**lam.size * base
+                assert schur_value(lam, [Fraction(v, d) for v in self.values]) == Fraction(base, d**lam.size)
+
+    def test_remainder_raises(self, monkeypatch):
+        det = schur_module.det
+        monkeypatch.setattr(schur_module, "det", lambda rows: det(rows) + 1)
+        schur_module._schur_at.cache_clear()
+        with pytest.raises(NonExactDivision):
+            schur_value(Partition((2, 1)), self.values)
 
 
 class TestFactorRule:
