@@ -9,10 +9,11 @@ is the parity of the sorting permutation.
 from __future__ import annotations
 
 import itertools
+import operator
 
-from .partitions import Partition, binomial, partitions_in_box, rho
+from .partitions import Partition, binomial, partitions_in_box
 from .polyring import sort_sign
-from .walks import StaircaseWalk, enumerate_walks, is_quasi_partition
+from .walks import StaircaseWalk, enumerate_walks, is_quasi_partition, walk_geometry
 
 
 class OverlapResult:
@@ -79,14 +80,17 @@ def overlap(mu: Partition, nu: Partition, m: int, n: int) -> OverlapResult:
     sign = sort_sign(merged)
     if sign == 0:
         return OverlapResult.infinite()
-    stair = rho(m + n).padded(m + n)
-    value = tuple(v - r for v, r in zip(sorted(merged, reverse=True), stair))
-    return OverlapResult.finite(Partition(value), sign)
+    return OverlapResult.finite(Partition(_unstair(sorted(merged, reverse=True))), sign)
 
 
 def staircase(lam: Partition, k: int) -> tuple:
     """lam + rho_k = (lam_1 + k - 1, ..., lam_k), strictly decreasing; l(lam) <= k."""
-    return tuple(p + k - 1 - j for j, p in enumerate(lam.padded(k)))
+    return tuple(map(operator.add, lam.padded(k), range(k - 1, -1, -1)))
+
+
+def _unstair(merged) -> tuple:
+    """merged - rho_N for a sequence of length N: entry j loses N - 1 - j."""
+    return tuple(map(operator.sub, merged, range(len(merged) - 1, -1, -1)))
 
 
 def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
@@ -97,10 +101,17 @@ def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
     horizontal steps extend the columns below into nu; the sign counts the
     boxes below the walk.
     """
-    if lam.length > m + n:
-        raise ValueError(f"length of {lam} exceeds m + n = {m + n}")
+    _check_fiber(lam, m, n)
     for pi in enumerate_walks(n, m):
         yield walk_overlap_pair(lam, pi)
+
+
+def _check_fiber(lam: Partition, m: int, n: int):
+    """The input check shared by the walk enumeration and the definitional scan."""
+    if m < 0 or n < 0:
+        raise ValueError("rectangle dimensions must be non-negative")
+    if lam.length > m + n:
+        raise ValueError(f"length of {lam} exceeds m + n = {m + n}")
 
 
 def walk_overlap_pair(lam: Partition, pi: StaircaseWalk):
@@ -109,7 +120,7 @@ def walk_overlap_pair(lam: Partition, pi: StaircaseWalk):
     The sign counts the boxes below the walk; l(lam) <= len(pi) is required.
     """
     mu, nu = reconstruct_from_witness(pi, lam.padded(len(pi)))
-    return mu, nu, -1 if pi.nu_conj().size % 2 else 1
+    return mu, nu, -1 if walk_geometry(pi.steps)[4] else 1
 
 
 def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):
@@ -130,8 +141,7 @@ def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):
         return None
     total = m + n
     merged = sorted(mu_shift + nu_shift, reverse=True)
-    stair = rho(total).padded(total)
-    alpha = tuple(v - r for v, r in zip(merged, stair))
+    alpha = _unstair(merged)
     positions = {}
     for pos, v in enumerate(merged):
         positions.setdefault(v, []).append(pos + 1)
@@ -147,15 +157,16 @@ def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):
 
 def reconstruct_from_witness(pi: StaircaseWalk, alpha):
     """Inverse of the witness map: the (mu, nu) pair a labeled walk encodes."""
-    alpha = tuple(alpha)
-    mu = _seq_add(pi.mu(), tuple(alpha[t - 1] for t in pi.v_times()))
-    nu = _seq_add(pi.nu_conj(), tuple(alpha[t - 1] for t in pi.h_times()))
+    label = (None, *alpha).__getitem__  # label(t) is the label of step t
+    v_times, h_times, mu, nu_conj, _ = walk_geometry(pi.steps)
+    mu = _seq_add(mu, map(label, v_times), len(v_times))
+    nu = _seq_add(nu_conj, map(label, h_times), len(h_times))
     return mu, nu
 
 
-def _seq_add(lam: Partition, labels: tuple) -> Partition:
-    p = lam.padded(len(labels))
-    return Partition(tuple(a + b for a, b in zip(p, labels)))
+def _seq_add(lam: Partition, labels, k: int) -> Partition:
+    """lam, padded to k parts, plus the k labels."""
+    return Partition(map(operator.add, lam.padded(k), labels))
 
 
 def brute_force_fiber(lam: Partition, m: int, n: int):
@@ -164,6 +175,7 @@ def brute_force_fiber(lam: Partition, m: int, n: int):
     Any pair overlapping to lam fits in mu_1 <= lam_1 + n, nu_1 <= lam_1 + m,
     and pair sizes are forced to |mu| + |nu| = |lam| + m*n.
     """
+    _check_fiber(lam, m, n)
     target_size = lam.size + m * n
     by_size = {}
     for nu in partitions_in_box(lam.part(1) + m, n):

@@ -7,8 +7,8 @@ return fresh normalized values.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 
 
 class Partition:
@@ -17,14 +17,23 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts not non-increasing: {parts}")
-        if parts and parts[-1] < 0:
-            raise ValueError(f"negative part in {parts}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        parts = tuple(parts)
+        try:
+            parts = tuple(map(operator.index, parts))
+        except TypeError:
+            for p in parts:
+                if not hasattr(type(p), "__index__"):
+                    raise ValueError(f"non-integral part {p!r} in {parts}") from None
+            raise
+        if any(map(operator.lt, parts, parts[1:])):
+            raise ValueError(f"parts not non-increasing: {parts}")
+        if parts and parts[-1] <= 0:
+            if parts[-1] < 0:
+                raise ValueError(f"negative part in {parts}")
+            end = len(parts) - 1
+            while end and not parts[end - 1]:
+                end -= 1
+            parts = parts[:end]
         object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, *a):
@@ -53,7 +62,10 @@ class Partition:
         if isinstance(other, Partition):
             return self.parts == other.parts
         if isinstance(other, tuple):
-            return self == Partition(other)
+            try:
+                return self.parts == Partition(other).parts
+            except ValueError:  # not a partition, so equal to none
+                return False
         return NotImplemented
 
     def __hash__(self):

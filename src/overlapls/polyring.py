@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -513,15 +514,11 @@ def delta_pair(X: VarSeq, Y: VarSeq):
 
 def sort_sign(seq) -> int:
     """Inversion parity relative to strictly decreasing order; 0 flags a repeat."""
-    seq = list(seq)
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] < seq[j]:
-                inv += 1
-            elif seq[i] == seq[j]:
-                return 0
-    return -1 if inv % 2 else 1
+    seq = tuple(seq)
+    if len(set(seq)) < len(seq):
+        return 0
+    inversions = sum(itertools.starmap(operator.lt, itertools.combinations(seq, 2)))
+    return -1 if inversions % 2 else 1
 
 
 def elem_sym(r: int, X: VarSeq):

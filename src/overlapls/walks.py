@@ -7,7 +7,31 @@ Step 1 is the first step taken; all step-time sequences are 1-based.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .partitions import Partition, binomial, rho
+
+
+# Step words whose geometry walk_geometry keeps; the least recently used go first.
+GEOMETRY_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def walk_geometry(steps: str) -> tuple:
+    """(v_times, h_times, mu, nu_conj, |nu| odd) of a step word, computed together.
+
+    The i-th vertical step at time t has t - 1 - i horizontal steps before
+    it, so n - (t - 1 - i) after it: row i of mu.  Columns of nu' likewise
+    count the vertical steps after each horizontal one, and |nu| = |nu'|.
+    """
+    v_times, h_times = [], []
+    for t, s in enumerate(steps, 1):
+        (v_times if s == "V" else h_times).append(t)
+    n, m = len(h_times), len(v_times)
+    rows = [n + 1 + i - t for i, t in enumerate(v_times)]
+    cols = [m + 1 + j - t for j, t in enumerate(h_times)]
+    return tuple(v_times), tuple(h_times), Partition(rows), Partition(cols), sum(cols) % 2 == 1
 
 
 class StaircaseWalk:
@@ -17,7 +41,7 @@ class StaircaseWalk:
 
     def __init__(self, steps: str):
         steps = str(steps)
-        if any(s not in "HV" for s in steps):
+        if steps.replace("H", "").replace("V", ""):
             raise ValueError(f"walk steps must be H or V, got {steps!r}")
         object.__setattr__(self, "steps", steps)
 
@@ -47,46 +71,33 @@ class StaircaseWalk:
     @staticmethod
     def from_v_times(v_times, total: int) -> "StaircaseWalk":
         """Build the walk of the given length whose V steps occur at v_times."""
-        vs = set(v_times)
-        if any(not (1 <= t <= total) for t in vs) or len(vs) != len(tuple(v_times)):
-            raise ValueError(f"invalid vertical step times {tuple(v_times)}")
+        times = tuple(v_times)
+        vs = set(times)
+        if any(not (1 <= t <= total) for t in vs) or len(vs) != len(times):
+            raise ValueError(f"invalid vertical step times {times}")
         return StaircaseWalk("".join("V" if t in vs else "H" for t in range(1, total + 1)))
 
     def v_times(self) -> tuple:
         """Ascending 1-based positions of the vertical steps."""
-        return tuple(i + 1 for i, s in enumerate(self.steps) if s == "V")
+        return walk_geometry(self.steps)[0]
 
     def h_times(self) -> tuple:
         """Ascending 1-based positions of the horizontal steps."""
-        return tuple(i + 1 for i, s in enumerate(self.steps) if s == "H")
+        return walk_geometry(self.steps)[1]
 
     def mu(self) -> Partition:
         """Partition whose diagram lies above the walk.
 
         Row i counts the horizontal steps taken after the i-th vertical step.
         """
-        rows = []
-        remaining_h = self.n
-        for s in self.steps:
-            if s == "V":
-                rows.append(remaining_h)
-            else:
-                remaining_h -= 1
-        return Partition(rows)
+        return walk_geometry(self.steps)[2]
 
     def nu_conj(self) -> Partition:
         """Conjugate of the partition below the walk.
 
         Column j counts the vertical steps taken after the j-th horizontal step.
         """
-        cols = []
-        remaining_v = self.m
-        for s in self.steps:
-            if s == "H":
-                cols.append(remaining_v)
-            else:
-                remaining_v -= 1
-        return Partition(cols)
+        return walk_geometry(self.steps)[3]
 
     def nu(self) -> Partition:
         """Partition whose diagram (rotated by 180 degrees) lies below the walk."""
@@ -110,23 +121,19 @@ class StaircaseWalk:
 
 
 def enumerate_walks(n: int, m: int):
-    """All walks with n horizontal and m vertical steps, lexicographic in the word."""
+    """All walks with n horizontal and m vertical steps, lexicographic in the word.
+
+    H sorts before V, so the words come in the lexicographic order of their
+    H positions; the walks are produced lazily, one at a time.
+    """
     if n < 0 or m < 0:
         raise ValueError("rectangle dimensions must be non-negative")
-
-    def gen(h, v):
-        if h == 0 and v == 0:
-            yield ""
-            return
-        if h:
-            for rest in gen(h - 1, v):
-                yield "H" + rest
-        if v:
-            for rest in gen(h, v - 1):
-                yield "V" + rest
-
-    for word in gen(n, m):
-        yield StaircaseWalk(word)
+    total = n + m
+    for h_positions in itertools.combinations(range(total), n):
+        word = ["V"] * total
+        for i in h_positions:
+            word[i] = "H"
+        yield StaircaseWalk("".join(word))
 
 
 def count_walks(n: int, m: int) -> int:

@@ -133,6 +133,14 @@ class TestFiberEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_overlap_pairs(Partition((1, 1, 1)), 1, 1))
 
+    def test_scan_shares_the_input_check(self):
+        for lam, m, n in [(Partition((1, 1, 1)), 1, 1), (Partition(()), -1, 2)]:
+            with pytest.raises(ValueError) as walk_error:
+                list(enumerate_overlap_pairs(lam, m, n))
+            with pytest.raises(ValueError) as scan_error:
+                brute_force_fiber(lam, m, n)
+            assert str(scan_error.value) == str(walk_error.value)
+
 
 class TestInfiniteWitness:
     def test_none_for_finite(self):

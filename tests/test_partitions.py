@@ -25,6 +25,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Partition((2, -1))
 
+    def test_rejects_non_integral_parts(self):
+        with pytest.raises(ValueError, match="2.7"):
+            Partition((2.7, 1))
+        with pytest.raises(ValueError, match="'3'"):
+            Partition(("3", "1"))
+        assert Partition((True,)) == Partition((1,))
+
+    def test_equals_no_tuple_that_is_not_a_partition(self):
+        assert Partition((1,)) != (1, 2)
+        assert not Partition((1,)) == (1, -1)
+        assert not Partition(()) == ("a",)
+        assert Partition((2, 1)) == (2, 1, 0)
+
     def test_size_and_length(self):
         lam = Partition((7, 4, 2, 2))
         assert lam.size == 15

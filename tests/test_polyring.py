@@ -162,28 +162,38 @@ class TestSortSign:
         assert sort_sign((3, 1, 3)) == 0
 
     def test_against_permutation_sign_oracle(self):
-        # cycle-decomposition sign of the sorting permutation
-        def perm_sign_oracle(seq):
-            order = sorted(range(len(seq)), key=lambda i: -seq[i])
-            seen = [False] * len(seq)
-            sign = 1
-            for start in range(len(seq)):
-                if seen[start]:
-                    continue
-                length = 0
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    j = order[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-            return sign
-
         for k in range(1, 7):
             base = tuple(range(k - 1, -1, -1))
             for p in permutations(base):
-                assert sort_sign(p) == perm_sign_oracle(p)
+                assert sort_sign(p) == _perm_sign_oracle(p)
+
+    def test_random_sequences_with_repeats(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            seq = [rng.randint(-4, 4) for _ in range(rng.randint(0, 9))]
+            assert sort_sign(seq) == _perm_sign_oracle(seq)
+            assert sort_sign(iter(seq)) == _perm_sign_oracle(seq)
+
+
+def _perm_sign_oracle(seq):
+    """Cycle-decomposition sign of the sorting permutation; 0 on a repeat."""
+    if len(set(seq)) < len(seq):
+        return 0
+    order = sorted(range(len(seq)), key=lambda i: -seq[i])
+    seen = [False] * len(seq)
+    sign = 1
+    for start in range(len(seq)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = order[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 class TestElemSym:

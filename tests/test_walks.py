@@ -1,12 +1,16 @@
+import inspect
+
 import pytest
 
 from overlapls.partitions import Partition, binomial, rho
 from overlapls.walks import (
+    GEOMETRY_CACHE_SIZE,
     StaircaseWalk,
     count_walks,
     enumerate_walks,
     is_quasi_partition,
     step_time_encoding,
+    walk_geometry,
 )
 
 REFERENCE_WALK = StaircaseWalk("HVVHHHVHH")
@@ -23,6 +27,29 @@ class TestEnumeration:
 
     def test_4x4_count(self):
         assert len(list(enumerate_walks(4, 4))) == 70
+
+    def test_order_matches_recursive_definition(self):
+        # H before V at the first differing step, word by word
+        def gen(h, v):
+            if h == 0 and v == 0:
+                yield ""
+                return
+            if h:
+                for rest in gen(h - 1, v):
+                    yield "H" + rest
+            if v:
+                for rest in gen(h, v - 1):
+                    yield "V" + rest
+
+        for n in range(6):
+            for m in range(6):
+                assert [w.steps for w in enumerate_walks(n, m)] == list(gen(n, m))
+
+    def test_streams_without_materializing(self):
+        walks = enumerate_walks(30, 30)
+        assert inspect.isgenerator(walks)
+        assert next(walks).steps == "H" * 30 + "V" * 30
+        assert next(walks).steps == "H" * 29 + "VH" + "V" * 29
 
     def test_counts_match_binomial(self):
         for n in range(5):
@@ -47,6 +74,41 @@ class TestStepTimes:
             for m in range(5):
                 for w in enumerate_walks(n, m):
                     assert tuple(sorted(w.v_times() + w.h_times())) == tuple(range(1, n + m + 1))
+
+
+def _oracle_geometry(w):
+    """The walk's step times and partitions, built step by step from the word."""
+    v_times = tuple(i + 1 for i, s in enumerate(w.steps) if s == "V")
+    h_times = tuple(i + 1 for i, s in enumerate(w.steps) if s == "H")
+    rows, cols = [], []
+    remaining_h, remaining_v = w.n, w.m
+    for s in w.steps:
+        if s == "V":
+            rows.append(remaining_h)
+            remaining_v -= 1
+        else:
+            cols.append(remaining_v)
+            remaining_h -= 1
+    return v_times, h_times, Partition(rows), Partition(cols)
+
+
+class TestGeometry:
+    def test_matches_step_by_step_definitions(self):
+        for n in range(9):
+            for m in range(9 - n):
+                for w in enumerate_walks(n, m):
+                    v_times, h_times, mu, nu_conj = _oracle_geometry(w)
+                    assert walk_geometry(w.steps) == (
+                        v_times, h_times, mu, nu_conj, nu_conj.size % 2 == 1
+                    )
+                    assert (w.v_times(), w.h_times()) == (v_times, h_times)
+                    assert (w.mu(), w.nu_conj()) == (mu, nu_conj)
+
+    def test_memo_stays_bounded(self):
+        assert walk_geometry.cache_info().maxsize == GEOMETRY_CACHE_SIZE
+        for w in enumerate_walks(10, 10):
+            w.mu()
+        assert walk_geometry.cache_info().currsize <= GEOMETRY_CACHE_SIZE < binomial(20, 10)
 
 
 class TestWalkPartitions:
@@ -181,3 +243,8 @@ class TestConstruction:
     def test_invalid_v_times(self):
         with pytest.raises(ValueError):
             StaircaseWalk.from_v_times((0, 2), 3)
+        with pytest.raises(ValueError):
+            StaircaseWalk.from_v_times((2, 2), 3)
+
+    def test_from_v_times_reads_an_iterator_once(self):
+        assert StaircaseWalk.from_v_times((t for t in (1, 3)), 4) == StaircaseWalk("VHVH")
