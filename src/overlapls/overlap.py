@@ -108,10 +108,15 @@ def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
 
 def _check_fiber(lam: Partition, m: int, n: int):
     """The input check shared by the walk enumeration and the definitional scan."""
-    if m < 0 or n < 0:
-        raise ValueError("rectangle dimensions must be non-negative")
+    _check_dimensions(m, n)
     if lam.length > m + n:
         raise ValueError(f"length of {lam} exceeds m + n = {m + n}")
+
+
+def _check_dimensions(*dims: int):
+    """The check shared by the fiber and subpartition-pair enumerations."""
+    if min(dims) < 0:
+        raise ValueError("rectangle dimensions must be non-negative")
 
 
 def walk_overlap_pair(lam: Partition, pi: StaircaseWalk):
@@ -172,21 +177,27 @@ def _seq_add(lam: Partition, labels, k: int) -> Partition:
 def brute_force_fiber(lam: Partition, m: int, n: int):
     """Definitional fiber scan over the bounding box; the enumeration oracle.
 
+    (mu, nu) lies in the fiber of lam exactly when the merged staircases
+    (mu + rho_m) u (nu + rho_n), sorted decreasingly, equal lam + rho_{m+n}.
+    The target is strictly decreasing, so a merge with a repeated entry never
+    matches; overlap() runs only on accepted pairs, for the sign.
     Any pair overlapping to lam fits in mu_1 <= lam_1 + n, nu_1 <= lam_1 + m,
     and pair sizes are forced to |mu| + |nu| = |lam| + m*n.
     """
     _check_fiber(lam, m, n)
+    target = list(staircase(lam, m + n))
     target_size = lam.size + m * n
     by_size = {}
     for nu in partitions_in_box(lam.part(1) + m, n):
-        by_size.setdefault(nu.size, []).append(nu)
+        by_size.setdefault(nu.size, []).append((nu, staircase(nu, n)))
     out = []
     for mu in partitions_in_box(lam.part(1) + n, m):
-        rest = target_size - mu.size
-        for nu in by_size.get(rest, ()):
-            r = overlap(mu, nu, m, n)
-            if r.is_finite and r.value == lam:
-                out.append((mu, nu, r.sign))
+        mu_stair = staircase(mu, m)
+        for nu, nu_stair in by_size.get(target_size - mu.size, ()):
+            if sorted(mu_stair + nu_stair, reverse=True) == target:
+                r = overlap(mu, nu, m, n)
+                if r.is_finite and r.value == lam:
+                    out.append((mu, nu, r.sign))
     return out
 
 
@@ -199,17 +210,30 @@ def sub_partition(lam: Partition, N: int, K) -> Partition:
     K = tuple(K)
     if lam.length > N:
         raise ValueError(f"length of {lam} exceeds N = {N}")
+    _check_indices(K, N)
+    return Partition(_sub_parts(lam.padded(N), N, K))
+
+
+def _sub_parts(parts: tuple, N: int, K: tuple) -> tuple:
+    """sub_partition's parts lam_{K_j} + N - K_j - (l(K) - j), unchecked.
+
+    parts is lam padded to N; K must be valid, as itertools.combinations
+    and c_indices always make it.
+    """
+    top = N - len(K) + 1
+    return tuple(parts[k - 1] + top - k + j for j, k in enumerate(K))
+
+
+def _check_indices(K: tuple, N: int):
+    """K must be a strictly increasing sequence inside [N]."""
     if any(not (1 <= k <= N) for k in K) or list(K) != sorted(set(K)):
         raise ValueError(f"K = {K} is not a subsequence of [{N}]")
-    l = len(K)
-    return Partition(tuple(lam.part(K[j]) + N - K[j] - (l - 1 - j) for j in range(l)))
 
 
 def c_indices(K, n: int) -> tuple:
     """Ascending reflection {n - j + 1 : j not in K} of the complement of K in [n]."""
     K = tuple(K)
-    if any(not (1 <= k <= n) for k in K) or list(K) != sorted(set(K)):
-        raise ValueError(f"K = {K} is not a subsequence of [{n}]")
+    _check_indices(K, n)
     missing = set(range(1, n + 1)) - set(K)
     return tuple(sorted(n - j + 1 for j in missing))
 
@@ -226,7 +250,7 @@ def subpartition_to_overlap(lam: Partition, K, m: int, n: int):
     C = c_indices(K, n)
     comp = lam.complement(m, n)
     mu = lam.conjugate()
-    nu = sub_partition(comp, n, C)
+    nu = Partition(_sub_parts(comp.padded(n), n, C))
     sign = -1 if sum(comp.select(C)) % 2 else 1
     return mu, nu, sign
 
@@ -234,16 +258,20 @@ def subpartition_to_overlap(lam: Partition, K, m: int, n: int):
 def enumerate_subpartition_pairs(kappa: Partition, m: int, n: int, l: int):
     """All (lam, K) with lam in the m x (n+l) box, l(K) = l, sub(lam, K) = kappa.
 
-    Definitional scan over the bounded search space; the count is the same
-    binomial as the overlap fiber, and mapping through subpartition_to_overlap
-    is a bijection onto the fiber of kappa'.
+    Definitional scan over the bounded search space, comparing part tuples;
+    the count is the same binomial as the overlap fiber, and mapping through
+    subpartition_to_overlap is a bijection onto the fiber of kappa'.
     """
+    _check_dimensions(m, n, l)
     if not kappa.fits_in(m + n, l):
         raise ValueError(f"{kappa} does not fit in a {m + n}x{l} rectangle")
+    N = n + l
+    target = kappa.padded(l)
     out = []
-    for lam in partitions_in_box(m, n + l):
-        for K in itertools.combinations(range(1, n + l + 1), l):
-            if sub_partition(lam, n + l, K) == kappa:
+    for lam in partitions_in_box(m, N):
+        parts = lam.padded(N)
+        for K in itertools.combinations(range(1, N + 1), l):
+            if _sub_parts(parts, N, K) == target:
                 out.append((lam, K))
     return out
 

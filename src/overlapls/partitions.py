@@ -191,8 +191,11 @@ def partitions_in_box(m: int, n: int):
     """All partitions inside the rectangle with n rows of width m.
 
     Deterministic order: lexicographically decreasing part tuples, from the
-    full rectangle down to the empty partition.
+    full rectangle down to the empty partition.  A negative width or row
+    count raises at the call, before any partition is produced.
     """
+    if m < 0 or n < 0:
+        raise ValueError(f"box dimensions must be non-negative, got width {m} and {n} rows")
 
     def gen(maxpart, rows):
         if rows == 0:
@@ -203,8 +206,7 @@ def partitions_in_box(m: int, n: int):
                 yield (first,) + rest
         yield ()
 
-    for parts in gen(m, n):
-        yield Partition(parts)
+    return map(Partition, gen(m, n))
 
 
 def binomial(n: int, k: int) -> int:

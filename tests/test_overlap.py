@@ -1,3 +1,6 @@
+import importlib
+import itertools
+
 import pytest
 
 from overlapls.overlap import (
@@ -16,6 +19,33 @@ from overlapls.overlap import (
 )
 from overlapls.partitions import Partition, partitions_in_box, rect, rho
 from overlapls.walks import StaircaseWalk, is_quasi_partition
+
+# the package re-exports the function overlap under the module's name
+overlap_module = importlib.import_module("overlapls.overlap")
+
+
+def overlap_scan_oracle(lam, m, n):
+    """The fiber scan that builds overlap(mu, nu) for every candidate of the box."""
+    by_size = {}
+    for nu in partitions_in_box(lam.part(1) + m, n):
+        by_size.setdefault(nu.size, []).append(nu)
+    out = []
+    for mu in partitions_in_box(lam.part(1) + n, m):
+        for nu in by_size.get(lam.size + m * n - mu.size, ()):
+            r = overlap(mu, nu, m, n)
+            if r.is_finite and r.value == lam:
+                out.append((mu, nu, r.sign))
+    return out
+
+
+def subpair_scan_oracle(kappa, m, n, l):
+    """The marked-pair scan that builds sub_partition(lam, n + l, K) for every candidate."""
+    return [
+        (lam, K)
+        for lam in partitions_in_box(m, n + l)
+        for K in itertools.combinations(range(1, n + l + 1), l)
+        if sub_partition(lam, n + l, K) == kappa
+    ]
 
 
 class TestOverlap:
@@ -132,6 +162,28 @@ class TestFiberEnumeration:
     def test_length_precondition(self):
         with pytest.raises(ValueError):
             list(enumerate_overlap_pairs(Partition((1, 1, 1)), 1, 1))
+
+    def test_scan_matches_overlap_oracle(self):
+        # same triples, same order, same signs as the per-candidate overlap() scan
+        for lam in partitions_in_box(4, 4):
+            for m in range(0, 4):
+                for n in range(0, 4):
+                    if lam.length <= m + n:
+                        assert brute_force_fiber(lam, m, n) == overlap_scan_oracle(lam, m, n)
+
+    def test_scan_calls_overlap_only_on_accepted_pairs(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return overlap(*args)
+
+        monkeypatch.setattr(overlap_module, "overlap", counted)
+        for lam, m, n in [(Partition((2, 1)), 3, 3), (Partition(()), 2, 3), (Partition((4, 4, 1)), 3, 2)]:
+            calls.clear()
+            result = brute_force_fiber(lam, m, n)
+            assert len(result) == count_fiber(m, n)
+            assert len(calls) == len(result)
 
     def test_scan_shares_the_input_check(self):
         for lam, m, n in [(Partition((1, 1, 1)), 1, 1), (Partition(()), -1, 2)]:
@@ -302,6 +354,23 @@ class TestSubpartitionPairs:
                         )
                         assert mapped == fiber
 
+    def test_matches_sub_partition_oracle(self):
+        # same pairs in the same order as the scan that builds every subpartition
+        for m in range(0, 4):
+            for n in range(0, 4):
+                for l in range(0, 3):
+                    for kappa in partitions_in_box(m + n, l):
+                        got = enumerate_subpartition_pairs(kappa, m, n, l)
+                        assert got == subpair_scan_oracle(kappa, m, n, l)
+
     def test_invalid_kappa(self):
         with pytest.raises(ValueError):
             enumerate_subpartition_pairs(Partition((5,)), 2, 2, 1)
+
+    @pytest.mark.parametrize("m, n, l", [(1, -1, 0), (-1, 1, 1), (1, 1, -1)])
+    def test_negative_dimensions(self, m, n, l):
+        with pytest.raises(ValueError) as scan_error:
+            enumerate_subpartition_pairs(Partition(()), m, n, l)
+        with pytest.raises(ValueError) as fiber_error:
+            brute_force_fiber(Partition(()), -1, 0)
+        assert str(scan_error.value) == str(fiber_error.value)

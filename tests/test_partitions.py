@@ -196,6 +196,11 @@ class TestHelpers:
             for n in range(5):
                 assert len(list(partitions_in_box(m, n))) == binomial(m + n, m)
 
+    @pytest.mark.parametrize("m, n", [(2, -1), (-1, 2), (-1, 0)])
+    def test_partitions_in_box_rejects_negative_sizes(self, m, n):
+        with pytest.raises(ValueError, match="non-negative"):
+            partitions_in_box(m, n)  # raises at the call, not at the first item
+
     def test_contains(self):
         assert Partition((3, 2)).contains(Partition((2, 2)))
         assert not Partition((3, 2)).contains(Partition((2, 2, 1)))

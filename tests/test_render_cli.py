@@ -210,6 +210,8 @@ class TestVerifyCommand:
     "argv",
     [
         ("enumerate", "walks", "--n", "-1", "--m", "2"),
+        ("enumerate", "subpairs", "--kappa", "", "--m", "1", "--n", "-1", "--l", "0"),
+        ("enumerate", "subpairs", "--kappa", "", "--m", "-1", "--n", "1", "--l", "1"),
         ("render", "walk", "HV", "--labels", "5,4,3"),
         ("verify", "first-overlap", "--max-box", "0", "--vars", "0"),
         ("verify", "all", "--max-box", "-1", "--vars", "1"),
