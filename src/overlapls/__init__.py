@@ -31,6 +31,7 @@ from .polyring import (
 from .schur import schur_bialternant, schur_ssyt, factor_rule_check, complement_reciprocity_check
 from .littlewood_schur import (
     lr_coefficient,
+    ls_branching,
     ls_combinatorial,
     ls_determinantal,
     littlewood_square_check,
@@ -50,7 +51,7 @@ __all__ = [
     "det", "laplace_expand", "poly_equal", "eval_at", "divexact",
     "schur_bialternant", "schur_ssyt", "factor_rule_check",
     "complement_reciprocity_check",
-    "lr_coefficient", "ls_combinatorial", "ls_determinantal",
+    "lr_coefficient", "ls_branching", "ls_combinatorial", "ls_determinantal",
     "littlewood_square_check",
     "VerificationReport",
 ]

@@ -20,8 +20,9 @@ through _exact: the union-Schur checks (_union_schur compares the integer
 coefficients of the alternants the two sides become), dual Cauchy and the
 counterexample.  Only the split sums depend on the mode.  They write their
 two sides once, as build(R), from the primitives R.ls, R.schur and R.delta;
-_conclude passes polynomials in symbolic mode and values at the spot points
-in grid mode, so grid mode expands no polynomial.  The spot points are
+_conclude passes polynomials in symbolic mode (LS by the branching route,
+ls_branching) and values at the spot points in grid mode, so grid mode
+expands no polynomial.  The spot points are
 integer, and so is every grid primitive's value there (ls_value and
 schur_value divide integer determinants exactly, R.delta multiplies integer
 differences); _conclude forms one rational sum per point to compare the
@@ -30,6 +31,7 @@ sides.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -38,7 +40,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import report
-from .littlewood_schur import littlewood_square_check, ls_determinantal, ls_value
+from .littlewood_schur import littlewood_square_check, ls_branching, ls_determinantal, ls_value
 from .overlap import (
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
@@ -87,7 +89,7 @@ def spot_points(names, count: int = _SPOT_COUNT):
 
 # Symbolic primitives: the cached polynomials, looked up at call time.
 _POLYS = SimpleNamespace(
-    ls=lambda lam, X, Y: ls_determinantal(lam, X, Y),
+    ls=lambda lam, X, Y: ls_branching(lam, X, Y),
     schur=lambda lam, X: schur(lam, X),
     delta=lambda X, Y: delta_pair(X, Y),
 )
@@ -105,18 +107,24 @@ def _at_point(point):
     )
 
 
+@functools.cache
+def _quotient(clear: MultiPoly, den: MultiPoly) -> MultiPoly:
+    """clear / den, certified exact by divexact; the split sums meet few distinct pairs, so each is divided once."""
+    return divexact(clear, den)
+
+
 def _cleared(terms, clear) -> MultiPoly:
     """clear times the sum of (num, den) terms; every den must divide clear.
 
-    Numerators are grouped by denominator first, so each distinct
-    denominator costs at most one division, which divexact certifies exact.
+    Numerators are grouped by denominator first, and each quotient
+    clear / den comes from _quotient.
     """
     groups = {}
     for num, den in terms:
         groups[den] = groups[den] + num if den in groups else num
     total = ZERO
     for den, num in groups.items():
-        total = total + (num if den == clear else num * divexact(clear, den))
+        total = total + (num if den == clear else num * _quotient(clear, den))
     return total
 
 

@@ -1,10 +1,16 @@
-"""Littlewood-Schur functions by the combinatorial and determinantal routes.
+"""Littlewood-Schur functions by the combinatorial, determinantal and branching routes.
 
 The combinatorial route sums Littlewood-Richardson multiples of products of
 Schur polynomials in the two alphabets.  The determinantal route evaluates a
 block determinant with a Cauchy block of (x - y)^-1 entries and monomial
 blocks whose shapes depend on the index of the partition; its sign depends
-on the partition and both alphabet lengths jointly.
+on the partition and both alphabet lengths jointly.  The branching route
+applies the hook-Schur branching rule (Berele and Regev, Adv. Math. 64,
+1987): removing one y-variable removes a vertical strip from the partition,
+removing one x-variable a horizontal strip, so every LS polynomial is a sum
+of monomial shifts of smaller ones.  The symbolic split sums use the
+branching route, grid mode the determinant at a point (ls_value), and the
+tests hold the three routes equal.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import report
@@ -120,6 +127,33 @@ def ls_sign(lam: Partition, m: int, n: int) -> int:
     return -1 if e % 2 else 1
 
 
+def _mvj_shape(lam: Partition, n: int, m: int):
+    """Shape (k, x_exp, y_exp, cx, cy) of the Moens-Van der Jeugt determinant; None when LS vanishes.
+
+    k is the (m, n)-index of lam, and LS vanishes when it is negative.  The
+    n - k x-monomial columns carry the exponents x_exp, the m - k y-monomial
+    rows the exponents y_exp; x^cx and y^cy clear the negative ones.
+    """
+    k = lam.index(m, n)
+    if k < 0:
+        return None
+    lam_c = lam.conjugate()
+    x_exp = [lam.part(j) + n - m - j for j in range(1, n - k + 1)]
+    y_exp = [lam_c.part(i) + m - n - i for i in range(1, m - k + 1)]
+    cx = max(0, -min(x_exp, default=0))
+    cy = max(0, -min(y_exp, default=0))
+    return k, x_exp, y_exp, cx, cy
+
+
+def _check_alphabets(X: VarSeq, Y: VarSeq) -> None:
+    """The determinantal and branching routes take two unmarked alphabets with distinct names."""
+    names = X.names + Y.names
+    if len(set(names)) != len(names):
+        raise ValueError("alphabets share identifiers")
+    if X.neg or Y.neg:
+        raise ValueError("the determinantal and branching routes expect unmarked alphabets")
+
+
 @functools.cache
 def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
     """LS of the negated first alphabet, via the block determinant.
@@ -134,20 +168,12 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
     """
     if lam is None:
         return ZERO
-    names = X.names + Y.names
-    if len(set(names)) != len(names):
-        raise ValueError("alphabets share identifiers")
-    if X.neg or Y.neg:
-        raise ValueError("determinantal route expects unmarked alphabets")
+    _check_alphabets(X, Y)
     n, m = len(X), len(Y)
-    k = lam.index(m, n)
-    if k < 0:
+    shape = _mvj_shape(lam, n, m)
+    if shape is None:
         return ZERO
-    lam_c = lam.conjugate()
-    x_exp = [lam.part(j) + n - m - j for j in range(1, n - k + 1)]
-    y_exp = [lam_c.part(i) + m - n - i for i in range(1, m - k + 1)]
-    cx = max(0, -min(x_exp, default=0))
-    cy = max(0, -min(y_exp, default=0))
+    k, x_exp, y_exp, cx, cy = shape
     vand_x = vandermonde(X)
     y_rows = tuple(range(n + 1, n + m - k + 1))
     total = ZERO
@@ -219,14 +245,10 @@ def ls_value(lam, xs: tuple, ys: tuple):
     if d != 1:
         return Fraction(ls_value(lam, xs, ys), d**lam.size)
     n, m = len(xs), len(ys)
-    k = lam.index(m, n)
-    if k < 0:
+    shape = _mvj_shape(lam, n, m)
+    if shape is None:
         return 0
-    lam_c = lam.conjugate()
-    x_exp = [lam.part(j) + n - m - j for j in range(1, n - k + 1)]
-    y_exp = [lam_c.part(i) + m - n - i for i in range(1, m - k + 1)]
-    cx = max(0, -min(x_exp, default=0))
-    cy = max(0, -min(y_exp, default=0))
+    k, x_exp, y_exp, cx, cy = shape
     rows = []
     for x in xs:
         diffs = [x - y for y in ys]
@@ -237,6 +259,60 @@ def ls_value(lam, xs: tuple, ys: tuple):
     denom = math.prod(a - b for vs in (xs, ys) for a, b in itertools.combinations(vs, 2))
     denom *= math.prod(xs) ** cx * math.prod(ys) ** cy
     return ls_sign(lam, m, n) * (-1) ** (n * m) * divexact(det(rows), denom)
+
+
+def _vertical_strips(parts: tuple):
+    """(nu, r) for each partition nu such that parts/nu is a vertical strip of r cells."""
+    for drop in itertools.product((0, 1), repeat=len(parts)):
+        nu = tuple(map(operator.sub, parts, drop))
+        if all(map(operator.ge, nu, nu[1:])):
+            yield nu[: len(nu) - nu.count(0)], sum(drop)
+
+
+def _horizontal_strips(parts: tuple):
+    """(nu, r) for each partition nu such that parts/nu is a horizontal strip of r cells: nu interlaces parts."""
+    below = parts[1:] + (0,)
+    for nu in itertools.product(*(range(b, p + 1) for p, b in zip(parts, below))):
+        yield nu[: len(nu) - nu.count(0)], sum(parts) - sum(nu)
+
+
+@functools.cache
+def _ls_strips(parts: tuple, xs: tuple, ys: tuple) -> MultiPoly:
+    """LS of (-xs; ys) for the partition with these parts (no trailing zeros), by strip branching.
+
+    The last y is peeled first, with a vertical strip of r cells giving
+    y^r; once ys is empty, the last x, with a horizontal strip giving (-x)^r.
+    """
+    n, m = len(xs), len(ys)
+    if len(parts) > n and parts[n] > m:
+        return ZERO  # outside the (n, m)-hook
+    if not (xs or ys):
+        return ONE  # parts is empty: the hook test took every other shape
+    total = ZERO
+    if ys:
+        for nu, r in _vertical_strips(parts):
+            total = total + _ls_strips(nu, xs, ys[:-1]).shifted(ys[-1], r)
+    else:
+        for nu, r in _horizontal_strips(parts):
+            total = total + _ls_strips(nu, xs[:-1], ys).shifted(xs[-1], r, (-1) ** r)
+    return total
+
+
+def ls_branching(lam, X: VarSeq, Y: VarSeq):
+    """ls_determinantal(lam, X, Y) by the hook-Schur branching rule, with no product or division.
+
+    LS_lam(-X; Y + y) is the sum of y^r LS_nu(-X; Y) over the nu with lam/nu
+    a vertical strip of r cells, and LS_lam(-X - x; ()) the sum of (-x)^r
+    LS_nu(-X; ()) over the horizontal strips; with no variable left only the
+    empty partition gives 1.  Each term shifts the packed keys of a smaller
+    polynomial, memoized per (parts, x names, y names).  The argument checks
+    and the zero cases (lam None, or outside the (n, m)-hook) are those of
+    ls_determinantal.
+    """
+    if lam is None:
+        return ZERO
+    _check_alphabets(X, Y)
+    return _ls_strips(lam.parts, X.names, Y.names)
 
 
 def littlewood_square_check(
@@ -251,9 +327,12 @@ def littlewood_square_check(
         return report.inapplicable(ident, instance, "alphabet lengths do not match n, m")
     lam = rect(m + l, n)
     rhs = e_prod(X.negated()) ** l * delta_pair(Y, X)
-    via_det = ls_determinantal(lam, X, Y)
-    via_comb = ls_combinatorial(lam, X.negated(), Y)
-    if via_det == rhs and via_comb == rhs:
+    routes = (
+        ls_determinantal(lam, X, Y),
+        ls_combinatorial(lam, X.negated(), Y),
+        ls_branching(lam, X, Y),
+    )
+    wrong = next((p for p in routes if p != rhs), None)
+    if wrong is None:
         return report.passed(ident, instance)
-    w = via_det - rhs if via_det != rhs else via_comb - rhs
-    return report.failed(ident, instance, str(w))
+    return report.failed(ident, instance, str(wrong - rhs))

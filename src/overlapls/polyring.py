@@ -168,6 +168,11 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its int (zero equals 0), so it hashes as that int
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
@@ -230,6 +235,19 @@ class MultiPoly:
         return MultiPoly._of(out, deg)
 
     __rmul__ = __mul__
+
+    def shifted(self, name: str, exp: int, coeff: int = 1) -> "MultiPoly":
+        """coeff * name^exp * self, by adding one packed key to every monomial; no product is formed."""
+        if exp < 0:
+            raise ValueError("negative exponent")
+        if not (coeff and self.terms):
+            return MultiPoly()
+        deg = self.deg + exp
+        if deg > MAX_EXP:
+            deg = _degree(self.terms) + exp
+            _check_exp(deg, "total degree of a product")
+        add = (exp << _shift(name)) + exp if exp else 0
+        return MultiPoly._of({m + add: c * coeff for m, c in self.terms.items()}, deg)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from overlapls import identities
+from overlapls import identities, littlewood_schur
 from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal, ls_value
 from overlapls.overlap import enumerate_overlap_pairs, overlap
 from overlapls.partitions import Partition, partitions_in_box
@@ -332,7 +332,10 @@ def _sweep_refusing_products(name, mode, monkeypatch):
         raise AssertionError(f"{mode} mode built a Fraction in a Schur or LS evaluation")
 
     # a cached polynomial or value would hide an expansion, so start from empty caches
-    for cached in (ls_determinantal, schur_bialternant, schur_ssyt, delta_pair, vandermonde, ls_value, _schur_at):
+    for cached in (
+        ls_determinantal, littlewood_schur._ls_strips, schur_bialternant, schur_ssyt,
+        delta_pair, vandermonde, ls_value, _schur_at,
+    ):
         cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
@@ -347,6 +350,18 @@ def _sweep_refusing_products(name, mode, monkeypatch):
 @pytest.mark.parametrize("name", SPLIT_SUM_SWEEPS)
 def test_grid_mode_expands_no_polynomial(name, monkeypatch):
     _sweep_refusing_products(name, "grid", monkeypatch)
+
+
+@pytest.mark.parametrize("name", SPLIT_SUM_SWEEPS)
+def test_symbolic_split_sums_need_no_determinant(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("symbolic split sums computed an LS determinant")
+
+    littlewood_schur._ls_strips.cache_clear()
+    monkeypatch.setattr(littlewood_schur, "ls_determinantal", refuse)
+    monkeypatch.setattr(identities, "ls_determinantal", refuse)
+    reports = identities.run_catalog([name], max_box=2, nvars=2, mode="symbolic")
+    assert reports and all(r.passed for r in reports)
 
 
 UNION_SWEEPS = ["second-overlap-schur", "labeled-walk-schur", "subpartition-schur"]

@@ -7,6 +7,7 @@ from overlapls import littlewood_schur
 from overlapls.littlewood_schur import (
     littlewood_square_check,
     lr_coefficient,
+    ls_branching,
     ls_combinatorial,
     ls_determinantal,
     ls_sign,
@@ -167,6 +168,41 @@ class TestDeterminantalLS:
         lam = Partition((2, 1))
         signs = {ls_sign(lam, m, n) for m in range(4) for n in range(4)}
         assert signs == {1, -1}
+
+
+class TestBranchingLS:
+    def test_matches_determinant_and_tableaux_in_3x3_box(self):
+        for n in range(4):
+            for m in range(4):
+                X, Y = VarSeq.make("x", n), VarSeq.make("y", m)
+                for lam in partitions_in_box(3, 3):
+                    got = ls_branching(lam, X, Y)
+                    assert got == ls_determinantal(lam, X, Y), (lam, n, m)
+                    assert got == ls_combinatorial(lam, X.negated(), Y), (lam, n, m)
+
+    def test_rejects_what_the_determinant_rejects(self):
+        shared = (Partition((1,)), VarSeq.of("a"), VarSeq.of("a"))
+        marked = (Partition((1,)), VarSeq.make("x", 1).negated(), VarSeq.make("y", 1))
+        for args in (shared, marked):
+            with pytest.raises(ValueError) as by_det:
+                ls_determinantal(*args)
+            with pytest.raises(ValueError) as by_branching:
+                ls_branching(*args)
+            assert str(by_branching.value) == str(by_det.value)
+
+    def test_zero_cases(self):
+        X, Y = VarSeq.make("x", 2), VarSeq.make("y", 1)
+        assert ls_branching(None, X, Y) == ZERO
+        # lam_3 = 2 exceeds m = 1: outside the (2, 1)-hook
+        assert ls_branching(Partition((2, 2, 2)), X, Y) == ZERO
+        assert ls_branching(Partition((3, 1, 1)), X, Y) != ZERO
+        assert ls_branching(Partition((1,)), VarSeq.of(), VarSeq.of()) == ZERO
+        assert ls_branching(Partition(()), VarSeq.of(), VarSeq.of()) == ONE
+
+    def test_littlewood_square_reads_the_branching_route(self, monkeypatch):
+        monkeypatch.setattr(littlewood_schur, "ls_branching", lambda lam, X, Y: ONE)
+        r = littlewood_square_check(1, 1, 0, VarSeq.make("x", 1), VarSeq.make("y", 1))
+        assert r.failed
 
 
 class TestLSValue:

@@ -59,6 +59,23 @@ class TestMultiPoly:
         assert f == g
         assert hash(f) == hash(g)
 
+    def test_constants_hash_as_their_ints(self):
+        three, zero = MultiPoly.const(3), MultiPoly()
+        assert three == 3 and zero == 0
+        assert hash(three) == hash(3) and hash(zero) == hash(0)
+        assert {three, 3} == {3} and len({zero, 0, ZERO}) == 1
+        table = {3: "three", 0: "zero"}
+        assert table[three] == "three" and table[zero] == "zero"
+        table[MultiPoly.const(-1)] = "minus one"
+        assert table[-1] == "minus one"
+
+    def test_shifted_is_a_monomial_product(self):
+        f = x("x", 2) - 3 * x("x") * x("y") + 5
+        assert f.shifted("y", 2) == f * x("y", 2)
+        assert f.shifted("x", 1, -2) == -2 * f * x("x")
+        assert f.shifted("z", 0) == f
+        assert f.shifted("y", 3, 0) == ZERO and ZERO.shifted("y", 1) == ZERO
+
     def test_pow(self):
         f = x("x") + 1
         assert f ** 0 == ONE
@@ -431,6 +448,12 @@ class TestExponentOverflow:
         f = (x("x", 40000) + x("y")) - x("x", 40000)
         assert f == x("y")
         assert (f * x("x", 40000)).monomials() == {(("x", 40000), ("y", 1)): 1}
+
+    def test_shifted_overflow(self):
+        with pytest.raises(OverflowError):
+            x("x", 40000).shifted("y", 40000)
+        f = (x("x", 40000) + x("y")) - x("x", 40000)
+        assert f.shifted("x", 40000) == x("x", 40000) * x("y")
 
     def test_largest_exponent_fits(self):
         f = x("x", MAX_EXP - 1) * x("x")
