@@ -1,10 +1,12 @@
 """Littlewood-Schur functions by the combinatorial, determinantal and branching routes.
 
 The combinatorial route sums Littlewood-Richardson multiples of products of
-Schur polynomials in the two alphabets.  The determinantal route evaluates a
-block determinant with a Cauchy block of (x - y)^-1 entries and monomial
-blocks whose shapes depend on the index of the partition; its sign depends
-on the partition and both alphabet lengths jointly.  The branching route
+Schur polynomials in the two alphabets.  The determinantal route expands
+the Moens-Van der Jeugt block determinant, a Cauchy block of (x - y)^-1
+entries with monomial blocks whose shapes depend on the index of the
+partition; its sign depends on the partition and both alphabet lengths
+jointly.  One body (_mvj) runs that expansion on polynomial variables
+(ls_determinantal) and on integers at a point (ls_value).  The branching route
 applies the hook-Schur branching rule (Berele and Regev, Adv. Math. 64,
 1987): removing one y-variable removes a vertical strip from the partition,
 removing one x-variable a horizontal strip, so every LS polynomial is a sum
@@ -26,14 +28,13 @@ from .partitions import Partition, partitions_in_box, rect
 from .polyring import (
     MultiPoly,
     ONE,
-    PolyMatrix,
     VarSeq,
     ZERO,
+    as_poly,
     delta_pair,
     divexact,
     det,
     e_prod,
-    vandermonde,
 )
 from .schur import schur_ssyt
 
@@ -127,24 +128,6 @@ def ls_sign(lam: Partition, m: int, n: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _mvj_shape(lam: Partition, n: int, m: int):
-    """Shape (k, x_exp, y_exp, cx, cy) of the Moens-Van der Jeugt determinant; None when LS vanishes.
-
-    k is the (m, n)-index of lam, and LS vanishes when it is negative.  The
-    n - k x-monomial columns carry the exponents x_exp, the m - k y-monomial
-    rows the exponents y_exp; x^cx and y^cy clear the negative ones.
-    """
-    k = lam.index(m, n)
-    if k < 0:
-        return None
-    lam_c = lam.conjugate()
-    x_exp = [lam.part(j) + n - m - j for j in range(1, n - k + 1)]
-    y_exp = [lam_c.part(i) + m - n - i for i in range(1, m - k + 1)]
-    cx = max(0, -min(x_exp, default=0))
-    cy = max(0, -min(y_exp, default=0))
-    return k, x_exp, y_exp, cx, cy
-
-
 def _check_alphabets(X: VarSeq, Y: VarSeq) -> None:
     """The determinantal and branching routes take two unmarked alphabets with distinct names."""
     names = X.names + Y.names
@@ -154,89 +137,71 @@ def _check_alphabets(X: VarSeq, Y: VarSeq) -> None:
         raise ValueError("the determinantal and branching routes expect unmarked alphabets")
 
 
+def _mvj(lam: Partition, xs: tuple, ys: tuple):
+    """LS_lam(-xs; ys) from the Moens-Van der Jeugt determinant, over MultiPoly variables or ints.
+
+    The matrix pairs a Cauchy block of (x - y)^-1 entries with x-monomial
+    columns and y-monomial rows whose numbers are tied to the (m, n)-index
+    k; LS vanishes when k is negative.  The determinant is expanded along the
+    y-monomial rows, one y-column subset J at a time: the y-alternant on J,
+    times the x-minor with each x-row multiplied by the product of its
+    remaining (x - y) (which clears the Cauchy entries) and divided exactly
+    by V(xs), times the (x - y) factors of J.  One certified division by
+    V(ys) finishes.  Every exponent is non-negative: k + 1 failed the index
+    test, so the cell (m - k, n - k) lies in lam.
+    """
+    n, m = len(xs), len(ys)
+    k = lam.index(m, n)
+    if k < 0:
+        return 0
+    lam_c = lam.conjugate()
+    x_exp = [lam.part(j) + n - m - j for j in range(1, n - k + 1)]
+    y_exp = [lam_c.part(i) + m - n - i for i in range(1, m - k + 1)]
+    diffs = [[x - y for y in ys] for x in xs]
+    x_pows = [[x**e for e in x_exp] for x in xs]
+    vand_x = math.prod(a - b for a, b in itertools.combinations(xs, 2))
+    # each term's sign: y-rows n+1..n+m-k against columns J (1-based), times (-1)^(nm)
+    parity = sum(range(n + 1, n + m - k + 1)) + (m - k) + n * m
+    total = 0
+    for J in itertools.combinations(range(m), m - k):
+        alt = det([[ys[j] ** e for j in J] for e in y_exp])
+        if not alt:
+            continue
+        kept = [j for j in range(m) if j not in J]
+        cleared = []
+        for d, pows in zip(diffs, x_pows):
+            dk = [d[j] for j in kept]
+            full = math.prod(dk)
+            row = [math.prod(dk[:p] + dk[p + 1 :]) for p in range(len(dk))]
+            cleared.append(row + [full * xe for xe in pows])
+        p = det(cleared)
+        if not p:
+            continue
+        extra = math.prod(d[j] for d in diffs for j in J)
+        term = alt * divexact(p, vand_x) * extra
+        total = total - term if (parity + sum(J)) % 2 else total + term
+    vand_y = math.prod(a - b for a, b in itertools.combinations(ys, 2))
+    return divexact(total, vand_y) * ls_sign(lam, m, n)
+
+
 @functools.cache
 def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
-    """LS of the negated first alphabet, via the block determinant.
-
-    The square matrix pairs a Cauchy block of (x - y)^-1 entries with
-    monomial blocks whose widths are tied to the index k; the result is zero
-    when k is negative.  The determinant is expanded along the y-monomial
-    rows, and every denominator is cancelled analytically against the
-    prefactor before any division happens: each surviving minor is divided
-    by the x-Vandermonde (exactly, being antisymmetric in the x rows), and a
-    single certified division by the y-Vandermonde finishes the job.
-    """
+    """LS of the negated first alphabet, via the Moens-Van der Jeugt block determinant (_mvj)."""
     if lam is None:
         return ZERO
     _check_alphabets(X, Y)
-    n, m = len(X), len(Y)
-    shape = _mvj_shape(lam, n, m)
-    if shape is None:
-        return ZERO
-    k, x_exp, y_exp, cx, cy = shape
-    vand_x = vandermonde(X)
-    y_rows = tuple(range(n + 1, n + m - k + 1))
-    total = ZERO
-    for J in itertools.combinations(range(m), m - k):
-        kept = [j for j in range(m) if j not in J]
-        alt_rows = [[MultiPoly.var(Y.names[j], e + cy) for j in J] for e in y_exp]
-        alt = det(PolyMatrix(alt_rows))
-        if not alt:
-            continue
-        cleared = []
-        for x in X.names:
-            base = MultiPoly.var(x, cx)
-            kept_factors = [MultiPoly.var(x) - MultiPoly.var(Y.names[j]) for j in kept]
-            full = base
-            for f in kept_factors:
-                full = full * f
-            row = []
-            for pos, j in enumerate(kept):
-                entry = base
-                for q, f in enumerate(kept_factors):
-                    if q != pos:
-                        entry = entry * f
-                row.append(entry)
-            for e in x_exp:
-                row.append(full * MultiPoly.var(x, e + cx))
-            cleared.append(row)
-        p = det(PolyMatrix(cleared))
-        if not p:
-            continue
-        q = divexact(p, vand_x)
-        extra = ONE
-        for x in X.names:
-            for j in J:
-                extra = extra * (MultiPoly.var(x) - MultiPoly.var(Y.names[j]))
-        for j in kept:
-            if cy:
-                extra = extra * MultiPoly.var(Y.names[j], cy)
-        sign = -1 if (sum(y_rows) + sum(j + 1 for j in J)) % 2 else 1
-        total = total + sign * alt * q * extra
-    if (n * m) % 2:
-        total = -total
-    denom = vandermonde(Y)
-    for x in X.names:
-        if cx:
-            denom = denom * MultiPoly.var(x, cx)
-    for y in Y.names:
-        if cy:
-            denom = denom * MultiPoly.var(y, cy)
-    return divexact(total, denom) * ls_sign(lam, m, n)
+    return as_poly(_mvj(lam, tuple(map(MultiPoly.var, X.names)), tuple(map(MultiPoly.var, Y.names))))
 
 
 @functools.cache
 def ls_value(lam, xs: tuple, ys: tuple):
-    """ls_determinantal(lam, X, Y) at X = xs, Y = ys, from the Moens-Van der Jeugt determinant.
+    """ls_determinantal(lam, X, Y) at X = xs, Y = ys, by the same expansion (_mvj) on numbers.
 
-    At integer values the result is an int.  Each x-row of the determinant
-    is multiplied by x^cx times the product of its (x - y), and each y-column
-    by y^cy, which clears the Cauchy entries and the negative exponents; the
-    integer determinant is then divided by V(X) V(Y) and those powers, an
-    exact division certified by divexact.  Rational values are scaled by the
-    lcm d of their denominators first: LS is homogeneous, so the value is
-    the one at the scaled point over d^|lam|.  The values must be nonzero
-    and pairwise distinct.
+    At integer values the result is an int, every division exact and
+    certified by divexact.  Rational values are scaled by the lcm d of their
+    denominators first: LS is homogeneous, so the value is the one at the
+    scaled point over d^|lam|.  The values within each alphabet must be
+    pairwise distinct.
     """
     if lam is None:
         return 0
@@ -244,21 +209,7 @@ def ls_value(lam, xs: tuple, ys: tuple):
     xs, ys = (tuple(v.numerator * (d // v.denominator) for v in vs) for vs in (xs, ys))
     if d != 1:
         return Fraction(ls_value(lam, xs, ys), d**lam.size)
-    n, m = len(xs), len(ys)
-    shape = _mvj_shape(lam, n, m)
-    if shape is None:
-        return 0
-    k, x_exp, y_exp, cx, cy = shape
-    rows = []
-    for x in xs:
-        diffs = [x - y for y in ys]
-        full = x**cx * math.prod(diffs)
-        # full // (x - y) is exact: the factor x - y is in the product
-        rows.append([full // dxy * y**cy for dxy, y in zip(diffs, ys)] + [full * x**e for e in x_exp])
-    rows += [[y ** (e + cy) for y in ys] + [0] * (n - k) for e in y_exp]
-    denom = math.prod(a - b for vs in (xs, ys) for a, b in itertools.combinations(vs, 2))
-    denom *= math.prod(xs) ** cx * math.prod(ys) ** cy
-    return ls_sign(lam, m, n) * (-1) ** (n * m) * divexact(det(rows), denom)
+    return _mvj(lam, xs, ys)
 
 
 def _vertical_strips(parts: tuple):

@@ -72,10 +72,7 @@ def overlap(mu: Partition, nu: Partition, m: int, n: int) -> OverlapResult:
     (infinite overlap, sign +1) or sorts to a strictly decreasing sequence
     whose staircase-reduction is automatically a partition.
     """
-    if mu.length > m:
-        raise ValueError(f"length of {mu} exceeds m = {m}")
-    if nu.length > n:
-        raise ValueError(f"length of {nu} exceeds n = {n}")
+    _check_pair(mu, nu, m, n)
     merged = staircase(mu, m) + staircase(nu, n)
     sign = sort_sign(merged)
     if sign == 0:
@@ -113,8 +110,22 @@ def _check_fiber(lam: Partition, m: int, n: int):
         raise ValueError(f"length of {lam} exceeds m + n = {m + n}")
 
 
+def _check_pair(mu: Partition, nu: Partition, m: int, n: int):
+    """The input check shared by overlap and infinite_overlap_witness.
+
+    A negative dimension also fails its length test, so the dimensions are
+    checked, and named first, only once a length test fails: overlap is on
+    the fiber hot path.
+    """
+    if mu.length > m or nu.length > n:
+        _check_dimensions(m, n)
+        if mu.length > m:
+            raise ValueError(f"length of {mu} exceeds m = {m}")
+        raise ValueError(f"length of {nu} exceeds n = {n}")
+
+
 def _check_dimensions(*dims: int):
-    """The check shared by the fiber and subpartition-pair enumerations."""
+    """The check shared by the overlap, fiber and subpartition-pair inputs."""
     if min(dims) < 0:
         raise ValueError("rectangle dimensions must be non-negative")
 
@@ -136,10 +147,7 @@ def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):
     Among the valid vertical-step splits the lexicographically smallest is
     chosen, so the output is deterministic.
     """
-    if mu.length > m:
-        raise ValueError(f"length of {mu} exceeds m = {m}")
-    if nu.length > n:
-        raise ValueError(f"length of {nu} exceeds n = {n}")
+    _check_pair(mu, nu, m, n)
     mu_shift = staircase(mu, m)
     nu_shift = staircase(nu, n)
     if sort_sign(mu_shift + nu_shift) != 0:

@@ -7,6 +7,7 @@ return fresh normalized values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -62,10 +63,8 @@ class Partition:
         if isinstance(other, Partition):
             return self.parts == other.parts
         if isinstance(other, tuple):
-            try:
-                return self.parts == Partition(other).parts
-            except ValueError:  # not a partition, so equal to none
-                return False
+            # exact normalized parts, as the hash is that of the parts tuple
+            return self.parts == other
         return NotImplemented
 
     def __hash__(self):
@@ -196,17 +195,8 @@ def partitions_in_box(m: int, n: int):
     """
     if m < 0 or n < 0:
         raise ValueError(f"box dimensions must be non-negative, got width {m} and {n} rows")
-
-    def gen(maxpart, rows):
-        if rows == 0:
-            yield ()
-            return
-        for first in range(maxpart, 0, -1):
-            for rest in gen(first, rows - 1):
-                yield (first,) + rest
-        yield ()
-
-    return map(Partition, gen(m, n))
+    # non-increasing n-tuples over m..0 in lexicographic order; Partition strips the zeros
+    return map(Partition, itertools.combinations_with_replacement(range(m, -1, -1), n))
 
 
 def binomial(n: int, k: int) -> int:

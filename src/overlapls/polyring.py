@@ -599,13 +599,12 @@ def det(A) -> "MultiPoly | int":
     exactly when it is zero.  Tested against the Leibniz-sum oracle
     det_leibniz.
     """
-    A = _as_matrix(A)
-    if not A.is_square:
+    rows = A.rows if isinstance(A, PolyMatrix) else A  # a list of rows needs no copy
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    n = A.nrows
     if n == 0:
         return 1
-    rows = A.rows
     memo = {}
 
     def minor(cols: tuple):

@@ -1,7 +1,9 @@
 """Schur polynomials by two independent routes.
 
 The bialternant route divides the alternant determinant by the Vandermonde
-and certifies the division is exact; the tableau route sums content
+and certifies the division is exact; one body (_bialternant) runs it on
+polynomial variables (schur_bialternant) and on integers at a point
+(schur_value).  The tableau route sums content
 monomials over semistandard fillings and never divides.  The two agree on
 all inputs, which the test suite checks exhaustively at desk scale.
 """
@@ -17,34 +19,33 @@ from . import report
 from .partitions import Partition, rect
 from .polyring import (
     ONE,
-    PolyMatrix,
     VarSeq,
     ZERO,
+    as_poly,
     det,
     divexact,
     e_prod,
-    vandermonde,
 )
+
+
+def _bialternant(lam: Partition, xs: tuple):
+    """det(x_i^(lam_j + n - j)) over the Vandermonde prod_(i<j) (x_i - x_j), over MultiPolys or ints.
+
+    Zero when the partition is longer than xs.  The division is certified
+    exact by divexact; a remainder would signal a bug and raises.
+    """
+    n = len(xs)
+    if lam.length > n:
+        return 0
+    p = lam.padded(n)
+    alternant = det([[x ** (p[j] + n - 1 - j) for j in range(n)] for x in xs])
+    return divexact(alternant, math.prod(a - b for a, b in itertools.combinations(xs, 2)))
 
 
 @functools.cache
 def schur_bialternant(lam: Partition, X: VarSeq):
-    """Quotient of the alternant det(x^(lam_j + n - j)) by the Vandermonde.
-
-    Zero when the partition is longer than the variable sequence.  The
-    division must leave no remainder; a remainder would signal an
-    implementation bug and raises immediately.
-    """
-    n = len(X)
-    if lam.length > n:
-        return ZERO
-    if n == 0:
-        return ONE
-    p = lam.padded(n)
-    rows = []
-    for i in range(n):
-        rows.append([X.monomial(i, p[j] + n - 1 - j) for j in range(n)])
-    return divexact(det(PolyMatrix(rows)), vandermonde(X))
+    """Quotient of the alternant by the Vandermonde (_bialternant); negation marks are honoured."""
+    return as_poly(_bialternant(lam, tuple(map(X.term, range(len(X))))))
 
 
 @functools.cache
@@ -114,18 +115,13 @@ def schur_value(lam: Partition, values):
 
 @functools.cache
 def _schur_at(lam: Partition, values: tuple):
-    n = len(values)
-    if lam.length > n:
-        return 0
     d = math.lcm(*(v.denominator for v in values))
     values = tuple(v.numerator * (d // v.denominator) for v in values)
     if d != 1:
         return Fraction(_schur_at(lam, values), d**lam.size)
-    if len(set(values)) != n:
+    if len(set(values)) != len(values):
         raise ValueError("alternant evaluation needs distinct values")
-    p = lam.padded(n)
-    rows = [[x ** (p[j] + n - 1 - j) for j in range(n)] for x in values]
-    return divexact(det(rows), math.prod(a - b for a, b in itertools.combinations(values, 2)))
+    return _bialternant(lam, values)
 
 
 def factor_rule_check(lam: Partition, m: int, X: VarSeq) -> report.VerificationReport:

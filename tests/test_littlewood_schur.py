@@ -211,7 +211,7 @@ class TestLSValue:
         checked = 0
         for lam in partitions_in_box(4, 3):
             for n in range(0, 4):
-                for m in range(0, 3):
+                for m in range(0, 4):
                     X, Y = VarSeq.make("x", n), VarSeq.make("y", m)
                     nums = rng.sample(range(1, 100), n + m)
                     vals = [Fraction(v * rng.choice((1, -1)), rng.randint(1, 6)) for v in nums]

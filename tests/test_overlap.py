@@ -63,10 +63,17 @@ class TestOverlap:
         assert r.is_infinite and r.sign == 1
 
     def test_length_preconditions(self):
-        with pytest.raises(ValueError):
-            overlap(Partition((1, 1)), Partition(()), 1, 1)
-        with pytest.raises(ValueError):
-            overlap(Partition(()), Partition((1, 1)), 1, 1)
+        # overlap and the witness share one check, which names a negative dimension first
+        cases = [
+            ((1, 1), (), 1, 1, "exceeds m = 1"),
+            ((), (1, 1), 1, 1, "exceeds n = 1"),
+            ((), (), -1, 2, "non-negative"),
+            ((1,), (), 2, -1, "non-negative"),
+        ]
+        for mu, nu, m, n, message in cases:
+            for f in (overlap, infinite_overlap_witness):
+                with pytest.raises(ValueError, match=message):
+                    f(Partition(mu), Partition(nu), m, n)
 
     def test_definitional_identity_exhaustive(self):
         # finite value + staircase is a rearrangement of the shifted inputs

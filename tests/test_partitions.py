@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -36,7 +37,14 @@ class TestConstruction:
         assert Partition((1,)) != (1, 2)
         assert not Partition((1,)) == (1, -1)
         assert not Partition(()) == ("a",)
-        assert Partition((2, 1)) == (2, 1, 0)
+        assert Partition((2, 1)) == (2, 1)
+        assert Partition((2, 1)) != (2, 1, 0)
+
+    def test_equal_tuples_hash_alike(self):
+        assert Partition((2, 1, 0)) in {(2, 1)}
+        assert Partition((2, 1)) not in {(2, 1, 0)}
+        assert {(2, 1): "a"}[Partition((2, 1))] == "a"
+        assert len({Partition((2, 1)), (2, 1), Partition((2, 1, 0))}) == 1
 
     def test_size_and_length(self):
         lam = Partition((7, 4, 2, 2))
@@ -192,9 +200,9 @@ class TestHelpers:
             shift_first(Partition((3, 2)), -3, 2)
 
     def test_partitions_in_box_count(self):
-        for m in range(5):
-            for n in range(5):
-                assert len(list(partitions_in_box(m, n))) == binomial(m + n, m)
+        # 2000 rows lie deeper than the interpreter's recursion limit
+        for m, n in [*itertools.product(range(5), repeat=2), (1, 2000)]:
+            assert len(list(partitions_in_box(m, n))) == binomial(m + n, m)
 
     @pytest.mark.parametrize("m, n", [(2, -1), (-1, 2), (-1, 0)])
     def test_partitions_in_box_rejects_negative_sizes(self, m, n):

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +19,17 @@ from overlapls.render import (
 from overlapls.walks import StaircaseWalk
 
 
-def run_cli(*argv):
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*argv, **env):
+    """Run the CLI in a subprocess that imports overlapls from src, with extra environment variables."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "overlapls.cli", *argv],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -89,6 +97,13 @@ class TestEnumerateCommand:
         )
         assert code == 0
         assert len(out.splitlines()) == 2
+
+    def test_subpairs_of_a_deep_box(self):
+        code, out, err = run_cli(
+            "enumerate", "subpairs", "--kappa", "", "--m", "1", "--n", "2000", "--l", "0"
+        )
+        assert code == 0, err
+        assert "2001 items" in err and len(out.splitlines()) == 2001
 
     def test_oversized_lambda_usage_error(self):
         code, _, _ = run_cli("enumerate", "pairs", "--lam", "1,1,1", "--m", "1", "--n", "1")
@@ -171,28 +186,15 @@ class TestVerifyCommand:
         assert a == b and a[0] == 0
 
     def test_env_seed_fallback(self):
-        import os
-        import subprocess
-
-        env = dict(os.environ, OVERLAP_LS_SEED="5")
-        proc = subprocess.run(
-            [sys.executable, "-m", "overlapls.cli", "verify", "laplace"],
-            capture_output=True, text=True, env=env,
-        )
+        from_env = run_cli("verify", "laplace", OVERLAP_LS_SEED="5")
         explicit = run_cli("verify", "laplace", "--seed", "5")
-        assert proc.stdout == explicit[1]
+        assert from_env[1] == explicit[1]
 
     def test_env_seed_must_be_an_integer(self):
-        import os
-
-        env = dict(os.environ, OVERLAP_LS_SEED="abc")
-        proc = subprocess.run(
-            [sys.executable, "-m", "overlapls.cli", "verify", "laplace"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ") and "OVERLAP_LS_SEED" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err = run_cli("verify", "laplace", OVERLAP_LS_SEED="abc")
+        assert code == 2
+        assert err.startswith("error: ") and "OVERLAP_LS_SEED" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["second-overlap-schur", "labeled-walk-schur"])
     def test_union_schur_at_four_vars(self, name):
@@ -218,14 +220,21 @@ class TestVerifyCommand:
         ("verify", "all", "--max-box", "1", "--vars", "-1"),
         ("verify", "dual-cauchy", "--max-box", "0", "--vars", "9", "--mode", "grid"),
         ("verify", "nope"),
+        ("overlap", "--mu", "", "--nu", "", "--m", "-1", "--n", "2"),
     ],
 )
 def test_bad_input_is_usage_error(argv):
     code, _, err = run_cli(*argv)
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
-    if argv == ("verify", "nope"):
-        assert err == "error: unknown verifier 'nope'\n"
+    exact = {
+        ("verify", "nope"): "error: unknown verifier 'nope'\n",
+        ("overlap", "--mu", "", "--nu", "", "--m", "-1", "--n", "2"): (
+            "error: rectangle dimensions must be non-negative\n"
+        ),
+    }
+    if argv in exact:
+        assert err == exact[argv]
 
 
 def _verify_raising(monkeypatch, error):
