@@ -18,15 +18,17 @@ order; every Vandermonde-type sign follows from that single rule.
 A check whose two sides are exact data compares them exactly in both modes,
 through _exact: the union-Schur checks (_union_schur compares the integer
 coefficients of the alternants the two sides become), dual Cauchy and the
-counterexample.  Only the split sums depend on the mode.  They write their
-two sides once, as build(R), from the primitives R.ls, R.schur and R.delta;
-_conclude passes polynomials in symbolic mode (LS by the branching route,
-ls_branching) and values at the spot points in grid mode, so grid mode
-expands no polynomial.  The spot points are
-integer, and so is every grid primitive's value there (ls_value and
-schur_value divide integer determinants exactly, R.delta multiplies integer
-differences); _conclude forms one rational sum per point to compare the
-sides.
+counterexample.  Only the split sums depend on the mode, and only through
+the ring they are computed in.  They write their two sides once, as
+build(R), from the primitives R.ls, R.schur and R.delta; _conclude runs one
+clearing rule in every ring R it is given: lhs times the Vandermonde
+product V of the cleared alphabets (R.vandermonde) against the sum of the
+numerators times V / den, each quotient certified exact by divexact.
+Symbolic mode gives one ring of polynomials (LS by the branching route,
+ls_branching).  Grid mode gives one ring of integer values per spot point
+(ls_value and schur_value divide integer determinants exactly, R.delta and
+R.vandermonde multiply integer differences), so grid mode expands no
+polynomial and builds no fraction.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import itertools
 import math
 import random
 from dataclasses import replace
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import report
@@ -56,6 +57,7 @@ from .polyring import (
     PolyMatrix,
     VarSeq,
     ZERO,
+    delta_of,
     delta_pair,
     det,
     divexact,
@@ -63,6 +65,7 @@ from .polyring import (
     laplace_expand,
     sort_sign,
     vandermonde,
+    vandermonde_of,
 )
 from .schur import complement_reciprocity_check, factor_rule_check, schur, schur_value
 from .walks import enumerate_walks
@@ -92,6 +95,8 @@ _POLYS = SimpleNamespace(
     ls=lambda lam, X, Y: ls_branching(lam, X, Y),
     schur=lambda lam, X: schur(lam, X),
     delta=lambda X, Y: delta_pair(X, Y),
+    vandermonde=lambda X: vandermonde(X),
+    witness=lambda lhs, rhs: str(lhs - rhs),
 )
 
 
@@ -103,29 +108,30 @@ def _at_point(point):
     return SimpleNamespace(
         ls=lambda lam, X, Y: ls_value(lam, at(X), at(Y)),
         schur=lambda lam, X: schur_value(lam, at(X)),
-        delta=lambda X, Y: math.prod(x - y for x, y in itertools.product(at(X), at(Y))),
+        delta=lambda X, Y: delta_of(at(X), at(Y)),
+        vandermonde=lambda X: vandermonde_of(at(X)),
+        witness=lambda lhs, rhs: f"point {point}",
     )
 
 
 @functools.cache
-def _quotient(clear: MultiPoly, den: MultiPoly) -> MultiPoly:
+def _quotient(clear, den):
     """clear / den, certified exact by divexact; the split sums meet few distinct pairs, so each is divided once."""
     return divexact(clear, den)
 
 
-def _cleared(terms, clear) -> MultiPoly:
+def _cleared(terms, clear):
     """clear times the sum of (num, den) terms; every den must divide clear.
 
     Numerators are grouped by denominator first, and each quotient
-    clear / den comes from _quotient.
+    clear / den comes from _quotient.  The sum starts from the first group,
+    so on ints it stays an int; no terms give 0.
     """
     groups = {}
     for num, den in terms:
         groups[den] = groups[den] + num if den in groups else num
-    total = ZERO
-    for den, num in groups.items():
-        total = total + (num if den == clear else num * _quotient(clear, den))
-    return total
+    parts = (num if den == clear else num * _quotient(clear, den) for den, num in groups.items())
+    return sum(parts, next(parts, 0))
 
 
 def _exact(ident, instance, mode, lhs, rhs, witness=lambda lhs, rhs: str(lhs - rhs)):
@@ -137,23 +143,24 @@ def _exact(ident, instance, mode, lhs, rhs, witness=lambda lhs, rhs: str(lhs - r
 
 
 def _conclude(ident, instance, mode, build, names, clear=()):
-    """Check lhs = sum of num / den over the (lhs, terms) that build(R) returns.
+    """Check lhs = sum of num / den over the (lhs, terms) that build(R) returns, in each ring R.
 
-    Symbolic mode compares lhs * V with the cleared sum, V being the product
-    of the Vandermondes of the alphabets in clear, which every den must
-    divide; a failing witness is V * (lhs - sum).  Grid mode compares the
-    two sides' values at each spot point of names.
+    The rings are the polynomials in symbolic mode and the integers at each
+    spot point of names in grid mode; the mode is read only to choose them.
+    In each, lhs * V is compared with the cleared sum, V being the product
+    of R.vandermonde over the alphabets in clear, which every den must
+    divide.  A failing ring gives the witness: V * (lhs - sum) for the
+    polynomials, the point for a spot point.
     """
     report.check_mode(mode)
-    if mode == "grid":
-        for point in spot_points(names):
-            lhs, terms = build(_at_point(point))
-            if lhs != sum(Fraction(num, den) for num, den in terms):
-                return report.failed(ident, instance, f"point {point}", mode)
-        return report.passed(ident, instance, mode)
-    lhs, terms = build(_POLYS)
-    vand = math.prod(map(vandermonde, clear), start=1)
-    return _exact(ident, instance, mode, lhs * vand, _cleared(terms, vand))
+    rings = (_POLYS,) if mode == "symbolic" else map(_at_point, spot_points(names))
+    for R in rings:
+        lhs, terms = build(R)
+        vand = math.prod(map(R.vandermonde, clear), start=1)
+        lhs, rhs = lhs * vand, _cleared(terms, vand)
+        if lhs != rhs:
+            return report.failed(ident, instance, R.witness(lhs, rhs), mode)
+    return report.passed(ident, instance, mode)
 
 
 # -- first overlap identity ---------------------------------------------------

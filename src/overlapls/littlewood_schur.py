@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from . import report
 from .partitions import Partition, partitions_in_box, rect
@@ -31,10 +30,12 @@ from .polyring import (
     VarSeq,
     ZERO,
     as_poly,
+    delta_of,
     delta_pair,
     divexact,
     det,
     e_prod,
+    vandermonde_of,
 )
 from .schur import schur_ssyt
 
@@ -121,11 +122,14 @@ def ls_combinatorial(lam, X: VarSeq, Y: VarSeq):
     return total
 
 
+def _sign_exponent(lam: Partition, m: int, n: int, k: int) -> int:
+    """e with (-1)^e the sign in front of the block determinant, k being the (m, n)-index of lam."""
+    return lam.take(max(n - k, 0)).size + m * k + k * (k - 1) // 2
+
+
 def ls_sign(lam: Partition, m: int, n: int) -> int:
     """Sign in front of the block determinant; depends on (lam, m, n) jointly."""
-    k = lam.index(m, n)
-    e = lam.take(max(n - k, 0)).size + m * k + k * (k - 1) // 2
-    return -1 if e % 2 else 1
+    return -1 if _sign_exponent(lam, m, n, lam.index(m, n)) % 2 else 1
 
 
 def _check_alphabets(X: VarSeq, Y: VarSeq) -> None:
@@ -147,8 +151,9 @@ def _mvj(lam: Partition, xs: tuple, ys: tuple):
     times the x-minor with each x-row multiplied by the product of its
     remaining (x - y) (which clears the Cauchy entries) and divided exactly
     by V(xs), times the (x - y) factors of J.  One certified division by
-    V(ys) finishes.  Every exponent is non-negative: k + 1 failed the index
-    test, so the cell (m - k, n - k) lies in lam.
+    V(ys) finishes.  The sign in front of the determinant (ls_sign) is
+    folded into each term's.  Every exponent is non-negative: k + 1 failed
+    the index test, so the cell (m - k, n - k) lies in lam.
     """
     n, m = len(xs), len(ys)
     k = lam.index(m, n)
@@ -159,9 +164,9 @@ def _mvj(lam: Partition, xs: tuple, ys: tuple):
     y_exp = [lam_c.part(i) + m - n - i for i in range(1, m - k + 1)]
     diffs = [[x - y for y in ys] for x in xs]
     x_pows = [[x**e for e in x_exp] for x in xs]
-    vand_x = math.prod(a - b for a, b in itertools.combinations(xs, 2))
-    # each term's sign: y-rows n+1..n+m-k against columns J (1-based), times (-1)^(nm)
-    parity = sum(range(n + 1, n + m - k + 1)) + (m - k) + n * m
+    vand_x = vandermonde_of(xs)
+    # each term's sign: y-rows n+1..n+m-k against columns J (1-based), times (-1)^(nm) and ls_sign
+    parity = sum(range(n + 1, n + m - k + 1)) + (m - k) + n * m + _sign_exponent(lam, m, n, k)
     total = 0
     for J in itertools.combinations(range(m), m - k):
         alt = det([[ys[j] ** e for j in J] for e in y_exp])
@@ -177,11 +182,9 @@ def _mvj(lam: Partition, xs: tuple, ys: tuple):
         p = det(cleared)
         if not p:
             continue
-        extra = math.prod(d[j] for d in diffs for j in J)
-        term = alt * divexact(p, vand_x) * extra
+        term = alt * divexact(p, vand_x) * delta_of(xs, [ys[j] for j in J])
         total = total - term if (parity + sum(J)) % 2 else total + term
-    vand_y = math.prod(a - b for a, b in itertools.combinations(ys, 2))
-    return divexact(total, vand_y) * ls_sign(lam, m, n)
+    return divexact(total, vandermonde_of(ys))
 
 
 @functools.cache
@@ -195,20 +198,14 @@ def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
 
 @functools.cache
 def ls_value(lam, xs: tuple, ys: tuple):
-    """ls_determinantal(lam, X, Y) at X = xs, Y = ys, by the same expansion (_mvj) on numbers.
+    """ls_determinantal(lam, X, Y) at integer values X = xs, Y = ys, by the same expansion (_mvj).
 
-    At integer values the result is an int, every division exact and
-    certified by divexact.  Rational values are scaled by the lcm d of their
-    denominators first: LS is homogeneous, so the value is the one at the
-    scaled point over d^|lam|.  The values within each alphabet must be
-    pairwise distinct.
+    The result is an int, every division exact and certified by divexact,
+    which refuses a rational value with TypeError.  The values within each
+    alphabet must be pairwise distinct.
     """
     if lam is None:
         return 0
-    d = math.lcm(*(v.denominator for v in xs + ys))
-    xs, ys = (tuple(v.numerator * (d // v.denominator) for v in vs) for vs in (xs, ys))
-    if d != 1:
-        return Fraction(ls_value(lam, xs, ys), d**lam.size)
     return _mvj(lam, xs, ys)
 
 

@@ -475,6 +475,10 @@ class VarSeq:
         n = self.names[i]
         return MultiPoly.var(n, 1, -1 if n in self.neg else 1)
 
+    def terms(self) -> tuple:
+        """Every element as a polynomial, in order."""
+        return tuple(map(self.term, range(len(self.names))))
+
     def monomial(self, i: int, e: int) -> MultiPoly:
         """term(i) ** e for e >= 0."""
         n = self.names[i]
@@ -506,28 +510,30 @@ class VarSeq:
         return tuple(self.split(idx) for idx in itertools.combinations(range(len(self.names)), size))
 
 
+def vandermonde_of(xs):
+    """prod_(i<j) (xs_i - xs_j) over ring elements (MultiPolys or ints); 1 for fewer than two."""
+    return math.prod(a - b for a, b in itertools.combinations(xs, 2))
+
+
+def delta_of(xs, ys):
+    """prod (x - y) over x in xs, y in ys, ring elements (MultiPolys or ints); 1 if either is empty."""
+    return math.prod(x - y for x, y in itertools.product(xs, ys))
+
+
 @functools.cache
 def vandermonde(X: VarSeq):
-    """Product of all pairwise differences X_i - X_j over i < j; 1 if l(X) <= 1.
+    """vandermonde_of the terms of X, as a polynomial; ONE if l(X) <= 1.
 
     Memoized, like delta_pair: the split sums ask for the same few alphabets
     again and again, and a MultiPoly is never changed in place.
     """
-    result = ONE
-    for i in range(len(X)):
-        for j in range(i + 1, len(X)):
-            result = result * (X.term(i) - X.term(j))
-    return result
+    return as_poly(vandermonde_of(X.terms()))
 
 
 @functools.cache
 def delta_pair(X: VarSeq, Y: VarSeq):
-    """Product of all differences x - y for x in X, y in Y; 1 if either side is empty."""
-    result = ONE
-    for i in range(len(X)):
-        for j in range(len(Y)):
-            result = result * (X.term(i) - Y.term(j))
-    return result
+    """delta_of the terms of X and Y, as a polynomial; ONE if either side is empty."""
+    return as_poly(delta_of(X.terms(), Y.terms()))
 
 
 def sort_sign(seq) -> int:

@@ -11,9 +11,6 @@ all inputs, which the test suite checks exhaustively at desk scale.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
-from fractions import Fraction
 
 from . import report
 from .partitions import Partition, rect
@@ -25,6 +22,7 @@ from .polyring import (
     det,
     divexact,
     e_prod,
+    vandermonde_of,
 )
 
 
@@ -39,13 +37,13 @@ def _bialternant(lam: Partition, xs: tuple):
         return 0
     p = lam.padded(n)
     alternant = det([[x ** (p[j] + n - 1 - j) for j in range(n)] for x in xs])
-    return divexact(alternant, math.prod(a - b for a, b in itertools.combinations(xs, 2)))
+    return divexact(alternant, vandermonde_of(xs))
 
 
 @functools.cache
 def schur_bialternant(lam: Partition, X: VarSeq):
     """Quotient of the alternant by the Vandermonde (_bialternant); negation marks are honoured."""
-    return as_poly(_bialternant(lam, tuple(map(X.term, range(len(X))))))
+    return as_poly(_bialternant(lam, X.terms()))
 
 
 @functools.cache
@@ -102,23 +100,18 @@ def schur(lam: Partition, X: VarSeq):
 
 
 def schur_value(lam: Partition, values):
-    """Schur polynomial evaluated at pairwise distinct values, an int at integer values.
+    """Schur polynomial at pairwise distinct integer values, an int.
 
     The integer alternant over the integer Vandermonde, an exact division
-    certified by divexact, so arbitrary variable counts stay cheap.
-    Rational values are scaled by the lcm d of their denominators first:
-    s_lam is homogeneous, so the value is the one at the scaled point over
-    d^|lam|.  values may be any sequence, and results are cached.
+    certified by divexact (which refuses a rational value with TypeError), so
+    arbitrary variable counts stay cheap.  values may be any sequence of
+    ints, and results are cached.
     """
     return _schur_at(lam, tuple(values))
 
 
 @functools.cache
 def _schur_at(lam: Partition, values: tuple):
-    d = math.lcm(*(v.denominator for v in values))
-    values = tuple(v.numerator * (d // v.denominator) for v in values)
-    if d != 1:
-        return Fraction(_schur_at(lam, values), d**lam.size)
     if len(set(values)) != len(values):
         raise ValueError("alternant evaluation needs distinct values")
     return _bialternant(lam, values)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -39,8 +40,12 @@ class TestConclude:
         assert r.failed and r.witness.startswith("point ")
 
     def test_denominator_must_divide_clear(self):
+        # one clearing rule in both modes: at the point (2, 3), V = -1 and den = 5
+        terms = [lambda R: (1, R.schur(self.one, self.X))]
         with pytest.raises(NonExactDivision):
-            self.conclude([lambda R: (1, R.schur(self.one, self.X))], "symbolic")
+            self.conclude(terms, "symbolic")
+        with pytest.raises(NonExactDivision, match="-1 not divisible by 5"):
+            self.conclude(terms, "grid")
 
 
 class TestFirstOverlap:
@@ -328,20 +333,19 @@ def _sweep_refusing_products(name, mode, monkeypatch):
     def refuse(self, other):
         raise AssertionError(f"{mode} mode multiplied two polynomials")
 
-    def refuse_fraction(*args):
-        raise AssertionError(f"{mode} mode built a Fraction in a Schur or LS evaluation")
+    def refuse_fraction(*args, **kwargs):
+        raise AssertionError(f"{mode} mode built a Fraction")
 
     # a cached polynomial or value would hide an expansion, so start from empty caches
     for cached in (
         ls_determinantal, littlewood_schur._ls_strips, schur_bialternant, schur_ssyt,
-        delta_pair, vandermonde, ls_value, _schur_at,
+        delta_pair, vandermonde, ls_value, _schur_at, identities._quotient,
     ):
         cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
-    # the spot points are integers, so the evaluators never take their rational path
-    monkeypatch.setattr("overlapls.schur.Fraction", refuse_fraction)
-    monkeypatch.setattr("overlapls.littlewood_schur.Fraction", refuse_fraction)
+    # the spot points are integers and grid clearing divides ints, so no sweep makes a Fraction anywhere
+    monkeypatch.setattr(Fraction, "__new__", refuse_fraction)
     reports = identities.run_catalog([name], max_box=2, nvars=2, mode=mode)
     assert reports and all(r.passed for r in reports)
     assert all(r.mode == mode for r in reports if r.identity == name)
