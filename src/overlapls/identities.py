@@ -24,11 +24,12 @@ build(R), from the primitives R.ls, R.schur and R.delta; _conclude runs one
 clearing rule in every ring R it is given: lhs times the Vandermonde
 product V of the cleared alphabets (R.vandermonde) against the sum of the
 numerators times V / den, each quotient certified exact by divexact.
-Symbolic mode gives one ring of polynomials (LS by the branching route,
-ls_branching).  Grid mode gives one ring of integer values per spot point
-(ls_value and schur_value divide integer determinants exactly, R.delta and
+Both modes take each LS factor from the strip branching rule: symbolic
+mode gives one ring of polynomials (ls_branching), grid mode one ring of
+integer values per spot point (ls_value runs the same branching at the
+point, schur_value divides an integer alternant exactly, R.delta and
 R.vandermonde multiply integer differences), so grid mode expands no
-polynomial and builds no fraction.
+polynomial, computes no LS determinant and builds no fraction.
 """
 
 from __future__ import annotations
@@ -261,7 +262,8 @@ def verify_cor_max_index(mu, nu, l, X: VarSeq, Y: VarSeq, mode="symbolic"):
     glued = ov.value.union(nu.drop(n - l - k)) if ov.is_finite else None
 
     def build(R):
-        return R.ls(glued, X, Y), _x_split_terms(R, head, nu, l, X, Y, ov.sign)
+        lhs = 0 if ov.is_infinite else R.ls(glued, X, Y)
+        return lhs, _x_split_terms(R, head, nu, l, X, Y, ov.sign)
 
     return _conclude(ident, instance, mode, build, X.names + Y.names, (X,))
 

@@ -5,14 +5,13 @@ Schur polynomials in the two alphabets.  The determinantal route expands
 the Moens-Van der Jeugt block determinant, a Cauchy block of (x - y)^-1
 entries with monomial blocks whose shapes depend on the index of the
 partition; its sign depends on the partition and both alphabet lengths
-jointly.  One body (_mvj) runs that expansion on polynomial variables
-(ls_determinantal) and on integers at a point (ls_value).  The branching route
-applies the hook-Schur branching rule (Berele and Regev, Adv. Math. 64,
-1987): removing one y-variable removes a vertical strip from the partition,
-removing one x-variable a horizontal strip, so every LS polynomial is a sum
-of monomial shifts of smaller ones.  The symbolic split sums use the
-branching route, grid mode the determinant at a point (ls_value), and the
-tests hold the three routes equal.
+jointly (_mvj, run by ls_determinantal).  The branching route applies the
+hook-Schur branching rule (Berele and Regev, Adv. Math. 64, 1987): removing
+one y-variable removes a vertical strip from the partition, removing one
+x-variable a horizontal strip.  One body (_ls_strips) runs it on polynomial
+variables (ls_branching) and on integers at a point (ls_value), so every LS
+factor of the split sums, in both verification modes, comes from the
+branching route, and the tests hold the three routes equal.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import operator
 from . import report
 from .partitions import Partition, partitions_in_box, rect
 from .polyring import (
-    MultiPoly,
-    ONE,
     VarSeq,
     ZERO,
     as_poly,
@@ -95,11 +92,8 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 def ls_combinatorial(lam, X: VarSeq, Y: VarSeq):
     """Sum of c^lam_(mu,nu) s_mu(X) s_nu'(Y) over partition pairs inside lam.
 
-    The infinite sentinel (lam is None) gives the zero polynomial.  Negation
-    marks on either alphabet are honoured by the Schur factors.
+    Negation marks on either alphabet are honoured by the Schur factors.
     """
-    if lam is None:
-        return ZERO
     nx, ny = len(X), len(Y)
     total = ZERO
     for mu in partitions_in_box(lam.part(1), min(lam.length, nx) if nx else 0):
@@ -142,7 +136,7 @@ def _check_alphabets(X: VarSeq, Y: VarSeq) -> None:
 
 
 def _mvj(lam: Partition, xs: tuple, ys: tuple):
-    """LS_lam(-xs; ys) from the Moens-Van der Jeugt determinant, over MultiPoly variables or ints.
+    """LS_lam(-xs; ys) from the Moens-Van der Jeugt determinant; ls_determinantal runs it on variables.
 
     The matrix pairs a Cauchy block of (x - y)^-1 entries with x-monomial
     columns and y-monomial rows whose numbers are tied to the (m, n)-index
@@ -188,25 +182,10 @@ def _mvj(lam: Partition, xs: tuple, ys: tuple):
 
 
 @functools.cache
-def ls_determinantal(lam, X: VarSeq, Y: VarSeq):
+def ls_determinantal(lam: Partition, X: VarSeq, Y: VarSeq):
     """LS of the negated first alphabet, via the Moens-Van der Jeugt block determinant (_mvj)."""
-    if lam is None:
-        return ZERO
     _check_alphabets(X, Y)
-    return as_poly(_mvj(lam, tuple(map(MultiPoly.var, X.names)), tuple(map(MultiPoly.var, Y.names))))
-
-
-@functools.cache
-def ls_value(lam, xs: tuple, ys: tuple):
-    """ls_determinantal(lam, X, Y) at integer values X = xs, Y = ys, by the same expansion (_mvj).
-
-    The result is an int, every division exact and certified by divexact,
-    which refuses a rational value with TypeError.  The values within each
-    alphabet must be pairwise distinct.
-    """
-    if lam is None:
-        return 0
-    return _mvj(lam, xs, ys)
+    return as_poly(_mvj(lam, X.terms(), Y.terms()))
 
 
 def _vertical_strips(parts: tuple):
@@ -225,42 +204,57 @@ def _horizontal_strips(parts: tuple):
 
 
 @functools.cache
-def _ls_strips(parts: tuple, xs: tuple, ys: tuple) -> MultiPoly:
+def _ls_strips(parts: tuple, xs: tuple, ys: tuple):
     """LS of (-xs; ys) for the partition with these parts (no trailing zeros), by strip branching.
 
-    The last y is peeled first, with a vertical strip of r cells giving
-    y^r; once ys is empty, the last x, with a horizontal strip giving (-x)^r.
+    xs and ys are ring elements: MultiPoly variables or ints.  The last y is
+    peeled first, a vertical strip of r cells giving y^r; once ys is empty,
+    the last x, a horizontal strip giving (-x)^r.  The powers are formed
+    once per call, up to the largest strip: l(parts) cells for a vertical
+    strip, parts[0] for a horizontal one.  The leaves are 0 and 1, so no
+    division is formed.
     """
     n, m = len(xs), len(ys)
     if len(parts) > n and parts[n] > m:
-        return ZERO  # outside the (n, m)-hook
+        return 0  # outside the (n, m)-hook
     if not (xs or ys):
-        return ONE  # parts is empty: the hook test took every other shape
-    total = ZERO
+        return 1  # parts is empty: the hook test took every other shape
     if ys:
-        for nu, r in _vertical_strips(parts):
-            total = total + _ls_strips(nu, xs, ys[:-1]).shifted(ys[-1], r)
+        v, ys, strips, top = ys[-1], ys[:-1], _vertical_strips(parts), len(parts)
     else:
-        for nu, r in _horizontal_strips(parts):
-            total = total + _ls_strips(nu, xs[:-1], ys).shifted(xs[-1], r, (-1) ** r)
+        v, xs, strips, top = -xs[-1], xs[:-1], _horizontal_strips(parts), sum(parts[:1])
+    pows = list(itertools.accumulate(itertools.repeat(v, top), operator.mul, initial=1))
+    total = 0
+    for nu, r in strips:
+        sub = _ls_strips(nu, xs, ys)
+        total = total + (pows[r] * sub if r else sub)
     return total
 
 
-def ls_branching(lam, X: VarSeq, Y: VarSeq):
-    """ls_determinantal(lam, X, Y) by the hook-Schur branching rule, with no product or division.
+@functools.cache
+def ls_branching(lam: Partition, X: VarSeq, Y: VarSeq):
+    """ls_determinantal(lam, X, Y) by the hook-Schur branching rule, with products but no division.
 
     LS_lam(-X; Y + y) is the sum of y^r LS_nu(-X; Y) over the nu with lam/nu
     a vertical strip of r cells, and LS_lam(-X - x; ()) the sum of (-x)^r
     LS_nu(-X; ()) over the horizontal strips; with no variable left only the
-    empty partition gives 1.  Each term shifts the packed keys of a smaller
-    polynomial, memoized per (parts, x names, y names).  The argument checks
-    and the zero cases (lam None, or outside the (n, m)-hook) are those of
-    ls_determinantal.
+    empty partition gives 1 (_ls_strips, memoized per parts and variables).
+    Each product has a one-term factor, so it only shifts packed keys.  The
+    argument checks, the zero case (outside the (n, m)-hook) and the memo
+    per (lam, X, Y) are those of ls_determinantal; the memo keeps a repeated
+    call from hashing the polynomial variables of the _ls_strips key.
     """
-    if lam is None:
-        return ZERO
     _check_alphabets(X, Y)
-    return _ls_strips(lam.parts, X.names, Y.names)
+    return as_poly(_ls_strips(lam.parts, X.terms(), Y.terms()))
+
+
+def ls_value(lam: Partition, xs: tuple, ys: tuple):
+    """ls_determinantal(lam, X, Y) at the values X = xs, Y = ys, by strip branching (_ls_strips).
+
+    An int at integer values, with no determinant and no division; the
+    memo of _ls_strips holds the values of the smaller shapes.
+    """
+    return _ls_strips(lam.parts, xs, ys)
 
 
 def littlewood_square_check(

@@ -105,12 +105,15 @@ class MultiPoly:
     """Canonical sparse polynomial; structural equality is mathematical equality.
 
     terms maps packed monomials to nonzero coefficients; MultiPoly(mapping)
-    and monomials() use (name, exponent) tuples instead.
+    and monomials() use (name, exponent) tuples instead.  No operation
+    changes a polynomial after __init__ or _of, so its hash is computed once,
+    on first use, and kept.
     """
 
-    __slots__ = ("terms", "deg")
+    __slots__ = ("terms", "deg", "_hash")
 
     def __init__(self, terms=None):
+        self._hash = None
         self.terms = {}
         for m, c in (terms or {}).items():
             k = _pack(m)
@@ -127,6 +130,7 @@ class MultiPoly:
         overflow check of products; left out, it is computed exactly.
         """
         p = MultiPoly.__new__(MultiPoly)
+        p._hash = None
         p.terms = terms
         p.deg = (_degree(terms) if terms else 0) if deg is None else deg
         return p
@@ -168,12 +172,15 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
-        # a constant equals its int (zero equals 0), so it hashes as that int
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and 0 in self.terms:
-            return hash(self.terms[0])
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            # a constant equals its int (zero equals 0), so it hashes as that int
+            if not self.terms:
+                self._hash = 0
+            elif len(self.terms) == 1 and 0 in self.terms:
+                self._hash = hash(self.terms[0])
+            else:
+                self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __neg__(self):
         return MultiPoly._of({m: -c for m, c in self.terms.items()}, self.deg)
@@ -219,11 +226,15 @@ class MultiPoly:
         if deg > MAX_EXP:
             deg = _degree(self.terms) + _degree(other.terms)
             _check_exp(deg, "total degree of a product")
-        out = {}
         if len(self.terms) > len(other.terms):
             a, b = other, self
         else:
             a, b = self, other
+        if len(a.terms) == 1:
+            # one fixed key added to distinct keys keeps them distinct: no merge, no zero
+            ((ma, ca),) = a.terms.items()
+            return MultiPoly._of({ma + mb: ca * cb for mb, cb in b.terms.items()}, deg)
+        out = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
                 m = ma + mb
@@ -235,19 +246,6 @@ class MultiPoly:
         return MultiPoly._of(out, deg)
 
     __rmul__ = __mul__
-
-    def shifted(self, name: str, exp: int, coeff: int = 1) -> "MultiPoly":
-        """coeff * name^exp * self, by adding one packed key to every monomial; no product is formed."""
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if not (coeff and self.terms):
-            return MultiPoly()
-        deg = self.deg + exp
-        if deg > MAX_EXP:
-            deg = _degree(self.terms) + exp
-            _check_exp(deg, "total degree of a product")
-        add = (exp << _shift(name)) + exp if exp else 0
-        return MultiPoly._of({m + add: c * coeff for m, c in self.terms.items()}, deg)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -475,8 +473,13 @@ class VarSeq:
         n = self.names[i]
         return MultiPoly.var(n, 1, -1 if n in self.neg else 1)
 
+    @functools.cache
     def terms(self) -> tuple:
-        """Every element as a polynomial, in order."""
+        """Every element as a polynomial, in order.
+
+        Memoized like splits: the strip branching memo keys on these terms,
+        and the same objects hash once.
+        """
         return tuple(map(self.term, range(len(self.names))))
 
     def monomial(self, i: int, e: int) -> MultiPoly:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from overlapls import identities, littlewood_schur
-from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal, ls_value
+from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap
 from overlapls.partitions import Partition, partitions_in_box
 from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, delta_pair, e_prod, vandermonde
@@ -156,10 +156,11 @@ class TestMaxIndex:
                     ov = overlap(mu, nu.take(3 - l - k), l, 3 - l - k)
                     if not ov.is_infinite:
                         continue
-                    r = identities.verify_cor_max_index(mu, nu, l, X, Y)
-                    if not r.inapplicable:
-                        assert r.passed, r.witness
-                        found += 1
+                    for mode in ("symbolic", "grid"):
+                        r = identities.verify_cor_max_index(mu, nu, l, X, Y, mode)
+                        if not r.inapplicable:
+                            assert r.passed, (mode, r.witness)
+                            found += 1
         assert found > 0
 
 
@@ -338,8 +339,8 @@ def _sweep_refusing_products(name, mode, monkeypatch):
 
     # a cached polynomial or value would hide an expansion, so start from empty caches
     for cached in (
-        ls_determinantal, littlewood_schur._ls_strips, schur_bialternant, schur_ssyt,
-        delta_pair, vandermonde, ls_value, _schur_at, identities._quotient,
+        ls_determinantal, littlewood_schur.ls_branching, littlewood_schur._ls_strips,
+        schur_bialternant, schur_ssyt, delta_pair, vandermonde, _schur_at, identities._quotient,
     ):
         cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
@@ -356,14 +357,15 @@ def test_grid_mode_expands_no_polynomial(name, monkeypatch):
     _sweep_refusing_products(name, "grid", monkeypatch)
 
 
-def test_symbolic_split_sums_need_no_determinant(monkeypatch):
+@pytest.mark.parametrize("mode", ["symbolic", "grid"])
+def test_split_sums_need_no_determinant(mode, monkeypatch):
     def refuse(*args):
-        raise AssertionError("symbolic split sums computed an LS determinant")
+        raise AssertionError(f"{mode} split sums computed a Moens-Van der Jeugt determinant")
 
+    littlewood_schur.ls_branching.cache_clear()
     littlewood_schur._ls_strips.cache_clear()
-    monkeypatch.setattr(littlewood_schur, "ls_determinantal", refuse)
-    monkeypatch.setattr(identities, "ls_determinantal", refuse)
-    reports = identities.run_catalog(SPLIT_SUM_SWEEPS, max_box=2, nvars=2, mode="symbolic")
+    monkeypatch.setattr(littlewood_schur, "_mvj", refuse)
+    reports = identities.run_catalog(SPLIT_SUM_SWEEPS, max_box=2, nvars=2, mode=mode)
     assert set(SPLIT_SUM_SWEEPS) <= {r.identity for r in reports}
     assert all(r.passed for r in reports)
 

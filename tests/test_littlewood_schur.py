@@ -92,9 +92,6 @@ class TestCombinatorialLS:
         X, Y = VarSeq.make("x", 2), VarSeq.make("y", 2)
         assert ls_combinatorial(Partition((1,)), X, Y) == elem_sym(1, X) + elem_sym(1, Y)
 
-    def test_infinite_sentinel(self):
-        assert ls_combinatorial(None, VarSeq.make("x", 1), VarSeq.make("y", 1)) == ZERO
-
 
 class TestDeterminantalLS:
     def test_negative_index_vanishes(self):
@@ -192,7 +189,6 @@ class TestBranchingLS:
 
     def test_zero_cases(self):
         X, Y = VarSeq.make("x", 2), VarSeq.make("y", 1)
-        assert ls_branching(None, X, Y) == ZERO
         # lam_3 = 2 exceeds m = 1: outside the (2, 1)-hook
         assert ls_branching(Partition((2, 2, 2)), X, Y) == ZERO
         assert ls_branching(Partition((3, 1, 1)), X, Y) != ZERO
@@ -223,11 +219,9 @@ class TestLSValue:
         assert checked > 300
 
     def test_zero_cases(self):
-        xs, ys = (2, 3), (5,)
         # three columns never fit against two x variables and no y: k < 0
         assert Partition((1, 1, 1)).index(0, 2) < 0
-        assert ls_value(Partition((1, 1, 1)), xs, ()) == 0
-        assert ls_value(None, xs, ys) == 0
+        assert ls_value(Partition((1, 1, 1)), (2, 3), ()) == 0
 
 
 class TestLSIntegerValue:
@@ -249,16 +243,21 @@ class TestLSIntegerValue:
                 scaled = ls_value(lam, tuple(d * v for v in self.xs), tuple(d * v for v in self.ys))
                 assert scaled == d**lam.size * base
 
-    def test_rational_values_raise(self):
-        with pytest.raises(TypeError):
-            ls_value(Partition((2, 1)), (Fraction(1, 2),) + self.xs[1:], self.ys)
+    def test_rational_values_are_exact(self):
+        # branching divides nothing, so a rational coordinate gives the exact rational value
+        xs = (Fraction(1, 2),) + self.xs[1:]
+        X, Y = VarSeq.make("x", 3), VarSeq.make("y", 2)
+        point = dict(zip(X.names + Y.names, xs + self.ys))
+        for lam in self.shapes:
+            assert ls_value(lam, xs, self.ys) == ls_determinantal(lam, X, Y).evaluate(point)
 
     def test_remainder_raises(self, monkeypatch):
+        # the determinantal route is the one that still divides
         det = littlewood_schur.det
         monkeypatch.setattr(littlewood_schur, "det", lambda rows: det(rows) + 1)
-        ls_value.cache_clear()
+        ls_determinantal.cache_clear()
         with pytest.raises(NonExactDivision):
-            ls_value(Partition((2, 1)), self.xs, self.ys)
+            ls_determinantal(Partition((2, 1)), VarSeq.make("x", 3), VarSeq.make("y", 2))
 
 
 class TestLittlewoodSquare:

@@ -69,12 +69,20 @@ class TestMultiPoly:
         table[MultiPoly.const(-1)] = "minus one"
         assert table[-1] == "minus one"
 
-    def test_shifted_is_a_monomial_product(self):
+    def test_hash_is_computed_once_and_kept(self):
+        f = (x("x") + x("y")) * (x("x") - x("y"))
+        g = MultiPoly({(("x", 2),): 1, (("y", 2),): -1})
+        assert f == g and hash(f) == hash(g)
+        assert hash(f) == hash(f) and f._hash == hash(g)
+
+    def test_one_term_product(self):
         f = x("x", 2) - 3 * x("x") * x("y") + 5
-        assert f.shifted("y", 2) == f * x("y", 2)
-        assert f.shifted("x", 1, -2) == -2 * f * x("x")
-        assert f.shifted("z", 0) == f
-        assert f.shifted("y", 3, 0) == ZERO and ZERO.shifted("y", 1) == ZERO
+        m = MultiPoly({(("x", 1), ("y", 2)): -2})
+        expect = MultiPoly({(("x", 3), ("y", 2)): -2, (("x", 2), ("y", 3)): 6, (("x", 1), ("y", 2)): -10})
+        assert f * m == expect and m * f == expect
+        assert (f * m).monomials() == expect.monomials()
+        assert m * m == MultiPoly({(("x", 2), ("y", 4)): 4})
+        assert f * ZERO == ZERO and ZERO * m == ZERO
 
     def test_pow(self):
         f = x("x") + 1
@@ -448,12 +456,6 @@ class TestExponentOverflow:
         f = (x("x", 40000) + x("y")) - x("x", 40000)
         assert f == x("y")
         assert (f * x("x", 40000)).monomials() == {(("x", 40000), ("y", 1)): 1}
-
-    def test_shifted_overflow(self):
-        with pytest.raises(OverflowError):
-            x("x", 40000).shifted("y", 40000)
-        f = (x("x", 40000) + x("y")) - x("x", 40000)
-        assert f.shifted("x", 40000) == x("x", 40000) * x("y")
 
     def test_largest_exponent_fits(self):
         f = x("x", MAX_EXP - 1) * x("x")
