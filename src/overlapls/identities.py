@@ -24,19 +24,19 @@ build(R), from the primitives R.ls, R.schur and R.delta; _conclude runs one
 clearing rule in every ring R it is given: lhs times the Vandermonde
 product V of the cleared alphabets (R.vandermonde) against the sum of the
 numerators times V / den, each quotient certified exact by divexact.
-Both modes take each LS factor from the strip branching rule: symbolic
-mode gives one ring of polynomials (ls_branching), grid mode one ring of
-integer values per spot point (ls_value runs the same branching at the
-point, schur_value divides an integer alternant exactly, R.delta and
-R.vandermonde multiply integer differences), so grid mode expands no
-polynomial, computes no LS determinant and builds no fraction.
+Both modes take each LS and Schur factor from the strip branching rule:
+symbolic mode gives one ring of polynomials (ls_branching, schur), grid
+mode one ring of integer values per spot point (ls_value and schur_value
+run the same branching at the point, R.delta and R.vandermonde multiply
+integer differences), so the split sums in grid mode expand no
+polynomial, compute no determinant and build no fraction.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
+import operator
 import random
 from dataclasses import replace
 from types import SimpleNamespace
@@ -143,21 +143,22 @@ def _exact(ident, instance, mode, lhs, rhs, witness=lambda lhs, rhs: str(lhs - r
     return report.failed(ident, instance, witness(lhs, rhs), mode)
 
 
-def _conclude(ident, instance, mode, build, names, clear=()):
+def _conclude(ident, instance, mode, build, names, clear):
     """Check lhs = sum of num / den over the (lhs, terms) that build(R) returns, in each ring R.
 
     The rings are the polynomials in symbolic mode and the integers at each
     spot point of names in grid mode; the mode is read only to choose them.
     In each, lhs * V is compared with the cleared sum, V being the product
-    of R.vandermonde over the alphabets in clear, which every den must
-    divide.  A failing ring gives the witness: V * (lhs - sum) for the
+    of R.vandermonde over the one or two alphabets in clear, which every den
+    must divide; with one alphabet V is the value R.vandermonde returns,
+    not a copy.  A failing ring gives the witness: V * (lhs - sum) for the
     polynomials, the point for a spot point.
     """
     report.check_mode(mode)
     rings = (_POLYS,) if mode == "symbolic" else map(_at_point, spot_points(names))
     for R in rings:
         lhs, terms = build(R)
-        vand = math.prod(map(R.vandermonde, clear), start=1)
+        vand = functools.reduce(operator.mul, map(R.vandermonde, clear))
         lhs, rhs = lhs * vand, _cleared(terms, vand)
         if lhs != rhs:
             return report.failed(ident, instance, R.witness(lhs, rhs), mode)

@@ -8,10 +8,11 @@ partition; its sign depends on the partition and both alphabet lengths
 jointly (_mvj, run by ls_determinantal).  The branching route applies the
 hook-Schur branching rule (Berele and Regev, Adv. Math. 64, 1987): removing
 one y-variable removes a vertical strip from the partition, removing one
-x-variable a horizontal strip.  One body (_ls_strips) runs it on polynomial
-variables (ls_branching) and on integers at a point (ls_value), so every LS
-factor of the split sums, in both verification modes, comes from the
-branching route, and the tests hold the three routes equal.
+x-variable a horizontal strip.  One body (schur._ls_strips, which also gives
+every Schur value) runs it on polynomial variables (ls_branching) and on
+integers at a point (ls_value), so every LS factor of the split sums, in
+both verification modes, comes from the branching route, and the tests hold
+the three routes equal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 
 from . import report
 from .partitions import Partition, partitions_in_box, rect
@@ -34,7 +34,7 @@ from .polyring import (
     e_prod,
     vandermonde_of,
 )
-from .schur import schur_ssyt
+from .schur import _ls_strips, schur_ssyt
 
 
 @functools.cache
@@ -186,49 +186,6 @@ def ls_determinantal(lam: Partition, X: VarSeq, Y: VarSeq):
     """LS of the negated first alphabet, via the Moens-Van der Jeugt block determinant (_mvj)."""
     _check_alphabets(X, Y)
     return as_poly(_mvj(lam, X.terms(), Y.terms()))
-
-
-def _vertical_strips(parts: tuple):
-    """(nu, r) for each partition nu such that parts/nu is a vertical strip of r cells."""
-    for drop in itertools.product((0, 1), repeat=len(parts)):
-        nu = tuple(map(operator.sub, parts, drop))
-        if all(map(operator.ge, nu, nu[1:])):
-            yield nu[: len(nu) - nu.count(0)], sum(drop)
-
-
-def _horizontal_strips(parts: tuple):
-    """(nu, r) for each partition nu such that parts/nu is a horizontal strip of r cells: nu interlaces parts."""
-    below = parts[1:] + (0,)
-    for nu in itertools.product(*(range(b, p + 1) for p, b in zip(parts, below))):
-        yield nu[: len(nu) - nu.count(0)], sum(parts) - sum(nu)
-
-
-@functools.cache
-def _ls_strips(parts: tuple, xs: tuple, ys: tuple):
-    """LS of (-xs; ys) for the partition with these parts (no trailing zeros), by strip branching.
-
-    xs and ys are ring elements: MultiPoly variables or ints.  The last y is
-    peeled first, a vertical strip of r cells giving y^r; once ys is empty,
-    the last x, a horizontal strip giving (-x)^r.  The powers are formed
-    once per call, up to the largest strip: l(parts) cells for a vertical
-    strip, parts[0] for a horizontal one.  The leaves are 0 and 1, so no
-    division is formed.
-    """
-    n, m = len(xs), len(ys)
-    if len(parts) > n and parts[n] > m:
-        return 0  # outside the (n, m)-hook
-    if not (xs or ys):
-        return 1  # parts is empty: the hook test took every other shape
-    if ys:
-        v, ys, strips, top = ys[-1], ys[:-1], _vertical_strips(parts), len(parts)
-    else:
-        v, xs, strips, top = -xs[-1], xs[:-1], _horizontal_strips(parts), sum(parts[:1])
-    pows = list(itertools.accumulate(itertools.repeat(v, top), operator.mul, initial=1))
-    total = 0
-    for nu, r in strips:
-        sub = _ls_strips(nu, xs, ys)
-        total = total + (pows[r] * sub if r else sub)
-    return total
 
 
 @functools.cache

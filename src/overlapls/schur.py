@@ -1,16 +1,24 @@
-"""Schur polynomials by two independent routes.
+"""Schur polynomials by three routes, and the strip branching rule they share with LS.
 
-The bialternant route divides the alternant determinant by the Vandermonde
-and certifies the division is exact; one body (_bialternant) runs it on
-polynomial variables (schur_bialternant) and on integers at a point
-(schur_value).  The tableau route sums content
-monomials over semistandard fillings and never divides.  The two agree on
-all inputs, which the test suite checks exhaustively at desk scale.
+The branching route is the one the verifiers use: _ls_strips applies the
+hook-Schur strip branching rule (Berele and Regev, Adv. Math. 64, 1987) to
+LS of (-xs; ys), and with no y-variables that is (-1)^|lam| s_lam(xs)
+(Macdonald, ch. I section 5), one horizontal strip per x-variable.  The same
+body runs on polynomial variables (schur) and on numbers at a point
+(schur_value); littlewood_schur runs it with y-variables too.  The
+bialternant route divides the alternant determinant by the Vandermonde and
+certifies the division is exact (schur_bialternant).  The tableau route
+sums content monomials over semistandard fillings and never divides
+(schur_ssyt).  The three agree on all inputs, which the test suite checks
+exhaustively at desk scale; the bialternant and tableau routes are kept as
+cross-checks.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 from . import report
 from .partitions import Partition, rect
@@ -26,24 +34,20 @@ from .polyring import (
 )
 
 
-def _bialternant(lam: Partition, xs: tuple):
-    """det(x_i^(lam_j + n - j)) over the Vandermonde prod_(i<j) (x_i - x_j), over MultiPolys or ints.
-
-    Zero when the partition is longer than xs.  The division is certified
-    exact by divexact; a remainder would signal a bug and raises.
-    """
-    n = len(xs)
-    if lam.length > n:
-        return 0
-    p = lam.padded(n)
-    alternant = det([[x ** (p[j] + n - 1 - j) for j in range(n)] for x in xs])
-    return divexact(alternant, vandermonde_of(xs))
-
-
 @functools.cache
 def schur_bialternant(lam: Partition, X: VarSeq):
-    """Quotient of the alternant by the Vandermonde (_bialternant); negation marks are honoured."""
-    return as_poly(_bialternant(lam, X.terms()))
+    """det(x_i^(lam_j + n - j)) over the Vandermonde prod_(i<j) (x_i - x_j); negation marks are honoured.
+
+    Zero when the partition is longer than X.  The division is certified
+    exact by divexact; a remainder would signal a bug and raises.
+    """
+    xs = X.terms()
+    n = len(xs)
+    if lam.length > n:
+        return ZERO
+    p = lam.padded(n)
+    alternant = det([[x ** (p[j] + n - 1 - j) for j in range(n)] for x in xs])
+    return as_poly(divexact(alternant, vandermonde_of(xs)))
 
 
 @functools.cache
@@ -92,29 +96,64 @@ def _ssyt_contents(lam: Partition, n: int):
     yield from fill(0, 0)
 
 
-def schur(lam: Partition, X: VarSeq):
-    """Schur polynomial via the cheaper route for the given size."""
-    if len(X) <= 5:
-        return schur_bialternant(lam, X)
-    return schur_ssyt(lam, X)
+def _vertical_strips(parts: tuple):
+    """(nu, r) for each partition nu such that parts/nu is a vertical strip of r cells."""
+    for drop in itertools.product((0, 1), repeat=len(parts)):
+        nu = tuple(map(operator.sub, parts, drop))
+        if all(map(operator.ge, nu, nu[1:])):
+            yield nu[: len(nu) - nu.count(0)], sum(drop)
 
 
-def schur_value(lam: Partition, values):
-    """Schur polynomial at pairwise distinct integer values, an int.
-
-    The integer alternant over the integer Vandermonde, an exact division
-    certified by divexact (which refuses a rational value with TypeError), so
-    arbitrary variable counts stay cheap.  values may be any sequence of
-    ints, and results are cached.
-    """
-    return _schur_at(lam, tuple(values))
+def _horizontal_strips(parts: tuple):
+    """(nu, r) for each partition nu such that parts/nu is a horizontal strip of r cells: nu interlaces parts."""
+    below = parts[1:] + (0,)
+    for nu in itertools.product(*(range(b, p + 1) for p, b in zip(parts, below))):
+        yield nu[: len(nu) - nu.count(0)], sum(parts) - sum(nu)
 
 
 @functools.cache
-def _schur_at(lam: Partition, values: tuple):
-    if len(set(values)) != len(values):
-        raise ValueError("alternant evaluation needs distinct values")
-    return _bialternant(lam, values)
+def _ls_strips(parts: tuple, xs: tuple, ys: tuple):
+    """LS of (-xs; ys) for the partition with these parts (no trailing zeros), by strip branching.
+
+    xs and ys are ring elements: MultiPoly variables or numbers.  The last y is
+    peeled first, a vertical strip of r cells giving y^r; once ys is empty,
+    the last x, a horizontal strip giving (-x)^r.  The powers are formed
+    once per call, up to the largest strip: l(parts) cells for a vertical
+    strip, parts[0] for a horizontal one.  The leaves are 0 and 1, so no
+    division is formed.
+    """
+    n, m = len(xs), len(ys)
+    if len(parts) > n and parts[n] > m:
+        return 0  # outside the (n, m)-hook
+    if not (xs or ys):
+        return 1  # parts is empty: the hook test took every other shape
+    if ys:
+        v, ys, strips, top = ys[-1], ys[:-1], _vertical_strips(parts), len(parts)
+    else:
+        v, xs, strips, top = -xs[-1], xs[:-1], _horizontal_strips(parts), sum(parts[:1])
+    pows = list(itertools.accumulate(itertools.repeat(v, top), operator.mul, initial=1))
+    total = 0
+    for nu, r in strips:
+        sub = _ls_strips(nu, xs, ys)
+        total = total + (pows[r] * sub if r else sub)
+    return total
+
+
+@functools.cache
+def schur(lam: Partition, X: VarSeq):
+    """Schur polynomial by strip branching (schur_value on the variables); negation marks are honoured."""
+    return as_poly(schur_value(lam, X.terms()))
+
+
+def schur_value(lam: Partition, values):
+    """s_lam at the values, (-1)^|lam| LS_lam(-values; ()) by horizontal-strip branching (_ls_strips).
+
+    values may be ints, Fractions or polynomial variables, repeated or zero;
+    nothing is divided, so an int point gives an int.  The memo of
+    _ls_strips holds the values of the smaller shapes.
+    """
+    s = _ls_strips(lam.parts, tuple(values), ())
+    return -s if lam.size % 2 else s
 
 
 def factor_rule_check(lam: Partition, m: int, X: VarSeq) -> report.VerificationReport:
@@ -126,8 +165,8 @@ def factor_rule_check(lam: Partition, m: int, X: VarSeq) -> report.VerificationR
     n = len(X)
     if lam.length > n:
         return report.inapplicable(ident, instance, "partition longer than variable count")
-    lhs = schur_bialternant(lam.add(rect(m, n)), X)
-    rhs = e_prod(X) ** m * schur_bialternant(lam, X)
+    lhs = schur(lam.add(rect(m, n)), X)
+    rhs = e_prod(X) ** m * schur(lam, X)
     if lhs == rhs:
         return report.passed(ident, instance)
     return report.failed(ident, instance, str(lhs - rhs))
@@ -149,8 +188,8 @@ def complement_reciprocity_check(
     if not lam.fits_in(m, n):
         return report.inapplicable(ident, instance, f"lambda does not fit in {m}x{n}")
     report.check_mode(mode)
-    lhs = schur_bialternant(lam.complement(m, n), X)
-    rhs = schur_bialternant(lam, X).invert_vars(X.names, m)
+    lhs = schur(lam.complement(m, n), X)
+    rhs = schur(lam, X).invert_vars(X.names, m)
     if lhs == rhs:
         return report.passed(ident, instance)
     return report.failed(ident, instance, str(lhs - rhs))

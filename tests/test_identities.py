@@ -8,7 +8,7 @@ from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap
 from overlapls.partitions import Partition, partitions_in_box
 from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, delta_pair, e_prod, vandermonde
-from overlapls.schur import _schur_at, schur, schur_bialternant, schur_ssyt
+from overlapls.schur import schur, schur_bialternant, schur_ssyt
 
 
 class TestConclude:
@@ -340,7 +340,7 @@ def _sweep_refusing_products(name, mode, monkeypatch):
     # a cached polynomial or value would hide an expansion, so start from empty caches
     for cached in (
         ls_determinantal, littlewood_schur.ls_branching, littlewood_schur._ls_strips,
-        schur_bialternant, schur_ssyt, delta_pair, vandermonde, _schur_at, identities._quotient,
+        schur, schur_bialternant, schur_ssyt, delta_pair, vandermonde, identities._quotient,
     ):
         cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
@@ -368,6 +368,28 @@ def test_split_sums_need_no_determinant(mode, monkeypatch):
     reports = identities.run_catalog(SPLIT_SUM_SWEEPS, max_box=2, nvars=2, mode=mode)
     assert set(SPLIT_SUM_SWEEPS) <= {r.identity for r in reports}
     assert all(r.passed for r in reports)
+
+
+# (sweep, max_box, nvars): every sweep that takes Schur values, factor-rule and
+# complement-reciprocity past the 5 variables where an alternant would be slow
+SCHUR_VALUE_SWEEPS = [
+    ("factor-rule", 3, 6), ("complement-reciprocity", 3, 6),
+    ("dual-cauchy", 2, 2), ("first-overlap-schur", 2, 2),
+]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "grid"])
+def test_schur_values_need_no_determinant(mode, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"{mode} mode computed a determinant for a Schur or LS value")
+
+    for cached in (schur, schur_bialternant, schur_ssyt, littlewood_schur.ls_branching, littlewood_schur._ls_strips):
+        cached.cache_clear()
+    monkeypatch.setattr("overlapls.schur.det", refuse)
+    monkeypatch.setattr(littlewood_schur, "_mvj", refuse)
+    for name, max_box, nvars in SCHUR_VALUE_SWEEPS:
+        reports = identities.run_catalog([name], max_box=max_box, nvars=nvars, mode=mode)
+        assert reports and all(r.passed for r in reports)
 
 
 UNION_SWEEPS = ["second-overlap-schur", "labeled-walk-schur", "subpartition-schur"]

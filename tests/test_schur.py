@@ -1,12 +1,8 @@
 from fractions import Fraction
 
-import pytest
-
-from overlapls import schur as schur_module
 from overlapls.partitions import Partition, partitions_in_box, rect
 from overlapls.polyring import (
     MultiPoly,
-    NonExactDivision,
     ONE,
     VarSeq,
     ZERO,
@@ -59,10 +55,13 @@ class TestSSYT:
         assert schur_ssyt(Partition((2,)), X) == x("x1", 2) + x("x1") * x("x2") + x("x2", 2)
 
     def test_agreement_exhaustive(self):
+        # the three routes: strip branching (schur), the bialternant and the tableaux
         for nvars in range(0, 5):
             X = VarSeq.make("x", nvars)
             for lam in partitions_in_box(4, 4):
-                assert schur_bialternant(lam, X) == schur_ssyt(lam, X)
+                got = schur(lam, X)
+                assert got == schur_bialternant(lam, X) == schur_ssyt(lam, X)
+                assert schur(lam, X.negated()) == (-1) ** lam.size * got
 
 
 class TestProperties:
@@ -123,16 +122,23 @@ class TestIntegerSchurValue:
             for d in (2, 3, -5):
                 assert schur_value(lam, [d * v for v in self.values]) == d**lam.size * base
 
-    def test_rational_values_raise(self):
-        with pytest.raises(TypeError):
-            schur_value(Partition((2, 1)), (Fraction(1, 2),) + self.values[1:])
+    def test_repeated_and_zero_coordinates(self):
+        # the alternant vanishes at this point, so only a route without division can take it
+        X = VarSeq.make("x", 4)
+        values = (3, 0, 3, -2)
+        point = dict(zip(X.names, values))
+        for lam in partitions_in_box(4, 4):
+            got = schur_value(lam, values)
+            assert type(got) is int
+            assert got == eval_at(schur_ssyt(lam, X), point)
 
-    def test_remainder_raises(self, monkeypatch):
-        det = schur_module.det
-        monkeypatch.setattr(schur_module, "det", lambda rows: det(rows) + 1)
-        schur_module._schur_at.cache_clear()
-        with pytest.raises(NonExactDivision):
-            schur_value(Partition((2, 1)), self.values)
+    def test_rational_values_are_exact(self):
+        # branching divides nothing, so a rational coordinate gives the exact rational value
+        X = VarSeq.make("x", 3)
+        values = (Fraction(1, 2), 5, -3)
+        point = dict(zip(X.names, values))
+        for lam in partitions_in_box(3, 3):
+            assert schur_value(lam, values) == eval_at(schur_ssyt(lam, X), point)
 
 
 class TestFactorRule:
