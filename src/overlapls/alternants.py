@@ -1,0 +1,146 @@
+"""Alternant coefficient maps: antisymmetric polynomials read at their exponent keys.
+
+The alternant a_alpha(X) = det(x_i^(alpha_j)) of a strictly decreasing
+exponent vector alpha has exactly one monomial with decreasing exponents,
+x^alpha, with coefficient 1.  So a sum of alternants, such as any
+antisymmetric polynomial, is determined by its coefficient map
+{alpha: coefficient}, and two sums are equal exactly when their maps are.
+The coefficients here are ints or polynomials in a second alphabet Y.
+V(X), the product of x_i - x_j over i < j, is a_delta(X).
+
+Three facts from Macdonald, Symmetric Functions and Hall Polynomials,
+ch. I, turn products into operations on keys: s_nu(X) V(X) = a_(nu+delta)(X)
+(the bialternant formula, section 3; ls_alternant, schur_alternant); the
+Laplace expansion of an alternant along the rows or columns of a split of
+X (shuffles, merge_splits); and the Pieri rule for e_j (section 5;
+times_delta).  The overlap verifiers compare split sums this way in
+symbolic mode, multiplying polynomials in Y only.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import operator
+
+from .polyring import sort_sign
+from .schur import _vertical_strips
+
+
+def _key(parts: tuple, n: int) -> tuple:
+    """parts + delta_n, the exponent key of s_parts(X) V(X) for an n-letter X; l(parts) <= n."""
+    return tuple(map(operator.add, parts + (0,) * (n - len(parts)), range(n - 1, -1, -1)))
+
+
+@functools.cache
+def _y_peel(parts: tuple, ys: tuple) -> dict:
+    """{nu: c_nu} with LS_parts(-X; ys) = sum of c_nu LS_nu(-X; ()) for every alphabet X.
+
+    The vertical-strip steps of the strip branching rule (schur._ls_strips)
+    alone: the last y is peeled first, a vertical strip of r cells giving
+    y^r, until no y is left.  The c_nu are polynomials in ys (ints when ys
+    is empty), never zero.
+    """
+    if not ys:
+        return {parts: 1}
+    v, ys = ys[-1], ys[:-1]
+    pows = [1, *itertools.accumulate(itertools.repeat(v, len(parts)), operator.mul)]
+    out = {}
+    for nu, r in _vertical_strips(parts):
+        for key, c in _y_peel(nu, ys).items():
+            term = pows[r] * c if r else c
+            out[key] = out[key] + term if key in out else term
+    return out
+
+
+@functools.cache
+def ls_alternant(parts: tuple, n: int, ys: tuple) -> dict:
+    """LS_parts(-X; ys) times V(X) for an n-letter X, as a coefficient map with coefficients in ys.
+
+    Peeling the y-variables leaves sum c_nu LS_nu(-X; ()), and
+    LS_nu(-X; ()) = s_nu(-X) = (-1)^|nu| s_nu(X), which is 0 when
+    l(nu) > n.  Each s_nu(X) V(X) is the alternant of nu + delta_n, so the
+    map is {nu + delta_n: (-1)^|nu| c_nu}; it depends on X only through n.
+    """
+    return {
+        _key(nu, n): -c if sum(nu) % 2 else c
+        for nu, c in _y_peel(parts, ys).items()
+        if len(nu) <= n
+    }
+
+
+def schur_alternant(lam, n: int) -> dict:
+    """s_lam(X) V(X) for an n-letter X: {lam + delta_n: 1}, or {} when l(lam) > n."""
+    return {_key(lam.parts, n): 1} if lam.length <= n else {}
+
+
+def nonzero(form: dict) -> dict:
+    """form without its zero coefficients: two sums are equal exactly when these maps are."""
+    return {key: c for key, c in form.items() if c}
+
+
+def shuffles(gamma: tuple, m: int):
+    """(alpha, beta, sign) over the splits of gamma into m entries alpha and the rest beta, both in gamma's order.
+
+    With gamma strictly decreasing this is the Laplace expansion of the
+    alternant a_gamma(S u T) along the rows of an m-letter S:
+    a_gamma(S u T) is the sum of sign a_alpha(S) a_beta(T), sign being
+    sort_sign(alpha + beta).
+    """
+    for alpha in itertools.combinations(gamma, m):
+        beta = tuple(g for g in gamma if g not in alpha)
+        yield alpha, beta, sort_sign(alpha + beta)
+
+
+def merge_splits(rhs: dict, sign, head: dict, tail: dict) -> None:
+    """Add sign sort_sign(alpha + beta) a b at sorted(alpha u beta) to rhs, over the key pairs of head and tail.
+
+    head and tail are the coefficient maps of A = sum a a_alpha and
+    B = sum b a_beta on l(S) and l(T) letters.  Summed over the splits (S, T)
+    of X, (-1)^e A(S) B(T) is (-1)^(l(S) l(T)) times that map, e counting
+    the pairs of X whose S letter comes first: Laplace-expand the alternant
+    with exponents alpha + beta along its first l(S) columns, and sort the
+    columns.  A pair that shares an entry gives 0.
+    """
+    for alpha, a in head.items():
+        for beta, b in tail.items():
+            s = sort_sign(alpha + beta)
+            if s:
+                key = tuple(sorted(alpha + beta, reverse=True))
+                c = sign * s * a * b
+                rhs[key] = rhs[key] + c if key in rhs else c
+
+
+def times_delta(form: dict, vs: tuple, l: int) -> dict:
+    """The coefficient map of prod over v in vs and the l letters s of (v - s), times the sum that form maps.
+
+    Each v contributes prod_s (v - s) = sum_j (-1)^j v^(l-j) e_j, and e_j
+    times a_alpha is the sum of a_(alpha + eps) over the 0/1 vectors eps with
+    j ones (the Pieri rule), an alpha + eps with a repeated entry giving 0.
+    Only the vs are multiplied out.
+    """
+    steps = list(itertools.product((0, 1), repeat=l))
+    for v in vs:
+        pows = [1, *itertools.accumulate(itertools.repeat(v, l), operator.mul)]
+        coeffs = [-pows[l - j] if j % 2 else pows[l - j] for j in range(l + 1)]
+        out = {}
+        for alpha, c in form.items():
+            for eps in steps:
+                key = tuple(map(operator.add, alpha, eps))
+                if all(map(operator.gt, key, key[1:])):
+                    term = coeffs[sum(eps)] * c
+                    out[key] = out[key] + term if key in out else term
+        form = nonzero(out)
+    return form
+
+
+def coefficients_differ(lhs: dict, rhs: dict) -> str:
+    """Witness of two coefficient maps: the entries that differ, by key, the lhs entry first.
+
+    Coefficients may be polynomials, which have no order, so only the keys
+    are sorted, and each coefficient is printed with str.
+    """
+    diff = [(k, c) for k, c in lhs.items() if rhs.get(k) != c]
+    diff += [(k, c) for k, c in rhs.items() if lhs.get(k) != c]
+    diff.sort(key=operator.itemgetter(0))
+    return "coefficients differ: [" + ", ".join(f"({k!r}, {c})" for k, c in diff) + "]"

@@ -10,24 +10,32 @@ so a passing verifier simultaneously certifies the bijections behind those
 enumerators.
 
 Both overlap identities come from one Laplace expansion, and each split sum
-has one term shape, built in one place: _x_split_terms for sums over splits
-(S, T) of X, _conclude_y_splits for sums over splits (U, V) of Y.  Each
-split sum iterates over order-preserving subsequences of a fixed variable
-order; every Vandermonde-type sign follows from that single rule.
+has one term shape, built in one place: _conclude_x_splits for sums over
+splits (S, T) of X, _conclude_y_splits for sums over splits (U, V) of Y.
+Each split sum iterates over order-preserving subsequences of a fixed
+variable order; every Vandermonde-type sign follows from that single rule.
 
 A check whose two sides are exact data compares them exactly in both modes,
 through _exact: the union-Schur checks (_union_schur compares the integer
 coefficients of the alternants the two sides become), dual Cauchy and the
-counterexample.  Only the split sums depend on the mode, and only through
-the ring they are computed in.  They write their two sides once, as
-build(R), from the primitives R.ls, R.schur and R.delta; _conclude runs one
-clearing rule in every ring R it is given: lhs times the Vandermonde
-product V of the cleared alphabets (R.vandermonde) against the sum of the
+counterexample.  Only the split sums depend on the mode, and the two modes
+check them by different methods; _conclude is the one function that reads
+the mode.  Symbolic mode reads the paper's Laplace expansion on
+coefficients: multiplied by the Vandermonde product V of each cleared
+alphabet, both sides are sums of alternants in X (or in S and T) with
+coefficients that are polynomials in Y, so they are equal exactly when the
+coefficients agree at the strictly decreasing exponent keys.  The
+alternants module gives the pieces: every LS factor times V is such a
+coefficient map (ls_alternant, which peels only the y-variables), each
+split sum is the Laplace expansion of an alternant (merge_splits,
+shuffles), and a product of differences with one letter in S or T is
+applied by the Pieri rule (times_delta), so symbolic mode multiplies
+polynomials in Y only.  Grid mode writes the two sides once, as
+build(R), from the integer primitives R.ls, R.schur and R.delta at each
+spot point, and compares lhs times V (R.vandermonde) with the sum of the
 numerators times V / den, each quotient certified exact by divexact.
-Both modes take each LS and Schur factor from the strip branching rule:
-symbolic mode gives one ring of polynomials (ls_branching, schur), grid
-mode one ring of integer values per spot point (ls_value and schur_value
-run the same branching at the point, R.delta and R.vandermonde multiply
+Each LS and Schur value there comes from the strip branching rule (ls_value
+and schur_value run it at the point, R.delta and R.vandermonde multiply
 integer differences), so the split sums in grid mode expand no
 polynomial, compute no determinant and build no fraction.
 """
@@ -35,13 +43,21 @@ polynomial, compute no determinant and build no fraction.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import random
 from dataclasses import replace
 from types import SimpleNamespace
 
 from . import report
+from .alternants import (
+    coefficients_differ,
+    ls_alternant,
+    merge_splits,
+    nonzero,
+    schur_alternant,
+    shuffles,
+    times_delta,
+)
 from .littlewood_schur import littlewood_square_check, ls_branching, ls_determinantal, ls_value
 from .overlap import (
     enumerate_overlap_pairs,
@@ -57,14 +73,13 @@ from .polyring import (
     MultiPoly,
     PolyMatrix,
     VarSeq,
-    ZERO,
     delta_of,
     delta_pair,
     det,
     divexact,
     e_prod,
     laplace_expand,
-    sort_sign,
+    poly_sum,
     vandermonde,
     vandermonde_of,
 )
@@ -91,13 +106,10 @@ def spot_points(names, count: int = _SPOT_COUNT):
         yield {n: _SPOT_BASES[i] + 60 * j for i, n in enumerate(names)}
 
 
-# Symbolic primitives: the cached polynomials, looked up at call time.
+# The cached polynomials of sorted_split_sum, the one split sum that is a polynomial, not a check.
 _POLYS = SimpleNamespace(
     ls=lambda lam, X, Y: ls_branching(lam, X, Y),
-    schur=lambda lam, X: schur(lam, X),
     delta=lambda X, Y: delta_pair(X, Y),
-    vandermonde=lambda X: vandermonde(X),
-    witness=lambda lhs, rhs: str(lhs - rhs),
 )
 
 
@@ -111,7 +123,6 @@ def _at_point(point):
         schur=lambda lam, X: schur_value(lam, at(X)),
         delta=lambda X, Y: delta_of(at(X), at(Y)),
         vandermonde=lambda X: vandermonde_of(at(X)),
-        witness=lambda lhs, rhs: f"point {point}",
     )
 
 
@@ -143,25 +154,29 @@ def _exact(ident, instance, mode, lhs, rhs, witness=lambda lhs, rhs: str(lhs - r
     return report.failed(ident, instance, witness(lhs, rhs), mode)
 
 
-def _conclude(ident, instance, mode, build, names, clear):
-    """Check lhs = sum of num / den over the (lhs, terms) that build(R) returns, in each ring R.
+def _conclude(ident, instance, mode, forms, build, names, clear):
+    """Check a split sum lhs = sum of num / den: by alternant coefficients, or at spot points in grid mode.
 
-    The rings are the polynomials in symbolic mode and the integers at each
-    spot point of names in grid mode; the mode is read only to choose them.
-    In each, lhs * V is compared with the cleared sum, V being the product
-    of R.vandermonde over the one or two alphabets in clear, which every den
-    must divide; with one alphabet V is the value R.vandermonde returns,
-    not a copy.  A failing ring gives the witness: V * (lhs - sum) for the
-    polynomials, the point for a spot point.
+    This is the one function that reads the mode.  Symbolic mode compares
+    the two coefficient maps that forms() returns: both sides times the
+    Vandermonde products of the cleared alphabets, read at strictly
+    decreasing exponent keys (each map holds no zero coefficient).  Grid
+    mode runs build(R) = (lhs, terms) in the integers at each spot point of
+    names and compares lhs * V with the cleared sum, V being the product of
+    R.vandermonde over the one or two alphabets in clear, which every den
+    must divide.  A failing witness lists the coefficients that differ, or
+    names the point.
     """
     report.check_mode(mode)
-    rings = (_POLYS,) if mode == "symbolic" else map(_at_point, spot_points(names))
-    for R in rings:
+    if mode == "symbolic":
+        lhs, rhs = forms()
+        return _exact(ident, instance, mode, lhs, rhs, coefficients_differ)
+    for point in spot_points(names):
+        R = _at_point(point)
         lhs, terms = build(R)
         vand = functools.reduce(operator.mul, map(R.vandermonde, clear))
-        lhs, rhs = lhs * vand, _cleared(terms, vand)
-        if lhs != rhs:
-            return report.failed(ident, instance, R.witness(lhs, rhs), mode)
+        if lhs * vand != _cleared(terms, vand):
+            return report.failed(ident, instance, f"point {point}", mode)
     return report.passed(ident, instance, mode)
 
 
@@ -174,6 +189,29 @@ def _x_split_terms(R, head, tail, l, X: VarSeq, Y: VarSeq, sign=1):
         (sign * R.ls(head, S, Y) * R.ls(tail, T, Y), R.delta(T, S))
         for S, T in X.splits(l)
     ]
+
+
+def _conclude_x_splits(ident, instance, mode, lam, head, tail, l, X: VarSeq, Y: VarSeq, sign):
+    """LS(lam; X, Y), or 0 when lam is None, against the sum of _x_split_terms.
+
+    Times V(X), each term becomes sign (-1)^e V(S) LS(head; S) V(T)
+    LS(tail; T), e counting the pairs of X whose S letter comes first
+    (V(X) / delta(T, S) = (-1)^e V(S) V(T)); ls_alternant reads each of the
+    three LS times V as a coefficient map, which depends on an alphabet
+    only through its length, and merge_splits sums the splits.
+    """
+    def forms():
+        n, ys = len(X), Y.terms()
+        lhs = {} if lam is None else ls_alternant(lam.parts, n, ys)
+        rhs = {}
+        head_form, tail_form = ls_alternant(head.parts, l, ys), ls_alternant(tail.parts, n - l, ys)
+        merge_splits(rhs, sign * (-1) ** (l * (n - l)), head_form, tail_form)
+        return lhs, nonzero(rhs)
+
+    def build(R):
+        return (0 if lam is None else R.ls(lam, X, Y)), _x_split_terms(R, head, tail, l, X, Y, sign)
+
+    return _conclude(ident, instance, mode, forms, build, X.names + Y.names, (X,))
 
 
 def verify_first_overlap(lam, m, n, l, mu, nu, X: VarSeq, Y: VarSeq, mode="symbolic"):
@@ -202,11 +240,7 @@ def verify_first_overlap(lam, m, n, l, mu, nu, X: VarSeq, Y: VarSeq, mode="symbo
     except ValueError:
         return report.inapplicable(ident, instance, "mu + <k^l> is not a partition")
     tail = nu.union(lam.drop(n - k))
-
-    def build(R):
-        return R.ls(lam, X, Y), _x_split_terms(R, head, tail, l, X, Y, ov.sign)
-
-    return _conclude(ident, instance, mode, build, X.names + Y.names, (X,))
+    return _conclude_x_splits(ident, instance, mode, lam, head, tail, l, X, Y, ov.sign)
 
 
 def sorted_split_sum(lam, l, X: VarSeq, Y: VarSeq) -> MultiPoly:
@@ -261,12 +295,7 @@ def verify_cor_max_index(mu, nu, l, X: VarSeq, Y: VarSeq, mode="symbolic"):
         return report.inapplicable(ident, instance, "mu + <k^l> does not have maximal index 0")
     ov = overlap(mu, nu.take(n - l - k), l, n - l - k)
     glued = ov.value.union(nu.drop(n - l - k)) if ov.is_finite else None
-
-    def build(R):
-        lhs = 0 if ov.is_infinite else R.ls(glued, X, Y)
-        return lhs, _x_split_terms(R, head, nu, l, X, Y, ov.sign)
-
-    return _conclude(ident, instance, mode, build, X.names + Y.names, (X,))
+    return _conclude_x_splits(ident, instance, mode, glued, head, nu, l, X, Y, ov.sign)
 
 
 # -- second overlap identity and walk split -----------------------------------
@@ -281,8 +310,45 @@ def _second_overlap_setup(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
 def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
     """LS(lam; S u T, Y) against the sum over splits (U, V) of Y of the summands' terms.
 
-    The delta factor is made once per split; every denominator divides V(S u T) V(Y).
+    A summand (U, V, sign, reduced, below) stands for sign delta(V, S)
+    delta(T, U) LS(reduced; S, U) LS(below; T, V) / (delta(V, U) delta(T, S)).
+    Symbolic mode multiplies both sides by V(S u T) V(Y) and compares
+    coefficients at pairs (alpha, beta) of exponent keys on S and on T.
+    The left side's are the shuffle signs of each key of LS(lam) V(S u T).
+    On the right, V(S u T) / delta(T, S) = (-1)^(l(S) l(T)) V(S) V(T),
+    V(Y) / delta(V, U) = (-1)^e V(U) V(V) with e the pairs of Y whose U letter
+    comes first, and delta(T, U) = (-1)^(l(T) l(U)) prod (u - t); the two
+    products of differences with an S or T letter go into the coefficient
+    maps by times_delta, so only polynomials in Y are multiplied.  Grid mode
+    makes each delta factor once per split and clears by V(S u T) V(Y).
     """
+    def forms():
+        l, r = len(S), len(T)
+        vy = vandermonde(Y)
+        lhs = {}
+        for gamma, c in ls_alternant(lam.parts, l + r, Y.terms()).items():
+            c = c * vy
+            for alpha, beta, sign in shuffles(gamma, l):
+                lhs[alpha, beta] = sign * c
+        factors = {}
+        rhs = {}
+        for U, V, sign, reduced, below in summands:
+            us, vs = U.terms(), V.terms()
+            if (U, V) not in factors:
+                e = sum(Y.names.index(u) < Y.names.index(v) for u in U.names for v in V.names)
+                factors[U, V] = (-1) ** (l * r + r * len(us) + e) * vandermonde(U) * vandermonde(V)
+            head = times_delta(ls_alternant(reduced.parts, l, us), vs, l)
+            if not head:
+                continue
+            tail = times_delta(ls_alternant(below.parts, r, vs), us, r)
+            factor = sign * factors[U, V]
+            for alpha, a in head.items():
+                a = factor * a
+                for beta, b in tail.items():
+                    key, c = (alpha, beta), a * b
+                    rhs[key] = rhs[key] + c if key in rhs else c
+        return nonzero(lhs), nonzero(rhs)
+
     def build(R):
         factors = {}
         terms = []
@@ -293,7 +359,7 @@ def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
             terms.append((sign * num * R.ls(reduced, S, U) * R.ls(below, T, V), den))
         return R.ls(lam, S.concat(T), Y), terms
 
-    return _conclude(ident, instance, mode, build, S.names + T.names + Y.names, (S.concat(T), Y))
+    return _conclude(ident, instance, mode, forms, build, S.names + T.names + Y.names, (S.concat(T), Y))
 
 
 def _fiber_labels(head, c, l, Y):
@@ -385,11 +451,18 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
         return report.inapplicable(ident, instance, "mu or nu too long")
     ov = overlap(mu, nu, m, n)
 
+    def forms():
+        # V(X) / delta(S, T) = (-1)^(mn + e) V(S) V(T): its (-1)^(mn) cancels the one of merge_splits
+        lhs = {} if ov.is_infinite else schur_alternant(ov.value, m + n)
+        rhs = {}
+        merge_splits(rhs, ov.sign, schur_alternant(mu, m), schur_alternant(nu, n))
+        return lhs, nonzero(rhs)
+
     def build(R):
         terms = [(ov.sign * R.schur(mu, S) * R.schur(nu, T), R.delta(S, T)) for S, T in X.splits(m)]
         return (0 if ov.is_infinite else R.schur(ov.value, X)), terms
 
-    return _conclude(ident, instance, mode, build, X.names, (X,))
+    return _conclude(ident, instance, mode, forms, build, X.names, (X,))
 
 
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
@@ -408,19 +481,13 @@ def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
     m, n = len(S), len(T)
     lhs = {}
     if target.length <= m + n:
-        gamma = staircase(target, m + n)
-        for alpha in itertools.combinations(gamma, m):
-            beta = tuple(g for g in gamma if g not in alpha)
-            lhs[alpha, beta] = sort_sign(alpha + beta)
+        lhs = {(alpha, beta): sign for alpha, beta, sign in shuffles(staircase(target, m + n), m)}
     rhs = {}
     for mu, nu, sign in triples:
         if mu.length <= m and nu.length <= n:
             key = staircase(mu, m), staircase(nu, n)
             rhs[key] = rhs.get(key, 0) + sign
-    rhs = {key: c for key, c in rhs.items() if c}
-    return _exact(
-        ident, instance, mode, lhs, rhs, lambda a, b: f"coefficients differ: {sorted(a.items() ^ b.items())}"
-    )
+    return _exact(ident, instance, mode, lhs, nonzero(rhs), coefficients_differ)
 
 
 def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
@@ -696,15 +763,8 @@ def verify_dual_cauchy(X: VarSeq, Y: VarSeq, mode="symbolic"):
     ident = "dual-cauchy"
     n, m = len(X), len(Y)
     instance = {"l(X)": n, "l(Y)": m}
-    total = ZERO
-    for lam in partitions_in_box(m, n):
-        sx = schur(lam, X)
-        if sx.is_zero:
-            continue
-        sy = schur(lam.conjugate(), Y)
-        if sy.is_zero:
-            continue
-        total = total + sx * sy
+    # lam has at most l(X) rows and l(Y) columns, so neither Schur factor is 0
+    total = poly_sum(schur(lam, X) * schur(lam.conjugate(), Y) for lam in partitions_in_box(m, n))
     product = ONE
     for i in range(n):
         for j in range(m):

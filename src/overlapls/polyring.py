@@ -213,6 +213,8 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if other == 1:
+                return self  # no operation changes a polynomial, so the product may be self
             if not other:
                 return MultiPoly()
             return MultiPoly._of({m: c * other for m, c in self.terms.items()}, self.deg)
@@ -233,6 +235,11 @@ class MultiPoly:
         if len(a.terms) == 1:
             # one fixed key added to distinct keys keeps them distinct: no merge, no zero
             ((ma, ca),) = a.terms.items()
+            if not ma and ca == 1:
+                return b  # a is the constant 1
+            if len(b.terms) == 1:
+                ((mb, cb),) = b.terms.items()  # no comprehension frame for one product
+                return MultiPoly._of({ma + mb: ca * cb}, deg)
             return MultiPoly._of({ma + mb: ca * cb for mb, cb in b.terms.items()}, deg)
         out = {}
         for ma, ca in a.terms.items():
@@ -537,6 +544,21 @@ def vandermonde(X: VarSeq):
 def delta_pair(X: VarSeq, Y: VarSeq):
     """delta_of the terms of X and Y, as a polynomial; ONE if either side is empty."""
     return as_poly(delta_of(X.terms(), Y.terms()))
+
+
+def poly_sum(polys) -> MultiPoly:
+    """Sum of polynomials, added term by term into one dict, so no partial sum is copied."""
+    out = {}
+    deg = 0
+    for p in polys:
+        for m, c in p.terms.items():
+            nc = out.get(m, 0) + c
+            if nc:
+                out[m] = nc
+            else:
+                del out[m]
+        deg = max(deg, p.deg)
+    return MultiPoly._of(out, deg)
 
 
 def sort_sign(seq) -> int:

@@ -1,51 +1,57 @@
+import functools
+import operator
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from overlapls import identities, littlewood_schur
-from overlapls.littlewood_schur import ls_combinatorial, ls_determinantal
+from overlapls import alternants, identities, littlewood_schur
+from overlapls.littlewood_schur import ls_branching, ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap
-from overlapls.partitions import Partition, partitions_in_box
+from overlapls.partitions import Partition, partitions_in_box, shift_first
 from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, delta_pair, e_prod, vandermonde
-from overlapls.schur import schur, schur_bialternant, schur_ssyt
+from overlapls.schur import schur, schur_bialternant, schur_ssyt, schur_value
 
 
 class TestConclude:
+    """Symbolic mode compares the coefficient maps of forms(); grid mode clears build(R) at the spot points."""
+
     X = VarSeq.make("x", 2)
-    x1, x2 = VarSeq.of("x1"), VarSeq.of("x2")
     one, two = Partition((1,)), Partition((2,))
 
-    def conclude(self, terms, mode):
-        # s_1(x1, x2) = x1 + x2 = (x1^2 - x2^2) / (x1 - x2), cleared by the Vandermonde x1 - x2
+    def conclude(self, sign, mode, den=None):
+        # s_1(x1, x2) = x1 + x2 = x1^2 / (x1 - x2) + x2^2 / (x2 - x1), the sum of s_2(S) / delta(S, T) over the splits
+        def forms():
+            rhs = {}
+            alternants.merge_splits(rhs, sign, {(2,): 1}, {(0,): 1})
+            return {(2, 0): 1}, rhs  # s_1(X) V(X) = a_(2, 0)(X)
+
         def build(R):
-            return R.schur(self.one, self.X), [term(R) for term in terms]
+            terms = [(sign * R.schur(self.two, S), (den or R.delta)(S, T)) for S, T in self.X.splits(1)]
+            return R.schur(self.one, self.X), terms
 
-        return identities._conclude("t", {}, mode, build, self.X.names, (self.X,))
-
-    def square(self, x, sign=1):
-        """sign * x^2 = sign * s_2(x) over Delta(x1; x2) = x1 - x2."""
-        return lambda R: (sign * R.schur(self.two, x), R.delta(self.x1, self.x2))
+        return identities._conclude("t", {}, mode, forms, build, self.X.names, (self.X,))
 
     def test_split_terms_pass(self):
-        terms = [self.square(self.x1), self.square(self.x2, -1)]
         for mode in ("symbolic", "grid"):
-            assert self.conclude(terms, mode).passed
+            assert self.conclude(1, mode).passed
 
     def test_wrong_terms_fail_with_witness(self):
-        terms = [self.square(self.x1)]
-        r = self.conclude(terms, "symbolic")
-        assert r.failed and r.witness == "-x2^2"
-        r = self.conclude(terms, "grid")
+        r = self.conclude(-1, "symbolic")
+        assert r.failed and r.witness == "coefficients differ: [((2, 0), 1), ((2, 0), -1)]"
+        r = self.conclude(-1, "grid")
         assert r.failed and r.witness.startswith("point ")
 
     def test_denominator_must_divide_clear(self):
-        # one clearing rule in both modes: at the point (2, 3), V = -1 and den = 5
-        terms = [lambda R: (1, R.schur(self.one, self.X))]
-        with pytest.raises(NonExactDivision):
-            self.conclude(terms, "symbolic")
+        # grid mode divides V by each den: at the point (2, 3), V = -1 and s_1 = 5
+        def den(S, T):
+            return schur_value(self.one, (2, 3))
+
         with pytest.raises(NonExactDivision, match="-1 not divisible by 5"):
-            self.conclude(terms, "grid")
+            self.conclude(1, "grid", den)
+        # symbolic mode divides nothing and never builds the terms
+        assert self.conclude(1, "symbolic", den).passed
 
 
 class TestFirstOverlap:
@@ -455,6 +461,135 @@ class TestUnionSchurCoefficients:
 @pytest.mark.parametrize("name", UNION_SWEEPS)
 def test_symbolic_union_schur_expands_no_polynomial(name, monkeypatch):
     _sweep_refusing_products(name, "symbolic", monkeypatch)
+
+
+# the split sums that symbolic mode checks by alternant coefficients
+ALTERNANT_SWEEPS = [
+    "first-overlap", "max-index", "first-overlap-schur",
+    "second-overlap", "walk-split", "subpartition-ls",
+]
+_ALTERNANT_MEMOS = (
+    alternants.ls_alternant, alternants._y_peel, littlewood_schur.ls_branching,
+    littlewood_schur._ls_strips, schur, delta_pair, vandermonde, identities._quotient,
+)
+# the polynomial ring in which the split sums were once cleared, kept as the oracle
+_POLY_RING = SimpleNamespace(ls=ls_branching, schur=schur, delta=delta_pair, vandermonde=vandermonde)
+
+
+def _cleared_expansion_agrees(build, clear):
+    """The oracle's verdict: lhs * V == the sum of num * (V / den), expanded as polynomials."""
+    lhs, terms = build(_POLY_RING)
+    vand = functools.reduce(operator.mul, map(vandermonde, clear))
+    return lhs * vand == identities._cleared(terms, vand)
+
+
+def _grown(lam):
+    """lam with one more cell in its first row."""
+    return Partition((lam.part(1) + 1,) + lam.parts[1:])
+
+
+class TestAlternantSplitSums:
+    """The alternant-coefficient comparison of the split sums against the cleared polynomial expansion."""
+
+    def test_verdicts_match_the_expansion(self, monkeypatch):
+        conclude = identities._conclude
+        x_splits, y_splits = identities._conclude_x_splits, identities._conclude_y_splits
+        verdicts = []
+
+        def checked(ident, instance, mode, forms, build, names, clear):
+            r = conclude(ident, instance, mode, forms, build, names, clear)
+            verdicts.append((ident, r.passed, _cleared_expansion_agrees(build, clear)))
+            return r
+
+        def mutated_x(ident, instance, mode, lam, head, tail, l, X, Y, sign):
+            # a flipped sign and a grown partition, each checked by both routes, then the instance itself
+            x_splits(ident + "/sign", instance, mode, lam, head, tail, l, X, Y, -sign)
+            x_splits(ident + "/grown", instance, mode, lam, _grown(head), tail, l, X, Y, sign)
+            return x_splits(ident, instance, mode, lam, head, tail, l, X, Y, sign)
+
+        def mutated_y(ident, instance, mode, lam, S, T, Y, summands):
+            (U, V, sign, reduced, below), rest = summands[0], summands[1:]
+            y_splits(ident + "/sign", instance, mode, lam, S, T, Y, [(U, V, -sign, reduced, below)] + rest)
+            y_splits(ident + "/grown", instance, mode, lam, S, T, Y, [(U, V, sign, _grown(reduced), below)] + rest)
+            return y_splits(ident, instance, mode, lam, S, T, Y, summands)
+
+        monkeypatch.setattr(identities, "_conclude", checked)
+        monkeypatch.setattr(identities, "_conclude_x_splits", mutated_x)
+        monkeypatch.setattr(identities, "_conclude_y_splits", mutated_y)
+        # alphabets of at most 3 variables: X, S u T and Y
+        reports = identities.run_catalog(ALTERNANT_SWEEPS[:2] + ALTERNANT_SWEEPS[3:], max_box=3, nvars=3)
+        reports += identities.run_catalog(["first-overlap-schur"], max_box=3, nvars=1)
+        assert all(r.passed for r in reports)
+        assert [(ident, a) for ident, a, b in verdicts if a != b] == []
+        assert {ident for ident, _, _ in verdicts} == set(ALTERNANT_SWEEPS) | {
+            f"{name}/{how}" for name in ALTERNANT_SWEEPS if name != "first-overlap-schur" for how in ("sign", "grown")
+        }
+        failing = [ident for ident, a, _ in verdicts if not a]
+        for name in ("first-overlap", "max-index", "second-overlap", "walk-split", "subpartition-ls"):
+            assert failing.count(f"{name}/sign") > 0 and failing.count(f"{name}/grown") > 0
+
+    def test_failing_witness_prints_polynomial_coefficients(self):
+        # LS_(1)(-(s u t); y1) = y1 - s - t, with one Y split summand's sign flipped
+        lam = Partition((1,))
+        S, T, Y = VarSeq.make("s", 1), VarSeq.make("t", 1), VarSeq.make("y", 1)
+        n, m, l, k, instance = identities._second_overlap_setup(lam, S, T, Y)
+        summands = identities._second_overlap_summands(lam, S, T, Y, k, identities._fiber_labels)
+        assert identities._conclude_y_splits("t", instance, "symbolic", lam, S, T, Y, summands).passed
+        U, V, sign, reduced, below = summands[0]
+        flipped = [(U, V, -sign, reduced, below)] + summands[1:]
+        r = identities._conclude_y_splits("t", instance, "symbolic", lam, S, T, Y, flipped)
+        assert r.failed and r.witness.startswith("coefficients differ: [(((")
+        assert "MultiPoly" not in r.witness and "y1" in r.witness
+
+
+@pytest.mark.parametrize("name", ALTERNANT_SWEEPS)
+def test_symbolic_split_sums_multiply_only_y_polynomials(name, monkeypatch):
+    multiply = MultiPoly.__mul__
+
+    def y_only(self, other):
+        for p in (self, other):
+            if isinstance(p, MultiPoly) and any(v[0] in "xst" for v in p.variables()):
+                raise AssertionError(f"symbolic {name} multiplied a polynomial in {sorted(p.variables())}")
+        return multiply(self, other)
+
+    # a cached form or polynomial would hide a product, so start from empty caches
+    for cached in _ALTERNANT_MEMOS:
+        cached.cache_clear()
+    monkeypatch.setattr(MultiPoly, "__mul__", y_only)
+    monkeypatch.setattr(MultiPoly, "__rmul__", y_only)
+    reports = identities.run_catalog([name], max_box=3, nvars=3, mode="symbolic")
+    assert reports and all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("name", ALTERNANT_SWEEPS)
+def test_coefficients_and_points_agree_per_check(name):
+    symbolic, grid = (identities.run_catalog([name], max_box=3, nvars=3, mode=mode) for mode in ("symbolic", "grid"))
+    assert [(r.identity, r.instance, r.outcome) for r in symbolic] == [
+        (r.identity, r.instance, r.outcome) for r in grid
+    ]
+    assert any(r.identity == name for r in symbolic)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "grid"])
+def test_mutated_split_sums_fail_by_both_routes(mode):
+    # first overlap: lam = (2, 1), n = 2, m = 1, l = 1, with the overlap sign flipped
+    lam = Partition((2, 1))
+    X, Y = VarSeq.make("x", 2), VarSeq.make("y", 1)
+    k = lam.index(1, 2)
+    mu, nu, sign = next(enumerate_overlap_pairs(lam.take(2 - k), 1, 1 - k))
+    assert identities.verify_first_overlap(lam, 1, 2, 1, mu, nu, X, Y, mode).passed
+    head, tail = shift_first(mu, k, 1), nu.union(lam.drop(2 - k))
+    r = identities._conclude_x_splits("first-overlap", {}, mode, lam, head, tail, 1, X, Y, -sign)
+    assert r.failed and r.mode == mode
+    # second overlap: lam = (2, 1) over S u T = (s1, t1), Y = (y1), one summand's sign flipped
+    S, T = VarSeq.make("s", 1), VarSeq.make("t", 1)
+    n, m, l, k, instance = identities._second_overlap_setup(lam, S, T, Y)
+    summands = identities._second_overlap_summands(lam, S, T, Y, k, identities._fiber_labels)
+    assert identities._conclude_y_splits("second-overlap", instance, mode, lam, S, T, Y, summands).passed
+    U, V, sign, reduced, below = summands[0]
+    flipped = [(U, V, -sign, reduced, below)] + summands[1:]
+    r = identities._conclude_y_splits("second-overlap", instance, mode, lam, S, T, Y, flipped)
+    assert r.failed and r.mode == mode
 
 
 class TestExactInGridMode:

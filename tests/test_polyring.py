@@ -22,6 +22,7 @@ from overlapls.polyring import (
     eval_at,
     laplace_expand,
     poly_equal,
+    poly_sum,
     sort_sign,
     vandermonde,
 )
@@ -83,6 +84,14 @@ class TestMultiPoly:
         assert (f * m).monomials() == expect.monomials()
         assert m * m == MultiPoly({(("x", 2), ("y", 4)): 4})
         assert f * ZERO == ZERO and ZERO * m == ZERO
+        # a factor 1, as an int or as the constant polynomial, leaves the other unchanged
+        assert f * 1 == f and 1 * m == m and ONE * f == f and m * MultiPoly.const(1) == m
+
+    def test_poly_sum(self):
+        polys = [x("x") + 1, x("y") - x("x"), ZERO, 3 * x("x") * x("y")]
+        assert poly_sum(iter(polys)) == x("y") + 1 + 3 * x("x") * x("y")
+        assert poly_sum([x("x"), -x("x")]) == ZERO and poly_sum([]) == ZERO
+        assert poly_sum([x("x", 3), x("y")]).degree() == 3
 
     def test_pow(self):
         f = x("x") + 1

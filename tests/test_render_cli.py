@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -206,6 +207,15 @@ class TestVerifyCommand:
         assert main(["verify", "counterexample"]) == 0
         captured = capsys.readouterr()
         assert "counterexample" in captured.out
+
+    def test_symbolic_stdout_at_four_vars_is_pinned(self, capsys):
+        # the digest of this stdout when symbolic split sums were still cleared as polynomials
+        assert main(["verify", "all", "--max-box", "3", "--vars", "4", "--mode", "symbolic", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 5637
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "b459930ab274e0d958578849ca4025c1ad6f69d39136032732826bc88c1e9399"
+        )
 
 
 @pytest.mark.parametrize(
