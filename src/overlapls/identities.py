@@ -767,6 +767,9 @@ def verify_dual_cauchy(X: VarSeq, Y: VarSeq, mode="symbolic"):
     total = poly_sum(schur(lam, X) * schur(lam.conjugate(), Y) for lam in partitions_in_box(m, n))
     product = ONE
     for i in range(n):
+        # a row of m factors is small, so the growing product is copied n times, not n * m
+        row = ONE
         for j in range(m):
-            product = product * (ONE + X.term(i) * Y.term(j))
+            row = row * (ONE + X.term(i) * Y.term(j))
+        product = product * row
     return _exact(ident, instance, mode, total, product)

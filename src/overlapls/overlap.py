@@ -3,7 +3,17 @@
 The (m, n)-overlap of mu and nu is the partition lam with lam + rho_{m+n}
 a rearrangement of (mu + rho_m) concatenated with (nu + rho_n); it is the
 infinite sentinel when that merged sequence has a repeated entry.  The sign
-is the parity of the sorting permutation.
+is the parity of the sorting permutation.  Each staircase strictly
+decreases, so only pairs across the two invert: the i-th mu entry, at
+0-based position p_i of the sorted merge, comes after p_i - i nu entries,
+and the sign is (-1)^(p_1 + ... + p_m - m(m-1)/2).
+
+The fiber of lam is read off its staircase in step times.  The walk pi
+across the n-wide, m-high rectangle, labeled by lam, carries the pair with
+mu + rho_m = (lam + rho_{m+n}) at the V step times of pi and
+nu + rho_n = (lam + rho_{m+n}) at its H step times.  The same formula with
+any label sequence in place of lam, quasi-partitions included, inverts the
+witness map of an infinite overlap.
 """
 
 from __future__ import annotations
@@ -12,7 +22,6 @@ import itertools
 import operator
 
 from .partitions import Partition, binomial, partitions_in_box
-from .polyring import sort_sign
 from .walks import StaircaseWalk, enumerate_walks, is_quasi_partition, walk_geometry
 
 
@@ -73,21 +82,35 @@ def overlap(mu: Partition, nu: Partition, m: int, n: int) -> OverlapResult:
     whose staircase-reduction is automatically a partition.
     """
     _check_pair(mu, nu, m, n)
-    merged = staircase(mu, m) + staircase(nu, n)
-    sign = sort_sign(merged)
-    if sign == 0:
+    merged, at = _merge(staircase(mu, m), staircase(nu, n))
+    if len(set(merged)) < m + n:
         return OverlapResult.infinite()
-    return OverlapResult.finite(Partition(_unstair(sorted(merged, reverse=True))), sign)
+    # only cross pairs invert: the mu entry at at[i] comes after at[i] - i nu entries
+    sign = -1 if (sum(at) - m * (m - 1) // 2) % 2 else 1
+    return OverlapResult(Partition._of(_unstair(merged, m + n)), sign)
+
+
+def _merge(mu_stair: tuple, nu_stair: tuple):
+    """The two staircases sorted into one decreasing list, and the position of each mu entry in it.
+
+    A value both staircases hold sits twice in the list; its mu entry
+    takes the first of the two positions.
+    """
+    merged = sorted(mu_stair + nu_stair, reverse=True)
+    return merged, tuple(map(merged.index, mu_stair))
 
 
 def staircase(lam: Partition, k: int) -> tuple:
     """lam + rho_k = (lam_1 + k - 1, ..., lam_k), strictly decreasing; l(lam) <= k."""
-    return tuple(map(operator.add, lam.padded(k), range(k - 1, -1, -1)))
+    parts = lam.parts
+    if len(parts) > k:
+        raise ValueError(f"cannot pad {lam} to shorter length {k}")
+    return tuple(map(operator.add, parts + (0,) * (k - len(parts)), range(k - 1, -1, -1)))
 
 
-def _unstair(merged) -> tuple:
-    """merged - rho_N for a sequence of length N: entry j loses N - 1 - j."""
-    return tuple(map(operator.sub, merged, range(len(merged) - 1, -1, -1)))
+def _unstair(seq, k: int) -> tuple:
+    """seq - rho_k for k values seq: value j (0-based) loses k - 1 - j."""
+    return tuple(map(operator.sub, seq, range(k - 1, -1, -1)))
 
 
 def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
@@ -96,11 +119,13 @@ def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
     One triple per staircase walk across the n-wide, m-high rectangle: labels
     of vertical steps extend the rows above the walk into mu, labels of
     horizontal steps extend the columns below into nu; the sign counts the
-    boxes below the walk.
+    boxes below the walk.  lam + rho_{m+n} is built once, and each walk
+    reads mu and nu off it at its step times.
     """
     _check_fiber(lam, m, n)
+    stair = (None, *staircase(lam, m + n))
     for pi in enumerate_walks(n, m):
-        yield walk_overlap_pair(lam, pi)
+        yield _labeled(stair, pi, Partition._of)
 
 
 def _check_fiber(lam: Partition, m: int, n: int):
@@ -135,8 +160,7 @@ def walk_overlap_pair(lam: Partition, pi: StaircaseWalk):
 
     The sign counts the boxes below the walk; l(lam) <= len(pi) is required.
     """
-    mu, nu = reconstruct_from_witness(pi, lam.padded(len(pi)))
-    return mu, nu, -1 if walk_geometry(pi.steps)[4] else 1
+    return _labeled((None, *staircase(lam, len(pi))), pi, Partition._of)
 
 
 def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):
@@ -148,38 +172,34 @@ def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):
     chosen, so the output is deterministic.
     """
     _check_pair(mu, nu, m, n)
-    mu_shift = staircase(mu, m)
-    nu_shift = staircase(nu, n)
-    if sort_sign(mu_shift + nu_shift) != 0:
+    merged, at = _merge(staircase(mu, m), staircase(nu, n))
+    if len(set(merged)) == m + n:
         return None
-    total = m + n
-    merged = sorted(mu_shift + nu_shift, reverse=True)
-    alpha = _unstair(merged)
-    positions = {}
-    for pos, v in enumerate(merged):
-        positions.setdefault(v, []).append(pos + 1)
-    v_set = []
-    used = {v: 0 for v in positions}
-    for v in mu_shift:
-        v_set.append(positions[v][used[v]])
-        used[v] += 1
-    pi = StaircaseWalk.from_v_times(sorted(v_set), total)
+    alpha = _unstair(merged, m + n)
+    pi = StaircaseWalk.from_v_times([p + 1 for p in at], m + n)
     assert is_quasi_partition(alpha, pi)
     return pi, alpha
 
 
 def reconstruct_from_witness(pi: StaircaseWalk, alpha):
-    """Inverse of the witness map: the (mu, nu) pair a labeled walk encodes."""
-    label = (None, *alpha).__getitem__  # label(t) is the label of step t
-    v_times, h_times, mu, nu_conj, _ = walk_geometry(pi.steps)
-    mu = _seq_add(mu, map(label, v_times), len(v_times))
-    nu = _seq_add(nu_conj, map(label, h_times), len(h_times))
-    return mu, nu
+    """Inverse of the witness map: the (mu, nu) pair a labeled walk encodes.
+
+    mu + rho_m and nu + rho_n are alpha + rho_N at the V and H step times.
+    alpha is any label sequence, so the result is checked.
+    """
+    return _labeled((None, *map(operator.add, alpha, range(len(pi) - 1, -1, -1))), pi, Partition)[:2]
 
 
-def _seq_add(lam: Partition, labels, k: int) -> Partition:
-    """lam, padded to k parts, plus the k labels."""
-    return Partition(map(operator.add, lam.padded(k), labels))
+def _labeled(stair: tuple, pi: StaircaseWalk, build):
+    """(mu, nu, sign) of the walk pi labeled so that stair[t] = label_t + N - t at each step time t.
+
+    stair[0] is unused.  build makes each partition from its parts:
+    Partition._of for the labels of a partition, whose staircase strictly
+    decreases, else the checking Partition.
+    """
+    v_times, h_times, _, _, odd = walk_geometry(pi.steps)
+    mu = build(_unstair(map(stair.__getitem__, v_times), len(v_times)))
+    return mu, build(_unstair(map(stair.__getitem__, h_times), len(h_times))), -1 if odd else 1
 
 
 def brute_force_fiber(lam: Partition, m: int, n: int):

@@ -28,14 +28,21 @@ class Partition:
             raise
         if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"parts not non-increasing: {parts}")
-        if parts and parts[-1] <= 0:
-            if parts[-1] < 0:
-                raise ValueError(f"negative part in {parts}")
-            end = len(parts) - 1
-            while end and not parts[end - 1]:
-                end -= 1
-            parts = parts[:end]
-        object.__setattr__(self, "parts", parts)
+        if parts and parts[-1] < 0:
+            raise ValueError(f"negative part in {parts}")
+        # parts is non-increasing and non-negative now, so its zeros start at the first 0
+        object.__setattr__(self, "parts", parts[: parts.index(0)] if parts and not parts[-1] else parts)
+
+    @staticmethod
+    def _of(parts: tuple) -> "Partition":
+        """Wrap a non-increasing tuple of non-negative ints unchecked, stripping its trailing zeros.
+
+        For parts that are a partition by construction; Partition(...)
+        checks every value it is given.
+        """
+        p = Partition.__new__(Partition)
+        object.__setattr__(p, "parts", parts[: parts.index(0)] if parts and not parts[-1] else parts)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Partition is immutable")
@@ -83,14 +90,12 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Ferrers diagram; involutive."""
-        if not self.parts:
-            return Partition()
-        width = self.parts[0]
-        cols = [0] * width
+        cols = [0] * self.part(1)
         for p in self.parts:
             for i in range(p):
                 cols[i] += 1
-        return Partition(cols)
+        # column i counts the parts longer than i, which falls as i grows
+        return Partition._of(tuple(cols))
 
     def contains_cell(self, i: int, j: int) -> bool:
         """Whether cell (i, j) = (column, row) lies in the diagram.
@@ -117,7 +122,7 @@ class Partition:
 
     def union(self, other: "Partition") -> "Partition":
         """Multiset merge of the parts, re-sorted non-increasingly."""
-        return Partition(sorted(self.parts + other.parts, reverse=True))
+        return Partition._of(tuple(sorted(self.parts + other.parts, reverse=True)))
 
     def padded(self, n: int) -> tuple:
         """Parts as a tuple of length n, padded with zeros; n >= length required."""
@@ -127,11 +132,11 @@ class Partition:
 
     def take(self, j: int) -> "Partition":
         """First j parts (padded with zeros as needed)."""
-        return Partition(self.padded(max(j, len(self.parts)))[:j])
+        return Partition._of(self.padded(max(j, len(self.parts)))[:j])
 
     def drop(self, j: int) -> "Partition":
         """Parts from position j+1 on."""
-        return Partition(self.parts[j:])
+        return Partition._of(self.parts[j:])
 
     def select(self, indices) -> tuple:
         """Subsequence of parts at 1-based positions; zeros beyond length."""
@@ -195,8 +200,8 @@ def partitions_in_box(m: int, n: int):
     """
     if m < 0 or n < 0:
         raise ValueError(f"box dimensions must be non-negative, got width {m} and {n} rows")
-    # non-increasing n-tuples over m..0 in lexicographic order; Partition strips the zeros
-    return map(Partition, itertools.combinations_with_replacement(range(m, -1, -1), n))
+    # non-increasing n-tuples over m..0 in lexicographic order; _of strips the zeros
+    return map(Partition._of, itertools.combinations_with_replacement(range(m, -1, -1), n))
 
 
 def binomial(n: int, k: int) -> int:

@@ -22,16 +22,17 @@ def walk_geometry(steps: str) -> tuple:
     """(v_times, h_times, mu, nu_conj, |nu| odd) of a step word, computed together.
 
     The i-th vertical step at time t has t - 1 - i horizontal steps before
-    it, so n - (t - 1 - i) after it: row i of mu.  Columns of nu' likewise
-    count the vertical steps after each horizontal one, and |nu| = |nu'|.
+    it, so n - (t - 1 - i) after it: row i of mu, which falls as i grows.
+    Columns of nu' likewise count the vertical steps after each horizontal
+    one, and |nu| = |nu'|.
     """
     v_times, h_times = [], []
     for t, s in enumerate(steps, 1):
         (v_times if s == "V" else h_times).append(t)
     n, m = len(h_times), len(v_times)
-    rows = [n + 1 + i - t for i, t in enumerate(v_times)]
-    cols = [m + 1 + j - t for j, t in enumerate(h_times)]
-    return tuple(v_times), tuple(h_times), Partition(rows), Partition(cols), sum(cols) % 2 == 1
+    rows = tuple(n + 1 + i - t for i, t in enumerate(v_times))
+    cols = tuple(m + 1 + j - t for j, t in enumerate(h_times))
+    return tuple(v_times), tuple(h_times), Partition._of(rows), Partition._of(cols), sum(cols) % 2 == 1
 
 
 class StaircaseWalk:
@@ -44,6 +45,13 @@ class StaircaseWalk:
         if steps.replace("H", "").replace("V", ""):
             raise ValueError(f"walk steps must be H or V, got {steps!r}")
         object.__setattr__(self, "steps", steps)
+
+    @staticmethod
+    def _of(steps: str) -> "StaircaseWalk":
+        """Wrap a word built only from "H" and "V" unchecked; StaircaseWalk(...) checks its input."""
+        w = StaircaseWalk.__new__(StaircaseWalk)
+        object.__setattr__(w, "steps", steps)
+        return w
 
     def __setattr__(self, *a):
         raise AttributeError("StaircaseWalk is immutable")
@@ -107,14 +115,14 @@ class StaircaseWalk:
         """Split into the first c steps and the rest, each an independent walk."""
         if not (0 <= c <= len(self.steps)):
             raise ValueError(f"cut {c} out of range for a walk of {len(self.steps)} steps")
-        return StaircaseWalk(self.steps[:c]), StaircaseWalk(self.steps[c:])
+        return StaircaseWalk._of(self.steps[:c]), StaircaseWalk._of(self.steps[c:])
 
     def complement_walk(self) -> "StaircaseWalk":
         """Walk the stairs in the opposite direction: reverses the step word.
 
         Swaps the two associated partitions: mu of the result is nu of self.
         """
-        return StaircaseWalk(self.steps[::-1])
+        return StaircaseWalk._of(self.steps[::-1])
 
     def to_json(self) -> str:
         return self.steps
@@ -133,7 +141,7 @@ def enumerate_walks(n: int, m: int):
         word = ["V"] * total
         for i in h_positions:
             word[i] = "H"
-        yield StaircaseWalk("".join(word))
+        yield StaircaseWalk._of("".join(word))
 
 
 def count_walks(n: int, m: int) -> int:

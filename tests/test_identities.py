@@ -10,7 +10,7 @@ from overlapls import alternants, identities, littlewood_schur
 from overlapls.littlewood_schur import ls_branching, ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap
 from overlapls.partitions import Partition, partitions_in_box, shift_first
-from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, delta_pair, e_prod, vandermonde
+from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, delta_pair, e_prod, poly_sum, vandermonde
 from overlapls.schur import schur, schur_bialternant, schur_ssyt, schur_value
 
 
@@ -327,6 +327,20 @@ class TestDualCauchy:
         X, Y = VarSeq.make("x", 2), VarSeq.make("y", 2)
         assert identities.verify_dual_cauchy(X, Y).passed
         assert identities.verify_dual_cauchy(X, Y, mode="grid").passed
+
+    @pytest.mark.parametrize("mode", ["symbolic", "grid"])
+    def test_failing_witness_is_the_sum_minus_the_product(self, monkeypatch, mode):
+        # a wrong Schur factor fails the check, and the witness is the sum minus the product
+        X, Y = VarSeq.make("x", 2), VarSeq.make("y", 3)
+
+        def wrong(lam, Z):
+            return schur(lam, Z) + (Z.term(0) if lam == Partition((2, 1)) else 0)
+
+        total = poly_sum(wrong(lam, X) * wrong(lam.conjugate(), Y) for lam in partitions_in_box(3, 2))
+        product = functools.reduce(operator.mul, (1 + x * y for x in X.terms() for y in Y.terms()))
+        monkeypatch.setattr(identities, "schur", wrong)
+        r = identities.verify_dual_cauchy(X, Y, mode)
+        assert r.failed and r.witness == str(total - product) != "0"
 
 
 SPLIT_SUM_SWEEPS = [

@@ -1,8 +1,14 @@
+import collections
+import contextlib
 import importlib
+import io
 import itertools
+import operator
+import sys
 
 import pytest
 
+from overlapls import cli
 from overlapls.overlap import (
     OverlapResult,
     brute_force_fiber,
@@ -13,12 +19,14 @@ from overlapls.overlap import (
     infinite_overlap_witness,
     overlap,
     reconstruct_from_witness,
+    staircase,
     sub_partition,
     subpartition_to_overlap,
     walk_overlap_pair,
 )
 from overlapls.partitions import Partition, partitions_in_box, rect, rho
-from overlapls.walks import StaircaseWalk, is_quasi_partition
+from overlapls.polyring import sort_sign
+from overlapls.walks import StaircaseWalk, enumerate_walks, is_quasi_partition
 
 # the package re-exports the function overlap under the module's name
 overlap_module = importlib.import_module("overlapls.overlap")
@@ -36,6 +44,13 @@ def overlap_scan_oracle(lam, m, n):
             if r.is_finite and r.value == lam:
                 out.append((mu, nu, r.sign))
     return out
+
+
+def padded_sum_oracle(alpha, pi):
+    """The labeling by padded sums: each partition of the walk, padded, plus the labels at its step times."""
+    mu = Partition(map(operator.add, pi.mu().padded(pi.m), (alpha[t - 1] for t in pi.v_times())))
+    nu = Partition(map(operator.add, pi.nu_conj().padded(pi.n), (alpha[t - 1] for t in pi.h_times())))
+    return mu, nu, (-1) ** pi.nu().size
 
 
 def subpair_scan_oracle(kappa, m, n, l):
@@ -381,3 +396,104 @@ class TestSubpartitionPairs:
         with pytest.raises(ValueError) as fiber_error:
             brute_force_fiber(Partition(()), -1, 0)
         assert str(scan_error.value) == str(fiber_error.value)
+
+
+class TestSignAndLabelingOracles:
+    def test_cross_pair_sign_matches_sort_sign(self):
+        # every pair of the 4 x 3 box with m, n <= 3: the full inversion count of the merge
+        infinite = 0
+        for m in range(4):
+            for n in range(4):
+                for mu in partitions_in_box(4, m):
+                    for nu in partitions_in_box(4, n):
+                        sign = sort_sign(staircase(mu, m) + staircase(nu, n))
+                        r = overlap(mu, nu, m, n)
+                        assert r.is_infinite == (sign == 0)
+                        assert r.sign == (sign or 1)
+                        infinite += r.is_infinite
+        assert infinite
+
+    def test_step_time_labeling_matches_padded_sums(self):
+        for total in range(8):
+            for n in range(total + 1):
+                for pi in enumerate_walks(n, total - n):
+                    for lam in partitions_in_box(2, total):
+                        assert walk_overlap_pair(lam, pi) == padded_sum_oracle(lam.padded(total), pi)
+
+    def test_any_label_sequence_matches_padded_sums(self):
+        # reconstruct_from_witness takes public labels: a non-partition result raises, as in the oracle
+        raised = 0
+        for total in range(5):
+            for n in range(total + 1):
+                for pi in enumerate_walks(n, total - n):
+                    for alpha in itertools.product(range(-1, 3), repeat=total):
+                        try:
+                            want = padded_sum_oracle(alpha, pi)[:2]
+                        except ValueError:
+                            with pytest.raises(ValueError):
+                                reconstruct_from_witness(pi, alpha)
+                            raised += 1
+                        else:
+                            assert reconstruct_from_witness(pi, alpha) == want
+        assert raised
+
+
+def _clear_memos():
+    """Empty every memo of the package, so that a run builds again each value it would cache."""
+    for name, module in list(sys.modules.items()):
+        if name == "overlapls" or name.startswith("overlapls."):
+            for value in list(vars(module).values()):
+                for f in [value, *(vars(value).values() if isinstance(value, type) else ())]:
+                    if hasattr(f, "cache_clear"):
+                        f.cache_clear()
+
+
+def _fiber_results():
+    """Walk fibers, definitional scans and marked-pair scans on small boxes."""
+    out = []
+    for lam in partitions_in_box(4, 4):
+        for m in range(4):
+            for n in range(4):
+                if lam.length <= m + n:
+                    out.append(list(enumerate_overlap_pairs(lam, m, n)))
+                    out.append(brute_force_fiber(lam, m, n))
+    for m in range(4):
+        for n in range(4):
+            for l in range(3):
+                for kappa in partitions_in_box(m + n, l):
+                    out.append(enumerate_subpartition_pairs(kappa, m, n, l))
+    return out
+
+
+def _verify_stdout():
+    texts = []
+    for mode in ("symbolic", "grid"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["verify", "all", "--max-box", "2", "--vars", "2", "--mode", mode, "--seed", "1"]) == 0
+        texts.append(out.getvalue())
+    return texts
+
+
+class TestUncheckedConstructors:
+    """Partition._of and StaircaseWalk._of skip the checks only on values valid by construction."""
+
+    def test_every_unchecked_value_passes_the_checks(self, monkeypatch):
+        want = _fiber_results(), _verify_stdout()
+        calls = collections.Counter()
+
+        def checked(cls):
+            def make(value):
+                calls[cls.__name__] += 1
+                return cls(value)
+
+            return staticmethod(make)
+
+        # route both through the checking constructors, which raise ValueError on a bad value
+        monkeypatch.setattr(Partition, "_of", checked(Partition))
+        monkeypatch.setattr(StaircaseWalk, "_of", checked(StaircaseWalk))
+        with pytest.raises(ValueError):
+            Partition._of((1, 2))
+        _clear_memos()  # a memo would hand back values built before the patch
+        assert (_fiber_results(), _verify_stdout()) == want
+        assert calls["Partition"] and calls["StaircaseWalk"]

@@ -18,6 +18,13 @@ class TestConstruction:
         assert Partition((3, 1, 0, 0)) == Partition((3, 1))
         assert Partition((0, 0)) == Partition(())
 
+    def test_unchecked_constructor_matches_the_checked_one(self):
+        # every non-increasing tuple over 3..0 of up to 4 entries, trailing zeros included
+        for k in range(5):
+            for t in itertools.combinations_with_replacement(range(3, -1, -1), k):
+                lam = Partition._of(t)
+                assert type(lam) is Partition and lam.parts == Partition(t).parts
+
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
             Partition((1, 2))
