@@ -10,7 +10,7 @@ V(X), the product of x_i - x_j over i < j, is a_delta(X).
 
 Three facts from Macdonald, Symmetric Functions and Hall Polynomials,
 ch. I, turn products into operations on keys: s_nu(X) V(X) = a_(nu+delta)(X)
-(the bialternant formula, section 3; ls_alternant, schur_alternant); the
+(the bialternant formula, section 3; ls_alternant); the
 Laplace expansion of an alternant along the rows or columns of a split of
 X (shuffles, merge_splits); and the Pieri rule for e_j (section 5;
 times_delta).  The overlap verifiers compare split sums this way in
@@ -23,55 +23,25 @@ import functools
 import itertools
 import operator
 
+from .overlap import staircase
+from .partitions import Partition
 from .polyring import sort_sign
-from .schur import _vertical_strips
-
-
-def _key(parts: tuple, n: int) -> tuple:
-    """parts + delta_n, the exponent key of s_parts(X) V(X) for an n-letter X; l(parts) <= n."""
-    return tuple(map(operator.add, parts + (0,) * (n - len(parts)), range(n - 1, -1, -1)))
-
-
-@functools.cache
-def _y_peel(parts: tuple, ys: tuple) -> dict:
-    """{nu: c_nu} with LS_parts(-X; ys) = sum of c_nu LS_nu(-X; ()) for every alphabet X.
-
-    The vertical-strip steps of the strip branching rule (schur._ls_strips)
-    alone: the last y is peeled first, a vertical strip of r cells giving
-    y^r, until no y is left.  The c_nu are polynomials in ys (ints when ys
-    is empty), never zero.
-    """
-    if not ys:
-        return {parts: 1}
-    v, ys = ys[-1], ys[:-1]
-    pows = [1, *itertools.accumulate(itertools.repeat(v, len(parts)), operator.mul)]
-    out = {}
-    for nu, r in _vertical_strips(parts):
-        for key, c in _y_peel(nu, ys).items():
-            term = pows[r] * c if r else c
-            out[key] = out[key] + term if key in out else term
-    return out
+from .schur import _y_peel
 
 
 @functools.cache
 def ls_alternant(parts: tuple, n: int, ys: tuple) -> dict:
     """LS_parts(-X; ys) times V(X) for an n-letter X, as a coefficient map with coefficients in ys.
 
-    Peeling the y-variables leaves sum c_nu LS_nu(-X; ()), and
-    LS_nu(-X; ()) = s_nu(-X) = (-1)^|nu| s_nu(X), which is 0 when
-    l(nu) > n.  Each s_nu(X) V(X) is the alternant of nu + delta_n, so the
-    map is {nu + delta_n: (-1)^|nu| c_nu}; it depends on X only through n.
+    Peeling the y-variables (_y_peel) leaves sum c_nu LS_nu(-X; ()) over
+    l(nu) <= n, and LS_nu(-X; ()) = s_nu(-X) = (-1)^|nu| s_nu(X).  Each
+    s_nu(X) V(X) is the alternant of the staircase nu + delta_n, so the map
+    is {nu + delta_n: (-1)^|nu| c_nu}; it depends on X only through n.
     """
     return {
-        _key(nu, n): -c if sum(nu) % 2 else c
-        for nu, c in _y_peel(parts, ys).items()
-        if len(nu) <= n
+        staircase(Partition._of(nu), n): -c if sum(nu) % 2 else c
+        for nu, c in _y_peel(parts, ys, n)
     }
-
-
-def schur_alternant(lam, n: int) -> dict:
-    """s_lam(X) V(X) for an n-letter X: {lam + delta_n: 1}, or {} when l(lam) > n."""
-    return {_key(lam.parts, n): 1} if lam.length <= n else {}
 
 
 def nonzero(form: dict) -> dict:

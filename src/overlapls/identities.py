@@ -12,6 +12,8 @@ enumerators.
 Both overlap identities come from one Laplace expansion, and each split sum
 has one term shape, built in one place: _conclude_x_splits for sums over
 splits (S, T) of X, _conclude_y_splits for sums over splits (U, V) of Y.
+first-overlap-schur is the X-split sum with Y empty, and sorted_split_sum
+reads its polynomial off the same coefficient map (_x_split_form).
 Each split sum iterates over order-preserving subsequences of a fixed
 variable order; every Vandermonde-type sign follows from that single rule.
 
@@ -31,13 +33,13 @@ split sum is the Laplace expansion of an alternant (merge_splits,
 shuffles), and a product of differences with one letter in S or T is
 applied by the Pieri rule (times_delta), so symbolic mode multiplies
 polynomials in Y only.  Grid mode writes the two sides once, as
-build(R), from the integer primitives R.ls, R.schur and R.delta at each
-spot point, and compares lhs times V (R.vandermonde) with the sum of the
+build(R), from the integer primitives R.ls and R.delta at each spot
+point, and compares lhs times V (R.vandermonde) with the sum of the
 numerators times V / den, each quotient certified exact by divexact.
-Each LS and Schur value there comes from the strip branching rule (ls_value
-and schur_value run it at the point, R.delta and R.vandermonde multiply
-integer differences), so the split sums in grid mode expand no
-polynomial, compute no determinant and build no fraction.
+Each LS value there comes from the strip branching rule (ls_value runs it
+at the point, R.delta and R.vandermonde multiply integer differences), so
+the split sums in grid mode expand no polynomial, compute no determinant
+and build no fraction; _cleared and _quotient see only ints.
 """
 
 from __future__ import annotations
@@ -54,12 +56,12 @@ from .alternants import (
     ls_alternant,
     merge_splits,
     nonzero,
-    schur_alternant,
     shuffles,
     times_delta,
 )
-from .littlewood_schur import littlewood_square_check, ls_branching, ls_determinantal, ls_value
+from .littlewood_schur import littlewood_square_check, ls_determinantal, ls_value
 from .overlap import (
+    _unstair,
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
     overlap,
@@ -74,7 +76,6 @@ from .polyring import (
     PolyMatrix,
     VarSeq,
     delta_of,
-    delta_pair,
     det,
     divexact,
     e_prod,
@@ -83,7 +84,7 @@ from .polyring import (
     vandermonde,
     vandermonde_of,
 )
-from .schur import complement_reciprocity_check, factor_rule_check, schur, schur_value
+from .schur import complement_reciprocity_check, factor_rule_check, schur
 from .walks import enumerate_walks
 
 _SPOT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -106,13 +107,6 @@ def spot_points(names, count: int = _SPOT_COUNT):
         yield {n: _SPOT_BASES[i] + 60 * j for i, n in enumerate(names)}
 
 
-# The cached polynomials of sorted_split_sum, the one split sum that is a polynomial, not a check.
-_POLYS = SimpleNamespace(
-    ls=lambda lam, X, Y: ls_branching(lam, X, Y),
-    delta=lambda X, Y: delta_pair(X, Y),
-)
-
-
 def _at_point(point):
     """Grid primitives on unmarked alphabets: exact integer values at one spot point, no polynomial built."""
     def at(X: VarSeq):
@@ -120,7 +114,6 @@ def _at_point(point):
 
     return SimpleNamespace(
         ls=lambda lam, X, Y: ls_value(lam, at(X), at(Y)),
-        schur=lambda lam, X: schur_value(lam, at(X)),
         delta=lambda X, Y: delta_of(at(X), at(Y)),
         vandermonde=lambda X: vandermonde_of(at(X)),
     )
@@ -191,22 +184,30 @@ def _x_split_terms(R, head, tail, l, X: VarSeq, Y: VarSeq, sign=1):
     ]
 
 
-def _conclude_x_splits(ident, instance, mode, lam, head, tail, l, X: VarSeq, Y: VarSeq, sign):
-    """LS(lam; X, Y), or 0 when lam is None, against the sum of _x_split_terms.
+def _x_split_form(head, tail, l, X: VarSeq, Y: VarSeq, sign):
+    """The sum of _x_split_terms times V(X), as a coefficient map with coefficients in Y.
 
     Times V(X), each term becomes sign (-1)^e V(S) LS(head; S) V(T)
     LS(tail; T), e counting the pairs of X whose S letter comes first
-    (V(X) / delta(T, S) = (-1)^e V(S) V(T)); ls_alternant reads each of the
-    three LS times V as a coefficient map, which depends on an alphabet
-    only through its length, and merge_splits sums the splits.
+    (V(X) / delta(T, S) = (-1)^e V(S) V(T)); ls_alternant reads both LS
+    times V as coefficient maps, which depend on an alphabet only through
+    its length, and merge_splits sums the splits.
+    """
+    n, ys = len(X), Y.terms()
+    rhs = {}
+    head_form, tail_form = ls_alternant(head.parts, l, ys), ls_alternant(tail.parts, n - l, ys)
+    merge_splits(rhs, sign * (-1) ** (l * (n - l)), head_form, tail_form)
+    return rhs
+
+
+def _conclude_x_splits(ident, instance, mode, lam, head, tail, l, X: VarSeq, Y: VarSeq, sign):
+    """LS(lam; X, Y), or 0 when lam is None, against the sum of _x_split_terms.
+
+    Symbolic mode compares ls_alternant of lam with _x_split_form.
     """
     def forms():
-        n, ys = len(X), Y.terms()
-        lhs = {} if lam is None else ls_alternant(lam.parts, n, ys)
-        rhs = {}
-        head_form, tail_form = ls_alternant(head.parts, l, ys), ls_alternant(tail.parts, n - l, ys)
-        merge_splits(rhs, sign * (-1) ** (l * (n - l)), head_form, tail_form)
-        return lhs, nonzero(rhs)
+        lhs = {} if lam is None else ls_alternant(lam.parts, len(X), Y.terms())
+        return lhs, nonzero(_x_split_form(head, tail, l, X, Y, sign))
 
     def build(R):
         return (0 if lam is None else R.ls(lam, X, Y)), _x_split_terms(R, head, tail, l, X, Y, sign)
@@ -250,9 +251,9 @@ def sorted_split_sum(lam, l, X: VarSeq, Y: VarSeq) -> MultiPoly:
     remaining parts over all splits; valid only while l stays at most n - k.
     """
     n = len(X)
-    terms = _x_split_terms(_POLYS, shift_first(lam.take(l), n - l, l), lam.drop(l), l, X, Y)
-    vand = vandermonde(X)
-    return divexact(_cleared(terms, vand), vand)
+    form = _x_split_form(shift_first(lam.take(l), n - l, l), lam.drop(l), l, X, Y, 1)
+    # the key nu + delta_n with coefficient c stands for c s_nu(X) V(X)
+    return poly_sum(c * schur(Partition._of(_unstair(key, n)), X) for key, c in form.items())
 
 
 def counterexample_regression(mode="symbolic"):
@@ -450,19 +451,9 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
     if mu.length > m or nu.length > n:
         return report.inapplicable(ident, instance, "mu or nu too long")
     ov = overlap(mu, nu, m, n)
-
-    def forms():
-        # V(X) / delta(S, T) = (-1)^(mn + e) V(S) V(T): its (-1)^(mn) cancels the one of merge_splits
-        lhs = {} if ov.is_infinite else schur_alternant(ov.value, m + n)
-        rhs = {}
-        merge_splits(rhs, ov.sign, schur_alternant(mu, m), schur_alternant(nu, n))
-        return lhs, nonzero(rhs)
-
-    def build(R):
-        terms = [(ov.sign * R.schur(mu, S) * R.schur(nu, T), R.delta(S, T)) for S, T in X.splits(m)]
-        return (0 if ov.is_infinite else R.schur(ov.value, X)), terms
-
-    return _conclude(ident, instance, mode, forms, build, X.names, (X,))
+    # signs cancel: s_lam = (-1)^|lam| LS_lam(-X; ()), |ov| = |mu| + |nu| - mn, delta(S, T) = (-1)^(mn) delta(T, S)
+    lam = ov.value if ov.is_finite else None
+    return _conclude_x_splits(ident, instance, mode, lam, mu, nu, m, X, VarSeq.of(), ov.sign)
 
 
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):

@@ -196,10 +196,11 @@ def ls_branching(lam: Partition, X: VarSeq, Y: VarSeq):
     a vertical strip of r cells, and LS_lam(-X - x; ()) the sum of (-x)^r
     LS_nu(-X; ()) over the horizontal strips; with no variable left only the
     empty partition gives 1 (_ls_strips, memoized per parts and variables).
-    Each product has a one-term factor, so it only shifts packed keys.  The
-    argument checks, the zero case (outside the (n, m)-hook) and the memo
-    per (lam, X, Y) are those of ls_determinantal; the memo keeps a repeated
-    call from hashing the polynomial variables of the _ls_strips key.
+    The y-variables are peeled first, so each LS_nu(-X; ()) is multiplied
+    once by its coefficient, a polynomial in Y.  The argument checks, the
+    zero case (outside the (n, m)-hook) and the memo per (lam, X, Y) are
+    those of ls_determinantal; the memo keeps a repeated call from hashing
+    the polynomial variables of the _ls_strips key.
     """
     _check_alphabets(X, Y)
     return as_poly(_ls_strips(lam.parts, X.terms(), Y.terms()))

@@ -2,16 +2,17 @@
 
 The branching route is the one the verifiers use: _ls_strips applies the
 hook-Schur strip branching rule (Berele and Regev, Adv. Math. 64, 1987) to
-LS of (-xs; ys), and with no y-variables that is (-1)^|lam| s_lam(xs)
-(Macdonald, ch. I section 5), one horizontal strip per x-variable.  The same
-body runs on polynomial variables (schur) and on numbers at a point
-(schur_value); littlewood_schur runs it with y-variables too.  The
-bialternant route divides the alternant determinant by the Vandermonde and
-certifies the division is exact (schur_bialternant).  The tableau route
-sums content monomials over semistandard fillings and never divides
-(schur_ssyt).  The three agree on all inputs, which the test suite checks
-exhaustively at desk scale; the bialternant and tableau routes are kept as
-cross-checks.
+LS of (-xs; ys).  It peels the y-variables first, one vertical strip each
+(_y_peel, which the alternant forms share), then the x-variables, one
+horizontal strip each; with no y-variables that is (-1)^|lam| s_lam(xs)
+(Macdonald, ch. I section 5).  The same body runs on polynomial variables
+(schur) and on numbers at a point (schur_value); littlewood_schur runs it
+with y-variables too.  The bialternant route divides the alternant
+determinant by the Vandermonde and certifies the division is exact
+(schur_bialternant).  The tableau route sums content monomials over
+semistandard fillings and never divides (schur_ssyt).  The three agree on
+all inputs, which the test suite checks exhaustively at desk scale; the
+bialternant and tableau routes are kept as cross-checks.
 """
 
 from __future__ import annotations
@@ -112,29 +113,55 @@ def _horizontal_strips(parts: tuple):
 
 
 @functools.cache
+def _y_peel(parts: tuple, ys: tuple, n: int) -> dict:
+    """The pairs (nu, c_nu) with LS_parts(-X; ys) = sum of c_nu LS_nu(-X; ()) for every n-letter alphabet X.
+
+    The vertical-strip steps of the strip branching rule alone: the last y
+    is peeled first, a vertical strip of r cells giving y^r, until no y is
+    left.  A shape outside the (n, l(ys))-hook gives no pair, so every nu
+    has l(nu) <= n.  The c_nu are polynomials in ys (ints when ys is
+    empty), never zero at polynomial variables.  The memo holds a tuple,
+    not a dict: at the spot points a dict per entry took more memory.
+    """
+    if len(parts) > n and parts[n] > len(ys):
+        return ()  # outside the (n, m)-hook
+    if not ys:
+        return ((parts, 1),)
+    v, ys = ys[-1], ys[:-1]
+    pows = list(itertools.accumulate(itertools.repeat(v, len(parts)), operator.mul, initial=1))
+    out = {}
+    for nu, r in _vertical_strips(parts):
+        for key, c in _y_peel(nu, ys, n):
+            term = pows[r] * c if r else c
+            out[key] = out[key] + term if key in out else term
+    return tuple(out.items())
+
+
+@functools.cache
 def _ls_strips(parts: tuple, xs: tuple, ys: tuple):
     """LS of (-xs; ys) for the partition with these parts (no trailing zeros), by strip branching.
 
-    xs and ys are ring elements: MultiPoly variables or numbers.  The last y is
-    peeled first, a vertical strip of r cells giving y^r; once ys is empty,
-    the last x, a horizontal strip giving (-x)^r.  The powers are formed
-    once per call, up to the largest strip: l(parts) cells for a vertical
-    strip, parts[0] for a horizontal one.  The leaves are 0 and 1, so no
-    division is formed.
+    xs and ys are ring elements: MultiPoly variables or numbers.  The
+    y-variables are peeled first (_y_peel), leaving the sum of c_nu
+    LS_nu(-xs; ()); then the last x is peeled, a horizontal strip of r cells
+    giving (-x)^r, its powers formed once per call up to parts[0].  The
+    leaves are 0 and 1, so no division is formed.
     """
-    n, m = len(xs), len(ys)
-    if len(parts) > n and parts[n] > m:
+    n = len(xs)
+    if len(parts) > n and parts[n] > len(ys):
         return 0  # outside the (n, m)-hook
-    if not (xs or ys):
-        return 1  # parts is empty: the hook test took every other shape
     if ys:
-        v, ys, strips, top = ys[-1], ys[:-1], _vertical_strips(parts), len(parts)
-    else:
-        v, xs, strips, top = -xs[-1], xs[:-1], _horizontal_strips(parts), sum(parts[:1])
-    pows = list(itertools.accumulate(itertools.repeat(v, top), operator.mul, initial=1))
+        total = 0
+        for nu, c in _y_peel(parts, ys, n):
+            total = total + c * _ls_strips(nu, xs, ())
+        return total
+    if not xs:
+        return 1  # parts is empty: the hook test took every other shape
+    v, xs = -xs[-1], xs[:-1]
+    pows = list(itertools.accumulate(itertools.repeat(v, sum(parts[:1])), operator.mul, initial=1))
     total = 0
-    for nu, r in strips:
-        sub = _ls_strips(nu, xs, ys)
+    for nu, r in _horizontal_strips(parts):
+        sub = _ls_strips(nu, xs, ())
         total = total + (pows[r] * sub if r else sub)
     return total
 

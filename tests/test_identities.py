@@ -7,10 +7,20 @@ from types import SimpleNamespace
 import pytest
 
 from overlapls import alternants, identities, littlewood_schur
+from overlapls import schur as schur_module
 from overlapls.littlewood_schur import ls_branching, ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap
 from overlapls.partitions import Partition, partitions_in_box, shift_first
-from overlapls.polyring import MultiPoly, NonExactDivision, VarSeq, delta_pair, e_prod, poly_sum, vandermonde
+from overlapls.polyring import (
+    MultiPoly,
+    NonExactDivision,
+    VarSeq,
+    delta_pair,
+    divexact,
+    e_prod,
+    poly_sum,
+    vandermonde,
+)
 from overlapls.schur import schur, schur_bialternant, schur_ssyt, schur_value
 
 
@@ -28,8 +38,9 @@ class TestConclude:
             return {(2, 0): 1}, rhs  # s_1(X) V(X) = a_(2, 0)(X)
 
         def build(R):
-            terms = [(sign * R.schur(self.two, S), (den or R.delta)(S, T)) for S, T in self.X.splits(1)]
-            return R.schur(self.one, self.X), terms
+            # LS_2(-S; ()) = s_2(S) and LS_1(-X; ()) = -s_1(X)
+            terms = [(sign * R.ls(self.two, S, VarSeq.of()), (den or R.delta)(S, T)) for S, T in self.X.splits(1)]
+            return -R.ls(self.one, self.X, VarSeq.of()), terms
 
         return identities._conclude("t", {}, mode, forms, build, self.X.names, (self.X,))
 
@@ -124,6 +135,18 @@ class TestSortedSplitAndCounterexample:
         naive = identities.sorted_split_sum(lam, 1, X, Y)
         assert isinstance(naive, MultiPoly)
         assert naive == ls_determinantal(lam, X, Y) - e_prod(Y)
+
+    def test_sorted_split_sum_matches_the_cleared_expansion(self):
+        # the oracle: the split terms as polynomials, cleared by V(X) and divided back; cuts past n - k included
+        for lam in partitions_in_box(3, 3):
+            for n in range(0, 4):
+                for m in range(0, 4):
+                    X, Y = VarSeq.make("x", n), VarSeq.make("y", m)
+                    for l in range(0, n + 1):
+                        head, tail = shift_first(lam.take(l), n - l, l), lam.drop(l)
+                        terms = identities._x_split_terms(_POLY_RING, head, tail, l, X, Y)
+                        expected = divexact(identities._cleared(terms, vandermonde(X)), vandermonde(X))
+                        assert identities.sorted_split_sum(lam, l, X, Y) == expected, (lam, n, m, l)
 
     def test_both_sides_match_combinatorial_route(self):
         lam = Partition((1, 1, 1))
@@ -359,7 +382,7 @@ def _sweep_refusing_products(name, mode, monkeypatch):
 
     # a cached polynomial or value would hide an expansion, so start from empty caches
     for cached in (
-        ls_determinantal, littlewood_schur.ls_branching, littlewood_schur._ls_strips,
+        ls_determinantal, littlewood_schur.ls_branching, littlewood_schur._ls_strips, schur_module._y_peel,
         schur, schur_bialternant, schur_ssyt, delta_pair, vandermonde, identities._quotient,
     ):
         cached.cache_clear()
@@ -483,11 +506,42 @@ ALTERNANT_SWEEPS = [
     "second-overlap", "walk-split", "subpartition-ls",
 ]
 _ALTERNANT_MEMOS = (
-    alternants.ls_alternant, alternants._y_peel, littlewood_schur.ls_branching,
+    alternants.ls_alternant, schur_module._y_peel, littlewood_schur.ls_branching,
     littlewood_schur._ls_strips, schur, delta_pair, vandermonde, identities._quotient,
 )
 # the polynomial ring in which the split sums were once cleared, kept as the oracle
-_POLY_RING = SimpleNamespace(ls=ls_branching, schur=schur, delta=delta_pair, vandermonde=vandermonde)
+_POLY_RING = SimpleNamespace(ls=ls_branching, delta=delta_pair, vandermonde=vandermonde)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "grid"])
+def test_clearing_sees_only_ints(mode, monkeypatch):
+    quotient, cleared, divide = identities._quotient, identities._cleared, identities.divexact
+    seen = []
+
+    def ints(*values):
+        if any(type(v) is not int for v in values):
+            raise AssertionError(f"{mode} mode cleared a non-int: {values}")
+        seen.append(values)
+
+    def checked_cleared(terms, clear):
+        terms = list(terms)
+        ints(clear, *(v for term in terms for v in term))
+        return cleared(terms, clear)
+
+    def checked(f):
+        def call(clear, den):
+            ints(clear, den)
+            return f(clear, den)
+
+        return call
+
+    quotient.cache_clear()
+    monkeypatch.setattr(identities, "_cleared", checked_cleared)
+    monkeypatch.setattr(identities, "_quotient", checked(quotient))
+    monkeypatch.setattr(identities, "divexact", checked(divide))
+    reports = identities.run_catalog(None, 2, 2, mode)
+    assert reports and all(r.passed for r in reports)
+    assert bool(seen) == (mode == "grid")
 
 
 def _cleared_expansion_agrees(build, clear):
@@ -536,10 +590,10 @@ class TestAlternantSplitSums:
         assert all(r.passed for r in reports)
         assert [(ident, a) for ident, a, b in verdicts if a != b] == []
         assert {ident for ident, _, _ in verdicts} == set(ALTERNANT_SWEEPS) | {
-            f"{name}/{how}" for name in ALTERNANT_SWEEPS if name != "first-overlap-schur" for how in ("sign", "grown")
+            f"{name}/{how}" for name in ALTERNANT_SWEEPS for how in ("sign", "grown")
         }
         failing = [ident for ident, a, _ in verdicts if not a]
-        for name in ("first-overlap", "max-index", "second-overlap", "walk-split", "subpartition-ls"):
+        for name in ALTERNANT_SWEEPS:
             assert failing.count(f"{name}/sign") > 0 and failing.count(f"{name}/grown") > 0
 
     def test_failing_witness_prints_polynomial_coefficients(self):

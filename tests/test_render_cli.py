@@ -208,14 +208,20 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "counterexample" in captured.out
 
-    def test_symbolic_stdout_at_four_vars_is_pinned(self, capsys):
-        # the digest of this stdout when symbolic split sums were still cleared as polynomials
-        assert main(["verify", "all", "--max-box", "3", "--vars", "4", "--mode", "symbolic", "--seed", "1"]) == 0
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            # symbolic: the digest when symbolic split sums were still cleared as polynomials
+            pytest.param("symbolic", "b459930ab274e0d958578849ca4025c1ad6f69d39136032732826bc88c1e9399", id="symbolic"),
+            # grid: the digest before first-overlap-schur became the X-split sum with Y empty
+            pytest.param("grid", "052ebbb86eec896c1fb2b35a88335d681c7a54fa169f4a64249500589ea8e63c", id="grid"),
+        ],
+    )
+    def test_stdout_at_four_vars_is_pinned(self, capsys, mode, digest):
+        assert main(["verify", "all", "--max-box", "3", "--vars", "4", "--mode", mode, "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 5637
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "b459930ab274e0d958578849ca4025c1ad6f69d39136032732826bc88c1e9399"
-        )
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from overlapls.polyring import (
     eval_at,
 )
 from overlapls.schur import (
+    _y_peel,
     complement_reciprocity_check,
     factor_rule_check,
     schur,
@@ -139,6 +140,19 @@ class TestIntegerSchurValue:
         point = dict(zip(X.names, values))
         for lam in partitions_in_box(3, 3):
             assert schur_value(lam, values) == eval_at(schur_ssyt(lam, X), point)
+
+
+class TestYPeel:
+    def test_hook_pruning_drops_only_long_shapes(self):
+        # with n = l(parts) the hook test never prunes, so that peel is the unpruned oracle
+        ys_of = {"variables": lambda m: VarSeq.make("y", m).terms(), "point": lambda m: (2, 3, 5)[:m]}
+        for ring, ys in ys_of.items():
+            for lam in partitions_in_box(4, 4):
+                for m in range(0, 4):
+                    full = _y_peel(lam.parts, ys(m), lam.length)
+                    for n in range(0, 5):
+                        kept = {nu: c for nu, c in full if len(nu) <= n}
+                        assert dict(_y_peel(lam.parts, ys(m), n)) == kept, (ring, lam, m, n)
 
 
 class TestFactorRule:
