@@ -89,7 +89,7 @@ def times_delta(form: dict, vs: tuple, l: int) -> dict:
     j ones (the Pieri rule), an alpha + eps with a repeated entry giving 0.
     Only the vs are multiplied out.
     """
-    steps = list(itertools.product((0, 1), repeat=l))
+    steps = list(itertools.product((0, 1), repeat=l)) if vs else ()
     for v in vs:
         pows = [1, *itertools.accumulate(itertools.repeat(v, l), operator.mul)]
         coeffs = [-pows[l - j] if j % 2 else pows[l - j] for j in range(l + 1)]

@@ -9,32 +9,33 @@ through the walk and subpartition enumerators, never by scanning partitions,
 so a passing verifier simultaneously certifies the bijections behind those
 enumerators.
 
-Both overlap identities come from one Laplace expansion, and each split sum
-has one term shape, built in one place: _conclude_x_splits for sums over
-splits (S, T) of X, _conclude_y_splits for sums over splits (U, V) of Y.
-first-overlap-schur is the X-split sum with Y empty, and sorted_split_sum
-reads its polynomial off the same coefficient map (_x_split_form).
+Both overlap identities come from one Laplace expansion, and each family
+of split sums has one symbolic comparison, written once: _x_split_forms for
+sums over splits (S, T) of X, _y_split_forms for sums over splits (U, V) of
+Y.  The four Schur corollaries are those sums with Y empty:
+first-overlap-schur is the X-split comparison, and the union-Schur checks
+(_union_schur) are the Y-split comparison with one summand per triple.
+sorted_split_sum reads its polynomial off the X-split coefficient map.
 Each split sum iterates over order-preserving subsequences of a fixed
 variable order; every Vandermonde-type sign follows from that single rule.
 
 A check whose two sides are exact data compares them exactly in both modes,
-through _exact: the union-Schur checks (_union_schur compares the integer
-coefficients of the alternants the two sides become), dual Cauchy and the
-counterexample.  Only the split sums depend on the mode, and the two modes
-check them by different methods; _conclude is the one function that reads
-the mode.  Symbolic mode reads the paper's Laplace expansion on
-coefficients: multiplied by the Vandermonde product V of each cleared
-alphabet, both sides are sums of alternants in X (or in S and T) with
-coefficients that are polynomials in Y, so they are equal exactly when the
-coefficients agree at the strictly decreasing exponent keys.  The
-alternants module gives the pieces: every LS factor times V is such a
-coefficient map (ls_alternant, which peels only the y-variables), each
-split sum is the Laplace expansion of an alternant (merge_splits,
-shuffles), and a product of differences with one letter in S or T is
-applied by the Pieri rule (times_delta), so symbolic mode multiplies
-polynomials in Y only.  Grid mode writes the two sides once, as
-build(R), from the integer primitives R.ls and R.delta at each spot
-point, and compares lhs times V (R.vandermonde) with the sum of the
+through _exact: the Schur corollaries, whose coefficient maps hold ints
+when Y is empty, dual Cauchy and the counterexample.  Only the five LS
+split sums depend on the mode, and the two modes check them by different
+methods; _conclude is the one function that reads the mode.  Symbolic mode
+reads the paper's Laplace expansion on coefficients: multiplied by the
+Vandermonde product V of each cleared alphabet, both sides are sums of
+alternants in X (or in S and T) with coefficients that are polynomials in
+Y, so they are equal exactly when the coefficients agree at the strictly
+decreasing exponent keys.  The alternants module gives the pieces: every
+LS factor times V is such a coefficient map (ls_alternant, which peels
+only the y-variables), each split sum is the Laplace expansion of an
+alternant (merge_splits, shuffles), and a product of differences with one
+letter in S or T is applied by the Pieri rule (times_delta), so symbolic
+mode multiplies polynomials in Y only.  Grid mode writes the two sides
+once, as build(R), from the integer primitives R.ls and R.delta at each
+spot point, and compares lhs times V (R.vandermonde) with the sum of the
 numerators times V / den, each quotient certified exact by divexact.
 Each LS value there comes from the strip branching rule (ls_value runs it
 at the point, R.delta and R.vandermonde multiply integer differences), so
@@ -65,7 +66,6 @@ from .overlap import (
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
     overlap,
-    staircase,
     subpartition_to_overlap,
     walk_overlap_pair,
 )
@@ -81,7 +81,6 @@ from .polyring import (
     e_prod,
     laplace_expand,
     poly_sum,
-    vandermonde,
     vandermonde_of,
 )
 from .schur import complement_reciprocity_check, factor_rule_check, schur
@@ -184,34 +183,33 @@ def _x_split_terms(R, head, tail, l, X: VarSeq, Y: VarSeq, sign=1):
     ]
 
 
-def _x_split_form(head, tail, l, X: VarSeq, Y: VarSeq, sign):
-    """The sum of _x_split_terms times V(X), as a coefficient map with coefficients in Y.
+def _x_split_forms(lam, head, tail, l, X: VarSeq, Y: VarSeq, sign):
+    """LS(lam; X, Y), or 0 when lam is None, and the sum of _x_split_terms, both times V(X), as coefficient maps in Y.
 
     Times V(X), each term becomes sign (-1)^e V(S) LS(head; S) V(T)
     LS(tail; T), e counting the pairs of X whose S letter comes first
-    (V(X) / delta(T, S) = (-1)^e V(S) V(T)); ls_alternant reads both LS
-    times V as coefficient maps, which depend on an alphabet only through
-    its length, and merge_splits sums the splits.
+    (V(X) / delta(T, S) = (-1)^e V(S) V(T)); ls_alternant reads every LS
+    times V as a coefficient map, which depends on an alphabet only through
+    its length, and merge_splits sums the splits.  With Y empty the maps hold
+    ints.
     """
     n, ys = len(X), Y.terms()
+    lhs = {} if lam is None else ls_alternant(lam.parts, n, ys)
     rhs = {}
     head_form, tail_form = ls_alternant(head.parts, l, ys), ls_alternant(tail.parts, n - l, ys)
     merge_splits(rhs, sign * (-1) ** (l * (n - l)), head_form, tail_form)
-    return rhs
+    return lhs, nonzero(rhs)
 
 
 def _conclude_x_splits(ident, instance, mode, lam, head, tail, l, X: VarSeq, Y: VarSeq, sign):
     """LS(lam; X, Y), or 0 when lam is None, against the sum of _x_split_terms.
 
-    Symbolic mode compares ls_alternant of lam with _x_split_form.
+    Symbolic mode compares _x_split_forms.
     """
-    def forms():
-        lhs = {} if lam is None else ls_alternant(lam.parts, len(X), Y.terms())
-        return lhs, nonzero(_x_split_form(head, tail, l, X, Y, sign))
-
     def build(R):
         return (0 if lam is None else R.ls(lam, X, Y)), _x_split_terms(R, head, tail, l, X, Y, sign)
 
+    forms = functools.partial(_x_split_forms, lam, head, tail, l, X, Y, sign)
     return _conclude(ident, instance, mode, forms, build, X.names + Y.names, (X,))
 
 
@@ -251,7 +249,7 @@ def sorted_split_sum(lam, l, X: VarSeq, Y: VarSeq) -> MultiPoly:
     remaining parts over all splits; valid only while l stays at most n - k.
     """
     n = len(X)
-    form = _x_split_form(shift_first(lam.take(l), n - l, l), lam.drop(l), l, X, Y, 1)
+    _, form = _x_split_forms(None, shift_first(lam.take(l), n - l, l), lam.drop(l), l, X, Y, 1)
     # the key nu + delta_n with coefficient c stands for c s_nu(X) V(X)
     return poly_sum(c * schur(Partition._of(_unstair(key, n)), X) for key, c in form.items())
 
@@ -308,48 +306,57 @@ def _second_overlap_setup(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
     return n, m, l, lam.index(m, n), {"lambda": lam.to_json(), "l(S)": l, "l(T)": n - l, "m": m}
 
 
+def _y_split_forms(lam, S, T, Y, summands):
+    """LS(lam; S u T, Y) and the sum of the summands' terms, both times V(S u T) V(Y), as coefficient maps in Y.
+
+    A summand (U, V, sign, reduced, below) stands for sign delta(V, S)
+    delta(T, U) LS(reduced; S, U) LS(below; T, V) / (delta(V, U) delta(T, S)),
+    U and V splitting Y.  The maps are keyed by pairs (alpha, beta) of
+    exponent keys on S and on T.  The left side's are the shuffle signs of
+    each key of LS(lam) V(S u T).  On the right, V(S u T) / delta(T, S) =
+    (-1)^(l(S) l(T)) V(S) V(T), V(Y) / delta(V, U) = (-1)^e V(U) V(V) with e
+    the pairs of Y whose U letter comes first, and delta(T, U) =
+    (-1)^(l(T) l(U)) prod (u - t); the two products of differences with an S
+    or T letter go into the coefficient maps by times_delta, so only
+    polynomials in Y are multiplied.  With Y empty the maps hold ints.
+    """
+    l, r = len(S), len(T)
+    ys = Y.terms()
+    vy = vandermonde_of(ys)
+    lhs = {}
+    for gamma, c in ls_alternant(lam.parts, l + r, ys).items():
+        c = c * vy
+        for alpha, beta, sign in shuffles(gamma, l):
+            lhs[alpha, beta] = sign * c
+    # (us, vs, the sign and Vandermonde factor of the split), read with one lookup per summand
+    factors = {}
+    rhs = {}
+    for U, V, sign, reduced, below in summands:
+        split = factors.get((U, V))
+        if split is None:
+            us, vs = U.terms(), V.terms()
+            e = sum(Y.names.index(u) < Y.names.index(v) for u in U.names for v in V.names)
+            split = factors[U, V] = us, vs, (-1) ** (l * r + r * len(us) + e) * vandermonde_of(us) * vandermonde_of(vs)
+        us, vs, factor = split
+        head = times_delta(ls_alternant(reduced.parts, l, us), vs, l)
+        if not head:
+            continue
+        tail = times_delta(ls_alternant(below.parts, r, vs), us, r)
+        factor = sign * factor
+        for alpha, a in head.items():
+            a = factor * a
+            for beta, b in tail.items():
+                key, c = (alpha, beta), a * b
+                rhs[key] = rhs[key] + c if key in rhs else c
+    return nonzero(lhs), nonzero(rhs)
+
+
 def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
     """LS(lam; S u T, Y) against the sum over splits (U, V) of Y of the summands' terms.
 
-    A summand (U, V, sign, reduced, below) stands for sign delta(V, S)
-    delta(T, U) LS(reduced; S, U) LS(below; T, V) / (delta(V, U) delta(T, S)).
-    Symbolic mode multiplies both sides by V(S u T) V(Y) and compares
-    coefficients at pairs (alpha, beta) of exponent keys on S and on T.
-    The left side's are the shuffle signs of each key of LS(lam) V(S u T).
-    On the right, V(S u T) / delta(T, S) = (-1)^(l(S) l(T)) V(S) V(T),
-    V(Y) / delta(V, U) = (-1)^e V(U) V(V) with e the pairs of Y whose U letter
-    comes first, and delta(T, U) = (-1)^(l(T) l(U)) prod (u - t); the two
-    products of differences with an S or T letter go into the coefficient
-    maps by times_delta, so only polynomials in Y are multiplied.  Grid mode
-    makes each delta factor once per split and clears by V(S u T) V(Y).
+    Symbolic mode compares _y_split_forms; grid mode makes each delta factor
+    once per split and clears by V(S u T) V(Y).
     """
-    def forms():
-        l, r = len(S), len(T)
-        vy = vandermonde(Y)
-        lhs = {}
-        for gamma, c in ls_alternant(lam.parts, l + r, Y.terms()).items():
-            c = c * vy
-            for alpha, beta, sign in shuffles(gamma, l):
-                lhs[alpha, beta] = sign * c
-        factors = {}
-        rhs = {}
-        for U, V, sign, reduced, below in summands:
-            us, vs = U.terms(), V.terms()
-            if (U, V) not in factors:
-                e = sum(Y.names.index(u) < Y.names.index(v) for u in U.names for v in V.names)
-                factors[U, V] = (-1) ** (l * r + r * len(us) + e) * vandermonde(U) * vandermonde(V)
-            head = times_delta(ls_alternant(reduced.parts, l, us), vs, l)
-            if not head:
-                continue
-            tail = times_delta(ls_alternant(below.parts, r, vs), us, r)
-            factor = sign * factors[U, V]
-            for alpha, a in head.items():
-                a = factor * a
-                for beta, b in tail.items():
-                    key, c = (alpha, beta), a * b
-                    rhs[key] = rhs[key] + c if key in rhs else c
-        return nonzero(lhs), nonzero(rhs)
-
     def build(R):
         factors = {}
         terms = []
@@ -360,6 +367,7 @@ def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
             terms.append((sign * num * R.ls(reduced, S, U) * R.ls(below, T, V), den))
         return R.ls(lam, S.concat(T), Y), terms
 
+    forms = functools.partial(_y_split_forms, lam, S, T, Y, summands)
     return _conclude(ident, instance, mode, forms, build, S.names + T.names + Y.names, (S.concat(T), Y))
 
 
@@ -453,32 +461,23 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
     ov = overlap(mu, nu, m, n)
     # signs cancel: s_lam = (-1)^|lam| LS_lam(-X; ()), |ov| = |mu| + |nu| - mn, delta(S, T) = (-1)^(mn) delta(T, S)
     lam = ov.value if ov.is_finite else None
-    return _conclude_x_splits(ident, instance, mode, lam, mu, nu, m, X, VarSeq.of(), ov.sign)
+    # with Y empty both maps hold ints, so the check is exact in both modes
+    return _exact(ident, instance, mode, *_x_split_forms(lam, mu, nu, m, X, VarSeq.of(), ov.sign), coefficients_differ)
 
 
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
     """schur(target, S u T) * delta(S, T) against sum sign * s_mu(S) * s_nu(T) over the triples.
 
-    Exact in both modes, and builds no polynomial.  Times V(S) V(T), the
-    left side is the alternant a_(target + delta)(S u T) (bialternant
-    formula) and each term is sign * a_(mu + delta)(S) * a_(nu + delta)(T).
-    Both sides are then antisymmetric in S and in T, so they are equal
-    exactly when their coefficients agree at the pairs (alpha, beta) of
-    strictly decreasing exponent vectors.  The left side's coefficients are
-    the Laplace expansion of the alternant along the rows of S: the shuffle
-    sign of each split of gamma = target + delta_(m+n) into alpha and beta.
-    The mode only labels the report.
+    The Y-split sum with Y empty: each triple is the summand (empty, empty,
+    sign, mu, nu) of _y_split_forms, whose maps then hold ints, so the check is
+    exact in both modes and the mode only labels the report.  As
+    LS_lam(-X; ()) = (-1)^|lam| s_lam(X) and each triple has |mu| + |nu| =
+    |target| + l(S) l(T), both maps are (-1)^|target| times the coefficients
+    of the alternants that the two sides times V(S) V(T) become.
     """
-    m, n = len(S), len(T)
-    lhs = {}
-    if target.length <= m + n:
-        lhs = {(alpha, beta): sign for alpha, beta, sign in shuffles(staircase(target, m + n), m)}
-    rhs = {}
-    for mu, nu, sign in triples:
-        if mu.length <= m and nu.length <= n:
-            key = staircase(mu, m), staircase(nu, n)
-            rhs[key] = rhs.get(key, 0) + sign
-    return _exact(ident, instance, mode, lhs, nonzero(rhs), coefficients_differ)
+    empty = VarSeq.of()
+    summands = [(empty, empty, sign, mu, nu) for mu, nu, sign in triples]
+    return _exact(ident, instance, mode, *_y_split_forms(target, S, T, empty, summands), coefficients_differ)
 
 
 def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):

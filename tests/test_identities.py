@@ -436,6 +436,8 @@ def test_schur_values_need_no_determinant(mode, monkeypatch):
 
 
 UNION_SWEEPS = ["second-overlap-schur", "labeled-walk-schur", "subpartition-schur"]
+# the Schur corollaries: the split sums with Y empty, whose coefficient maps hold ints
+SCHUR_SWEEPS = ["first-overlap-schur", *UNION_SWEEPS]
 
 
 def _union_checks(lam, S, T, mode="symbolic"):
@@ -446,8 +448,16 @@ def _union_checks(lam, S, T, mode="symbolic"):
     yield lambda: identities.verify_subpartition_schur(lam.conjugate(), m, n, 3, S, T, mode)
 
 
+def _x_split_oracle(lam, head, tail, l, X, Y, sign):
+    """The cleared expansion's verdict on LS(lam; X, Y), or 0 when lam is None, against the sum of _x_split_terms."""
+    def build(R):
+        return (0 if lam is None else R.ls(lam, X, Y)), identities._x_split_terms(R, head, tail, l, X, Y, sign)
+
+    return _cleared_expansion_agrees(build, (X,))
+
+
 class TestUnionSchurCoefficients:
-    """The alternant-coefficient check against the expanded polynomials, kept as an oracle."""
+    """The coefficient checks of the four Schur corollaries against the expanded polynomials, kept as oracles."""
 
     def test_verdicts_match_the_expansion(self, monkeypatch):
         union_schur = identities._union_schur
@@ -477,6 +487,28 @@ class TestUnionSchurCoefficients:
                 assert check().passed
         assert sorted(set(seen)) == sorted(UNION_SWEEPS) and len(seen) == 3 * len(instances)
 
+        # first-overlap-schur: the Y-free X-split forms, their cleared expansion and the point route agree
+        x_split_forms = identities._x_split_forms
+        verdicts = []
+
+        def checked_x(lam, head, tail, l, X, Y, sign):
+            assert not Y
+            # the instance, a flipped-sign mutant and a grown-mu mutant
+            for how, h, s in (("", head, sign), ("sign", head, -sign), ("grown", _grown(head), sign)):
+                lhs, rhs = x_split_forms(lam, h, tail, l, X, Y, s)
+                points = identities._conclude_x_splits("t", {}, "grid", lam, h, tail, l, X, Y, s)
+                verdicts.append((how, lhs == rhs))
+                assert (lhs == rhs) == _x_split_oracle(lam, h, tail, l, X, Y, s) == points.passed
+            return x_split_forms(lam, head, tail, l, X, Y, sign)
+
+        monkeypatch.setattr(identities, "_x_split_forms", checked_x)
+        reports = identities._sweep_first_overlap_schur(3, 1, "symbolic", 0)
+        assert reports and all(r.passed for r in reports)
+        assert len(verdicts) == 3 * len(reports)
+        assert all(passed for how, passed in verdicts if not how)
+        assert any(not passed for how, passed in verdicts if how == "sign")
+        assert any(not passed for how, passed in verdicts if how == "grown")
+
     def test_flipped_sign_and_vanishing_terms(self):
         # s_1(s, t) (s - t) = s^2 - t^2 = s_2(s) - s_2(t)
         S, T = VarSeq.make("s", 1), VarSeq.make("t", 1)
@@ -492,19 +524,18 @@ class TestUnionSchurCoefficients:
         assert check(-1, (Partition((1, 1)), empty, 1), (empty, Partition((2, 1)), 1)).passed
         r = check(1)
         assert r.failed
-        assert r.witness == "coefficients differ: [(((0,), (2,)), -1), (((0,), (2,)), 1)]"
+        # the maps are LS-normalized, (-1)^|lam| times the Schur ones, so for |lam| = 1 both entries flip
+        assert r.witness == "coefficients differ: [(((0,), (2,)), 1), (((0,), (2,)), -1)]"
 
 
-@pytest.mark.parametrize("name", UNION_SWEEPS)
+# grid mode on these sweeps is test_grid_mode_expands_no_polynomial
+@pytest.mark.parametrize("name", SCHUR_SWEEPS)
 def test_symbolic_union_schur_expands_no_polynomial(name, monkeypatch):
     _sweep_refusing_products(name, "symbolic", monkeypatch)
 
 
-# the split sums that symbolic mode checks by alternant coefficients
-ALTERNANT_SWEEPS = [
-    "first-overlap", "max-index", "first-overlap-schur",
-    "second-overlap", "walk-split", "subpartition-ls",
-]
+# the split sums that depend on the mode: symbolic mode checks them by alternant coefficients
+ALTERNANT_SWEEPS = ["first-overlap", "max-index", "second-overlap", "walk-split", "subpartition-ls"]
 _ALTERNANT_MEMOS = (
     alternants.ls_alternant, schur_module._y_peel, littlewood_schur.ls_branching,
     littlewood_schur._ls_strips, schur, delta_pair, vandermonde, identities._quotient,
@@ -585,8 +616,7 @@ class TestAlternantSplitSums:
         monkeypatch.setattr(identities, "_conclude_x_splits", mutated_x)
         monkeypatch.setattr(identities, "_conclude_y_splits", mutated_y)
         # alphabets of at most 3 variables: X, S u T and Y
-        reports = identities.run_catalog(ALTERNANT_SWEEPS[:2] + ALTERNANT_SWEEPS[3:], max_box=3, nvars=3)
-        reports += identities.run_catalog(["first-overlap-schur"], max_box=3, nvars=1)
+        reports = identities.run_catalog(ALTERNANT_SWEEPS, max_box=3, nvars=3)
         assert all(r.passed for r in reports)
         assert [(ident, a) for ident, a, b in verdicts if a != b] == []
         assert {ident for ident, _, _ in verdicts} == set(ALTERNANT_SWEEPS) | {
@@ -629,7 +659,8 @@ def test_symbolic_split_sums_multiply_only_y_polynomials(name, monkeypatch):
     assert reports and all(r.passed for r in reports)
 
 
-@pytest.mark.parametrize("name", ALTERNANT_SWEEPS)
+# first-overlap-schur takes the same exact route in both modes, so its reports must agree too
+@pytest.mark.parametrize("name", ALTERNANT_SWEEPS + ["first-overlap-schur"])
 def test_coefficients_and_points_agree_per_check(name):
     symbolic, grid = (identities.run_catalog([name], max_box=3, nvars=3, mode=mode) for mode in ("symbolic", "grid"))
     assert [(r.identity, r.instance, r.outcome) for r in symbolic] == [
@@ -683,6 +714,31 @@ class TestExactInGridMode:
                 assert a.passed and b.mode == "grid"
                 assert replace(b, mode="symbolic") == a
         assert flipped.count("grid") == flipped.count("symbolic") > 0
+
+        # first-overlap-schur, as it is and with every overlap sign flipped: the same reports, witnesses included
+        x_split_forms = identities._x_split_forms
+        for flip in (1, -1):
+            monkeypatch.setattr(
+                identities, "_x_split_forms",
+                lambda lam, head, tail, l, X, Y, sign: x_split_forms(lam, head, tail, l, X, Y, flip * sign),
+            )
+            symbolic, grid = (identities._sweep_first_overlap_schur(2, 2, mode, 0) for mode in ("symbolic", "grid"))
+            assert all(b.mode == "grid" for b in grid)
+            assert [replace(b, mode="symbolic") for b in grid] == symbolic
+            failed = [r for r in grid if r.failed]
+            assert bool(failed) == (flip == -1)
+            assert all(r.witness.startswith("coefficients differ: ") for r in failed)
+
+    def test_schur_corollaries_clear_nothing(self, monkeypatch):
+        # grid mode compares the Schur corollaries' integer coefficient maps: no LS value, no clearing
+        def refuse(*args):
+            raise AssertionError("a Schur corollary took an LS value or cleared a sum at a spot point")
+
+        for name in ("ls_value", "_cleared", "_quotient"):
+            monkeypatch.setattr(identities, name, refuse)
+        for name in SCHUR_SWEEPS:
+            reports = identities.run_catalog([name], max_box=3, nvars=2, mode="grid")
+            assert reports and all(r.passed and r.mode == "grid" for r in reports)
 
     @pytest.mark.parametrize("name", list(identities.CATALOG))
     def test_no_sweep_evaluates_a_polynomial(self, name, monkeypatch):

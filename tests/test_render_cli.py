@@ -164,6 +164,15 @@ class TestRenderCommand:
         assert code == 2
 
 
+# (lines, sha256) of `verify NAME --max-box 3 --vars 5 --mode grid --seed 1`: S u T of up to
+# 10 letters, which no other pin reaches; measured while first-overlap-schur was cleared at spot points
+SCHUR_GRID_PINS = {
+    "first-overlap-schur": (100, "ce72c4bee39ee18ceac147f59934280e4487b573c759ac5583db07f25cced2e9"),
+    "second-overlap-schur": (639, "bffe5ca87452ee238ac3b4f3ef039124df3823a4c739a859cfd58b304377f4ed"),
+    "labeled-walk-schur": (639, "f10599419532d9810be2c0ff21ae7e863a401af2f26a81989f386b49bb310ffa"),
+}
+
+
 class TestVerifyCommand:
     def test_counterexample(self):
         code, out, _ = run_cli("verify", "counterexample")
@@ -221,6 +230,14 @@ class TestVerifyCommand:
         assert main(["verify", "all", "--max-box", "3", "--vars", "4", "--mode", mode, "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 5637
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", list(SCHUR_GRID_PINS))
+    def test_schur_grid_stdout_at_five_vars_is_pinned(self, capsys, name):
+        lines, digest = SCHUR_GRID_PINS[name]
+        assert main(["verify", name, "--max-box", "3", "--vars", "5", "--mode", "grid", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
