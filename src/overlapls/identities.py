@@ -12,9 +12,12 @@ enumerators.
 Both overlap identities come from one Laplace expansion, and each family
 of split sums has one symbolic comparison, written once: _x_split_forms for
 sums over splits (S, T) of X, _y_split_forms for sums over splits (U, V) of
-Y.  The four Schur corollaries are those sums with Y empty:
+Y.  The Y-split summands come keyed by split, {(U, V): [(sign, reduced,
+below), ...]}, so each split's factors are formed once per key, in both
+modes.  The four Schur corollaries are those sums with Y empty:
 first-overlap-schur is the X-split comparison, and the union-Schur checks
-(_union_schur) are the Y-split comparison with one summand per triple.
+(_union_schur) are the Y-split comparison with the one split (empty, empty)
+and one term per triple.
 sorted_split_sum reads its polynomial off the X-split coefficient map.
 Each split sum iterates over order-preserving subsequences of a fixed
 variable order; every Vandermonde-type sign follows from that single rule.
@@ -45,6 +48,7 @@ and build no fraction; _cleared and _quotient see only ints.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 import random
@@ -62,10 +66,10 @@ from .alternants import (
 )
 from .littlewood_schur import littlewood_square_check, ls_determinantal, ls_value
 from .overlap import (
-    _unstair,
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
     overlap,
+    staircase,
     subpartition_to_overlap,
     walk_overlap_pair,
 )
@@ -84,7 +88,7 @@ from .polyring import (
     vandermonde_of,
 )
 from .schur import complement_reciprocity_check, factor_rule_check, schur
-from .walks import enumerate_walks
+from .walks import _labeled, _unstair, enumerate_walks, walk_times
 
 _SPOT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _SPOT_COUNT = 4
@@ -309,11 +313,13 @@ def _second_overlap_setup(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
 def _y_split_forms(lam, S, T, Y, summands):
     """LS(lam; S u T, Y) and the sum of the summands' terms, both times V(S u T) V(Y), as coefficient maps in Y.
 
-    A summand (U, V, sign, reduced, below) stands for sign delta(V, S)
-    delta(T, U) LS(reduced; S, U) LS(below; T, V) / (delta(V, U) delta(T, S)),
-    U and V splitting Y.  The maps are keyed by pairs (alpha, beta) of
-    exponent keys on S and on T.  The left side's are the shuffle signs of
-    each key of LS(lam) V(S u T).  On the right, V(S u T) / delta(T, S) =
+    summands maps each split (U, V) of Y to its terms (sign, reduced,
+    below); a term stands for sign delta(V, S) delta(T, U) LS(reduced; S, U)
+    LS(below; T, V) / (delta(V, U) delta(T, S)), and each split's sign and
+    Vandermonde factor is formed once, for all of its terms.  The maps are
+    keyed by pairs (alpha, beta) of exponent keys on S and on T.  The left
+    side's are the shuffle signs of each key of LS(lam) V(S u T).  On the
+    right, V(S u T) / delta(T, S) =
     (-1)^(l(S) l(T)) V(S) V(T), V(Y) / delta(V, U) = (-1)^e V(U) V(V) with e
     the pairs of Y whose U letter comes first, and delta(T, U) =
     (-1)^(l(T) l(U)) prod (u - t); the two products of differences with an S
@@ -328,44 +334,38 @@ def _y_split_forms(lam, S, T, Y, summands):
         c = c * vy
         for alpha, beta, sign in shuffles(gamma, l):
             lhs[alpha, beta] = sign * c
-    # (us, vs, the sign and Vandermonde factor of the split), read with one lookup per summand
-    factors = {}
     rhs = {}
-    for U, V, sign, reduced, below in summands:
-        split = factors.get((U, V))
-        if split is None:
-            us, vs = U.terms(), V.terms()
-            e = sum(Y.names.index(u) < Y.names.index(v) for u in U.names for v in V.names)
-            split = factors[U, V] = us, vs, (-1) ** (l * r + r * len(us) + e) * vandermonde_of(us) * vandermonde_of(vs)
-        us, vs, factor = split
-        head = times_delta(ls_alternant(reduced.parts, l, us), vs, l)
-        if not head:
-            continue
-        tail = times_delta(ls_alternant(below.parts, r, vs), us, r)
-        factor = sign * factor
-        for alpha, a in head.items():
-            a = factor * a
-            for beta, b in tail.items():
-                key, c = (alpha, beta), a * b
-                rhs[key] = rhs[key] + c if key in rhs else c
+    for (U, V), terms in summands.items():
+        us, vs = U.terms(), V.terms()
+        e = sum(Y.names.index(u) < Y.names.index(v) for u in U.names for v in V.names)
+        factor = (-1) ** (l * r + r * len(us) + e) * vandermonde_of(us) * vandermonde_of(vs)
+        for sign, reduced, below in terms:
+            head = times_delta(ls_alternant(reduced.parts, l, us), vs, l)
+            if not head:
+                continue
+            tail = times_delta(ls_alternant(below.parts, r, vs), us, r)
+            signed = sign * factor
+            for alpha, a in head.items():
+                a = signed * a
+                for beta, b in tail.items():
+                    key, c = (alpha, beta), a * b
+                    rhs[key] = rhs[key] + c if key in rhs else c
     return nonzero(lhs), nonzero(rhs)
 
 
 def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
     """LS(lam; S u T, Y) against the sum over splits (U, V) of Y of the summands' terms.
 
-    Symbolic mode compares _y_split_forms; grid mode makes each delta factor
-    once per split and clears by V(S u T) V(Y).
+    summands maps each split (U, V) to its terms, as in _y_split_forms.
+    Symbolic mode compares _y_split_forms; grid mode makes each split's delta
+    factors once and clears by V(S u T) V(Y).
     """
     def build(R):
-        factors = {}
-        terms = []
-        for U, V, sign, reduced, below in summands:
-            if (U, V) not in factors:
-                factors[U, V] = R.delta(V, S) * R.delta(T, U), R.delta(V, U) * R.delta(T, S)
-            num, den = factors[U, V]
-            terms.append((sign * num * R.ls(reduced, S, U) * R.ls(below, T, V), den))
-        return R.ls(lam, S.concat(T), Y), terms
+        out = []
+        for (U, V), terms in summands.items():
+            num, den = R.delta(V, S) * R.delta(T, U), R.delta(V, U) * R.delta(T, S)
+            out += [(sign * num * R.ls(reduced, S, U) * R.ls(below, T, V), den) for sign, reduced, below in terms]
+        return R.ls(lam, S.concat(T), Y), out
 
     forms = functools.partial(_y_split_forms, lam, S, T, Y, summands)
     return _conclude(ident, instance, mode, forms, build, S.names + T.names + Y.names, (S.concat(T), Y))
@@ -385,22 +385,28 @@ def _fiber_labels(head, c, l, Y):
 
 
 def _walk_labels(head, c, l, Y):
-    """The same labels from single walks: the prefix carries the fiber pair, the suffix the split of Y."""
-    for pi in enumerate_walks(len(Y) + c - l, l):
-        pi1, pi2 = pi.split(c)
-        U = Y.subseq([t - 1 for t in pi2.v_times()])
-        V = Y.subseq([t - 1 for t in pi2.h_times()])
-        yield (pi2.m, U, V) + walk_overlap_pair(head, pi1)
+    """The same labels from single walks: the prefix carries the fiber pair, the suffix the split of Y.
+
+    The step times are cut at c: the first i V times and c - i H times are
+    the prefix walk's, and the later ones, less c + 1, index the letters of Y
+    that go to U and to V.
+    """
+    stair = (None, *staircase(head, c))
+    for v_times, h_times in walk_times(len(Y) + c - l, l):
+        i = bisect.bisect(v_times, c)
+        U = Y.subseq([t - c - 1 for t in v_times[i:]])
+        V = Y.subseq([t - c - 1 for t in h_times[c - i:]])
+        yield (l - i, U, V) + _labeled(stair, v_times[:i], h_times[:c - i], Partition._of)
 
 
 def _second_overlap_summands(lam, S, T, Y, k, labels):
-    """The summands of the triple sum, one per label of labels(head, n - k, l, Y)."""
+    """The summands of the triple sum by split (U, V) of Y, one term per label of labels(head, n - k, l, Y)."""
     n, m, l = len(S) + len(T), len(Y), len(S)
     tail = lam.drop(n - k)
-    return [
-        (U, V, sign, shift_first(mu, -(m - k), l - p), nu.union(tail))
-        for p, U, V, mu, nu, sign in labels(lam.take(n - k), n - k, l, Y)
-    ]
+    summands = {}
+    for p, U, V, mu, nu, sign in labels(lam.take(n - k), n - k, l, Y):
+        summands.setdefault((U, V), []).append((sign, shift_first(mu, -(m - k), l - p), nu.union(tail)))
+    return summands
 
 
 def verify_second_overlap(lam, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic"):
@@ -468,15 +474,15 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
     """schur(target, S u T) * delta(S, T) against sum sign * s_mu(S) * s_nu(T) over the triples.
 
-    The Y-split sum with Y empty: each triple is the summand (empty, empty,
-    sign, mu, nu) of _y_split_forms, whose maps then hold ints, so the check is
-    exact in both modes and the mode only labels the report.  As
+    The Y-split sum with Y empty: each triple is a term (sign, mu, nu) of the
+    one split (empty, empty) of _y_split_forms, whose maps then hold ints, so
+    the check is exact in both modes and the mode only labels the report.  As
     LS_lam(-X; ()) = (-1)^|lam| s_lam(X) and each triple has |mu| + |nu| =
     |target| + l(S) l(T), both maps are (-1)^|target| times the coefficients
     of the alternants that the two sides times V(S) V(T) become.
     """
     empty = VarSeq.of()
-    summands = [(empty, empty, sign, mu, nu) for mu, nu, sign in triples]
+    summands = {(empty, empty): [(sign, mu, nu) for mu, nu, sign in triples]}
     return _exact(ident, instance, mode, *_y_split_forms(target, S, T, empty, summands), coefficients_differ)
 
 
@@ -533,13 +539,15 @@ def verify_subpartition_ls(kappa, m, n, n_tilde, l, q, S: VarSeq, T: VarSeq, Y: 
         return report.inapplicable(ident, instance, f"kappa not inside {m + n}x{l}")
     if not kappa.contains_cell(m + n, q - n_tilde):
         return report.inapplicable(ident, instance, "kappa misses the corner cell")
-    summands = []
+    summands = {}
     for p in range(0, min(m, q) + 1):
+        # the terms depend on p only, so the splits of one size share one list
         at_p = []
         for lam, K in enumerate_subpartition_pairs(kappa, m - p, n + p, l):
             mu, below, sign = subpartition_to_overlap(lam, K, m - p, n + p + l)
             at_p.append((sign, shift_first(mu, -(q - n_tilde), m - p), below))
-        summands += [(U, V) + summand for U, V in Y.splits(p) for summand in at_p]
+        if at_p:
+            summands.update(dict.fromkeys(Y.splits(p), at_p))
     return _conclude_y_splits(ident, instance, mode, kappa.conjugate(), S, T, Y, summands)
 
 

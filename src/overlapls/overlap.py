@@ -22,7 +22,7 @@ import itertools
 import operator
 
 from .partitions import Partition, binomial, partitions_in_box
-from .walks import StaircaseWalk, enumerate_walks, is_quasi_partition, walk_geometry
+from .walks import StaircaseWalk, _labeled, _unstair, is_quasi_partition, walk_times
 
 
 class OverlapResult:
@@ -108,11 +108,6 @@ def staircase(lam: Partition, k: int) -> tuple:
     return tuple(map(operator.add, parts + (0,) * (k - len(parts)), range(k - 1, -1, -1)))
 
 
-def _unstair(seq, k: int) -> tuple:
-    """seq - rho_k for k values seq: value j (0-based) loses k - 1 - j."""
-    return tuple(map(operator.sub, seq, range(k - 1, -1, -1)))
-
-
 def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
     """All (mu, nu, sign) with overlap(mu, nu, m, n) finite and equal to lam.
 
@@ -120,12 +115,13 @@ def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
     of vertical steps extend the rows above the walk into mu, labels of
     horizontal steps extend the columns below into nu; the sign counts the
     boxes below the walk.  lam + rho_{m+n} is built once, and each walk
-    reads mu and nu off it at its step times.
+    reads mu and nu off it at its step times, which walk_times reads off
+    the combinations of step positions.
     """
     _check_fiber(lam, m, n)
     stair = (None, *staircase(lam, m + n))
-    for pi in enumerate_walks(n, m):
-        yield _labeled(stair, pi, Partition._of)
+    for v_times, h_times in walk_times(n, m):
+        yield _labeled(stair, v_times, h_times, Partition._of)
 
 
 def _check_fiber(lam: Partition, m: int, n: int):
@@ -160,7 +156,7 @@ def walk_overlap_pair(lam: Partition, pi: StaircaseWalk):
 
     The sign counts the boxes below the walk; l(lam) <= len(pi) is required.
     """
-    return _labeled((None, *staircase(lam, len(pi))), pi, Partition._of)
+    return _labeled((None, *staircase(lam, len(pi))), pi.v_times(), pi.h_times(), Partition._of)
 
 
 def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):
@@ -185,21 +181,14 @@ def reconstruct_from_witness(pi: StaircaseWalk, alpha):
     """Inverse of the witness map: the (mu, nu) pair a labeled walk encodes.
 
     mu + rho_m and nu + rho_n are alpha + rho_N at the V and H step times.
-    alpha is any label sequence, so the result is checked.
+    alpha is any label sequence, one label per step, so the result is checked.
     """
-    return _labeled((None, *map(operator.add, alpha, range(len(pi) - 1, -1, -1))), pi, Partition)[:2]
-
-
-def _labeled(stair: tuple, pi: StaircaseWalk, build):
-    """(mu, nu, sign) of the walk pi labeled so that stair[t] = label_t + N - t at each step time t.
-
-    stair[0] is unused.  build makes each partition from its parts:
-    Partition._of for the labels of a partition, whose staircase strictly
-    decreases, else the checking Partition.
-    """
-    v_times, h_times, _, _, odd = walk_geometry(pi.steps)
-    mu = build(_unstair(map(stair.__getitem__, v_times), len(v_times)))
-    return mu, build(_unstair(map(stair.__getitem__, h_times), len(h_times))), -1 if odd else 1
+    alpha = tuple(alpha)
+    total = len(pi)
+    if len(alpha) != total:
+        raise ValueError(f"label sequence length {len(alpha)} != walk length {total}")
+    stair = (None, *map(operator.add, alpha, range(total - 1, -1, -1)))
+    return _labeled(stair, pi.v_times(), pi.h_times(), Partition)[:2]
 
 
 def brute_force_fiber(lam: Partition, m: int, n: int):

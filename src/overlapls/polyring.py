@@ -306,16 +306,6 @@ class MultiPoly:
             total += v
         return Fraction(total, L**top)
 
-    def negate_vars(self, names) -> "MultiPoly":
-        """Substitute x -> -x for each x in names."""
-        low = 0  # lowest bit of each named field: their sum's parity
-        for n in set(names):
-            if n in _SHIFTS:
-                low |= 1 << _SHIFTS[n]
-        return MultiPoly._of(
-            {m: -c if (m & low).bit_count() & 1 else c for m, c in self.terms.items()}, self.deg
-        )
-
     def invert_vars(self, names, top: int) -> "MultiPoly":
         """Substitute x -> 1/x for each x in names, then multiply by x^top.
 

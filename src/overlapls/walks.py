@@ -7,32 +7,10 @@ Step 1 is the first step taken; all step-time sequences are 1-based.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 
 from .partitions import Partition, binomial, rho
-
-
-# Step words whose geometry walk_geometry keeps; the least recently used go first.
-GEOMETRY_CACHE_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def walk_geometry(steps: str) -> tuple:
-    """(v_times, h_times, mu, nu_conj, |nu| odd) of a step word, computed together.
-
-    The i-th vertical step at time t has t - 1 - i horizontal steps before
-    it, so n - (t - 1 - i) after it: row i of mu, which falls as i grows.
-    Columns of nu' likewise count the vertical steps after each horizontal
-    one, and |nu| = |nu'|.
-    """
-    v_times, h_times = [], []
-    for t, s in enumerate(steps, 1):
-        (v_times if s == "V" else h_times).append(t)
-    n, m = len(h_times), len(v_times)
-    rows = tuple(n + 1 + i - t for i, t in enumerate(v_times))
-    cols = tuple(m + 1 + j - t for j, t in enumerate(h_times))
-    return tuple(v_times), tuple(h_times), Partition._of(rows), Partition._of(cols), sum(cols) % 2 == 1
 
 
 class StaircaseWalk:
@@ -87,25 +65,29 @@ class StaircaseWalk:
 
     def v_times(self) -> tuple:
         """Ascending 1-based positions of the vertical steps."""
-        return walk_geometry(self.steps)[0]
+        return tuple(t for t, s in enumerate(self.steps, 1) if s == "V")
 
     def h_times(self) -> tuple:
         """Ascending 1-based positions of the horizontal steps."""
-        return walk_geometry(self.steps)[1]
+        return tuple(t for t, s in enumerate(self.steps, 1) if s == "H")
+
+    def _unlabeled(self) -> tuple:
+        """(mu, nu_conj, sign): the walk labeled by the empty partition, whose staircase has N - t at time t."""
+        return _labeled(range(len(self.steps), -1, -1), self.v_times(), self.h_times(), Partition._of)
 
     def mu(self) -> Partition:
         """Partition whose diagram lies above the walk.
 
         Row i counts the horizontal steps taken after the i-th vertical step.
         """
-        return walk_geometry(self.steps)[2]
+        return self._unlabeled()[0]
 
     def nu_conj(self) -> Partition:
         """Conjugate of the partition below the walk.
 
         Column j counts the vertical steps taken after the j-th horizontal step.
         """
-        return walk_geometry(self.steps)[3]
+        return self._unlabeled()[1]
 
     def nu(self) -> Partition:
         """Partition whose diagram (rotated by 180 degrees) lies below the walk."""
@@ -142,6 +124,42 @@ def enumerate_walks(n: int, m: int):
         for i in h_positions:
             word[i] = "H"
         yield StaircaseWalk._of("".join(word))
+
+
+def walk_times(n: int, m: int):
+    """(v_times, h_times) of each walk with n horizontal and m vertical steps, in enumerate_walks order.
+
+    The H times are the n-subsets of [n + m] in lexicographic order, as
+    itertools.combinations gives them.  The V times are their complements,
+    and taking complements reverses the lexicographic order (the smallest
+    step time where two subsets differ lies in the smaller one), so they are
+    the m-subsets in reverse order, listed up front: C(n + m, m) tuples.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("rectangle dimensions must be non-negative")
+    times = range(1, n + m + 1)
+    return zip(reversed(list(itertools.combinations(times, m))), itertools.combinations(times, n))
+
+
+def _unstair(seq, k: int) -> tuple:
+    """seq - rho_k for k values seq: value j (0-based) loses k - 1 - j."""
+    return tuple(map(operator.sub, seq, range(k - 1, -1, -1)))
+
+
+def _labeled(stair, v_times: tuple, h_times: tuple, build):
+    """(mu, nu, sign) of the walk with these step times, labeled so that stair[t] = label_t + N - t.
+
+    stair[0] is unused.  mu + rho_m and nu + rho_n are stair at the V and H
+    step times.  The sign counts the boxes below the walk: the j-th H step
+    (0-based) at time t has m + 1 + j - t V steps after it, so the count has
+    the parity of sum(h_times) + n m + n (n + 1) / 2.  build makes each
+    partition from its parts: Partition._of for the labels of a partition,
+    whose staircase strictly decreases, else the checking Partition.
+    """
+    m, n = len(v_times), len(h_times)
+    mu = build(_unstair(map(stair.__getitem__, v_times), m))
+    nu = build(_unstair(map(stair.__getitem__, h_times), n))
+    return mu, nu, -1 if (sum(h_times) + n * m + n * (n + 1) // 2) % 2 else 1
 
 
 def count_walks(n: int, m: int) -> int:

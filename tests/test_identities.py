@@ -587,6 +587,20 @@ def _grown(lam):
     return Partition((lam.part(1) + 1,) + lam.parts[1:])
 
 
+def _mutate_first_term(summands, mutate):
+    """Y-split summands with their first term (sign, reduced, below) replaced by mutate(sign, reduced, below).
+
+    The mutant goes into a copy of that split's term list: subpartition-ls
+    shares one list across the splits of one size.
+    """
+    key, terms = next((key, terms) for key, terms in summands.items() if terms)
+    return {**summands, key: [mutate(*terms[0]), *terms[1:]]}
+
+
+def _flipped(sign, reduced, below):
+    return -sign, reduced, below
+
+
 class TestAlternantSplitSums:
     """The alternant-coefficient comparison of the split sums against the cleared polynomial expansion."""
 
@@ -607,9 +621,9 @@ class TestAlternantSplitSums:
             return x_splits(ident, instance, mode, lam, head, tail, l, X, Y, sign)
 
         def mutated_y(ident, instance, mode, lam, S, T, Y, summands):
-            (U, V, sign, reduced, below), rest = summands[0], summands[1:]
-            y_splits(ident + "/sign", instance, mode, lam, S, T, Y, [(U, V, -sign, reduced, below)] + rest)
-            y_splits(ident + "/grown", instance, mode, lam, S, T, Y, [(U, V, sign, _grown(reduced), below)] + rest)
+            grown = _mutate_first_term(summands, lambda sign, reduced, below: (sign, _grown(reduced), below))
+            y_splits(ident + "/sign", instance, mode, lam, S, T, Y, _mutate_first_term(summands, _flipped))
+            y_splits(ident + "/grown", instance, mode, lam, S, T, Y, grown)
             return y_splits(ident, instance, mode, lam, S, T, Y, summands)
 
         monkeypatch.setattr(identities, "_conclude", checked)
@@ -633,8 +647,7 @@ class TestAlternantSplitSums:
         n, m, l, k, instance = identities._second_overlap_setup(lam, S, T, Y)
         summands = identities._second_overlap_summands(lam, S, T, Y, k, identities._fiber_labels)
         assert identities._conclude_y_splits("t", instance, "symbolic", lam, S, T, Y, summands).passed
-        U, V, sign, reduced, below = summands[0]
-        flipped = [(U, V, -sign, reduced, below)] + summands[1:]
+        flipped = _mutate_first_term(summands, _flipped)
         r = identities._conclude_y_splits("t", instance, "symbolic", lam, S, T, Y, flipped)
         assert r.failed and r.witness.startswith("coefficients differ: [(((")
         assert "MultiPoly" not in r.witness and "y1" in r.witness
@@ -685,8 +698,7 @@ def test_mutated_split_sums_fail_by_both_routes(mode):
     n, m, l, k, instance = identities._second_overlap_setup(lam, S, T, Y)
     summands = identities._second_overlap_summands(lam, S, T, Y, k, identities._fiber_labels)
     assert identities._conclude_y_splits("second-overlap", instance, mode, lam, S, T, Y, summands).passed
-    U, V, sign, reduced, below = summands[0]
-    flipped = [(U, V, -sign, reduced, below)] + summands[1:]
+    flipped = _mutate_first_term(summands, _flipped)
     r = identities._conclude_y_splits("second-overlap", instance, mode, lam, S, T, Y, flipped)
     assert r.failed and r.mode == mode
 

@@ -27,6 +27,11 @@ from overlapls.polyring import (
 from overlapls.schur import schur_bialternant, schur_ssyt
 
 
+def negate_vars(p, names):
+    """p with x -> -x substituted for each x in names: the oracle that reads LS(-X; Y) as LS(X; Y)."""
+    return MultiPoly({m: -c if sum(e for n, e in m if n in names) % 2 else c for m, c in p.monomials().items()})
+
+
 def x(name, e=1):
     return MultiPoly.var(name, e)
 
@@ -116,7 +121,7 @@ class TestDeterminantalLS:
     def test_plain_wrapper(self):
         X, Y = VarSeq.make("x", 2), VarSeq.make("y", 2)
         for lam in partitions_in_box(3, 3):
-            plain = ls_determinantal(lam, X, Y).negate_vars(X.names)
+            plain = negate_vars(ls_determinantal(lam, X, Y), X.names)
             assert plain == ls_combinatorial(lam, X, Y)
 
     def test_distinctness_required(self):

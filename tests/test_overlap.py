@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from overlapls import cli
+from overlapls import cli, identities
 from overlapls.overlap import (
     OverlapResult,
     brute_force_fiber,
@@ -207,6 +207,24 @@ class TestFiberEnumeration:
             assert len(result) == count_fiber(m, n)
             assert len(calls) == len(result)
 
+    def test_fibers_and_walk_split_build_no_walk_object(self, monkeypatch):
+        # both read walks as step times off the combinations, never as StaircaseWalk words
+        def refuse(*args):
+            raise AssertionError("a StaircaseWalk was built")
+
+        monkeypatch.setattr(StaircaseWalk, "_of", staticmethod(refuse))
+        monkeypatch.setattr(StaircaseWalk, "__init__", refuse)
+        for lam in partitions_in_box(4, 4):
+            for m in range(4):
+                for n in range(4):
+                    if lam.length <= m + n:
+                        fiber = list(enumerate_overlap_pairs(lam, m, n))
+                        assert len(fiber) == count_fiber(m, n)
+                        for mu, nu, sign in fiber:
+                            assert overlap(mu, nu, m, n) == OverlapResult.finite(lam, sign)
+        reports = identities.run_catalog(["walk-split"], max_box=3, nvars=3)
+        assert reports and all(r.passed for r in reports)
+
     def test_scan_shares_the_input_check(self):
         for lam, m, n in [(Partition((1, 1, 1)), 1, 1), (Partition(()), -1, 2)]:
             with pytest.raises(ValueError) as walk_error:
@@ -256,6 +274,12 @@ class TestInfiniteWitness:
                 else:
                     assert w is None
         assert infinite_seen > 0
+
+    def test_label_count_must_match_the_walk(self):
+        pi = StaircaseWalk("HV")
+        for alpha in [(1,), (1, 0, 0)]:
+            with pytest.raises(ValueError, match=f"label sequence length {len(alpha)} != walk length 2"):
+                reconstruct_from_witness(pi, alpha)
 
 
 class TestSubpartitions:

@@ -4,13 +4,12 @@ import pytest
 
 from overlapls.partitions import Partition, binomial, rho
 from overlapls.walks import (
-    GEOMETRY_CACHE_SIZE,
     StaircaseWalk,
     count_walks,
     enumerate_walks,
     is_quasi_partition,
     step_time_encoding,
-    walk_geometry,
+    walk_times,
 )
 
 REFERENCE_WALK = StaircaseWalk("HVVHHHVHH")
@@ -96,19 +95,18 @@ class TestGeometry:
     def test_matches_step_by_step_definitions(self):
         for n in range(9):
             for m in range(9 - n):
-                for w in enumerate_walks(n, m):
-                    v_times, h_times, mu, nu_conj = _oracle_geometry(w)
-                    assert walk_geometry(w.steps) == (
-                        v_times, h_times, mu, nu_conj, nu_conj.size % 2 == 1
-                    )
-                    assert (w.v_times(), w.h_times()) == (v_times, h_times)
+                walks = list(enumerate_walks(n, m))
+                times = list(walk_times(n, m))
+                assert len(times) == len(walks)
+                # walk_times yields enumerate_walks' walks, in the same order
+                for w, (v_times, h_times) in zip(walks, times):
+                    oracle_v, oracle_h, mu, nu_conj = _oracle_geometry(w)
+                    assert (v_times, h_times) == (w.v_times(), w.h_times()) == (oracle_v, oracle_h)
                     assert (w.mu(), w.nu_conj()) == (mu, nu_conj)
 
-    def test_memo_stays_bounded(self):
-        assert walk_geometry.cache_info().maxsize == GEOMETRY_CACHE_SIZE
-        for w in enumerate_walks(10, 10):
-            w.mu()
-        assert walk_geometry.cache_info().currsize <= GEOMETRY_CACHE_SIZE < binomial(20, 10)
+    def test_times_reject_negative_dimensions(self):
+        with pytest.raises(ValueError):
+            walk_times(-1, 2)
 
 
 class TestWalkPartitions:
