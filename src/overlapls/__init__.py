@@ -17,14 +17,11 @@ from .polyring import (
     MultiPoly,
     PolyMatrix,
     VarSeq,
-    vandermonde,
     delta_pair,
     sort_sign,
-    elem_sym,
     e_prod,
     det,
     laplace_expand,
-    poly_equal,
     eval_at,
     divexact,
 )
@@ -47,8 +44,8 @@ __all__ = [
     "infinite_overlap_witness", "sub_partition", "c_indices",
     "subpartition_to_overlap", "enumerate_subpartition_pairs",
     "MultiPoly", "PolyMatrix", "VarSeq",
-    "vandermonde", "delta_pair", "sort_sign", "elem_sym", "e_prod",
-    "det", "laplace_expand", "poly_equal", "eval_at", "divexact",
+    "delta_pair", "sort_sign", "e_prod",
+    "det", "laplace_expand", "eval_at", "divexact",
     "schur_bialternant", "schur_ssyt", "factor_rule_check",
     "complement_reciprocity_check",
     "lr_coefficient", "ls_branching", "ls_combinatorial", "ls_determinantal",

@@ -5,16 +5,20 @@ exponent vector alpha has exactly one monomial with decreasing exponents,
 x^alpha, with coefficient 1.  So a sum of alternants, such as any
 antisymmetric polynomial, is determined by its coefficient map
 {alpha: coefficient}, and two sums are equal exactly when their maps are.
-The coefficients here are ints or polynomials in a second alphabet Y.
-V(X), the product of x_i - x_j over i < j, is a_delta(X).
+The coefficients here are ints or polynomials in a second alphabet Y, or
+the keys are pairs (X key, Y key) when a polynomial is antisymmetric in
+each of two alphabets.  V(X), the product of x_i - x_j over i < j, is
+a_delta(X).
 
 Three facts from Macdonald, Symmetric Functions and Hall Polynomials,
 ch. I, turn products into operations on keys: s_nu(X) V(X) = a_(nu+delta)(X)
 (the bialternant formula, section 3; ls_alternant); the
 Laplace expansion of an alternant along the rows or columns of a split of
-X (shuffles, merge_splits); and the Pieri rule for e_j (section 5;
-times_delta).  The overlap verifiers compare split sums this way in
-symbolic mode, multiplying polynomials in Y only.
+X (shuffles, merge_splits); and the Pieri rule for e_j (section 5), one
+step on a key (vertical_strips) that both times_delta and
+dual_cauchy_product apply.  The overlap verifiers compare split sums this
+way in symbolic mode, multiplying polynomials in Y only, and dual Cauchy
+is compared on int maps in both alphabets, with no polynomial at all.
 """
 
 from __future__ import annotations
@@ -81,27 +85,58 @@ def merge_splits(rhs: dict, sign, head: dict, tail: dict) -> None:
                 rhs[key] = rhs[key] + c if key in rhs else c
 
 
+def vertical_strips(alpha: tuple):
+    """The pairs (alpha + eps, j) over the 0/1 vectors eps with j ones that keep alpha strictly decreasing.
+
+    This is the Pieri rule (Macdonald I section 5): e_j times the alternant
+    a_alpha is the sum of a_(alpha + eps) over the eps with j ones, an
+    alpha + eps with a repeated entry giving 0.  The entries go in left to
+    right, so no prefix that breaks the order is extended.
+    """
+    strips = [((), 0)]
+    for a in alpha:
+        strips = [(key + (a + e,), j + e) for key, j in strips for e in (0, 1) if not key or key[-1] > a + e]
+    return strips
+
+
 def times_delta(form: dict, vs: tuple, l: int) -> dict:
     """The coefficient map of prod over v in vs and the l letters s of (v - s), times the sum that form maps.
 
     Each v contributes prod_s (v - s) = sum_j (-1)^j v^(l-j) e_j, and e_j
-    times a_alpha is the sum of a_(alpha + eps) over the 0/1 vectors eps with
-    j ones (the Pieri rule), an alpha + eps with a repeated entry giving 0.
-    Only the vs are multiplied out.
+    acts on the keys by vertical_strips.  Only the vs are multiplied out.
     """
-    steps = list(itertools.product((0, 1), repeat=l)) if vs else ()
     for v in vs:
         pows = [1, *itertools.accumulate(itertools.repeat(v, l), operator.mul)]
         coeffs = [-pows[l - j] if j % 2 else pows[l - j] for j in range(l + 1)]
         out = {}
         for alpha, c in form.items():
-            for eps in steps:
-                key = tuple(map(operator.add, alpha, eps))
-                if all(map(operator.gt, key, key[1:])):
-                    term = coeffs[sum(eps)] * c
-                    out[key] = out[key] + term if key in out else term
+            for key, j in vertical_strips(alpha):
+                term = coeffs[j] * c
+                out[key] = out[key] + term if key in out else term
         form = nonzero(out)
     return form
+
+
+def dual_cauchy_product(n: int, m: int) -> dict:
+    """V(X) V(Y) prod (1 + x y) over the n letters x of X and m letters y of Y, as an int map keyed by (X key, Y key).
+
+    V(X) = a_delta(X) = det(x^(n-1-i)), and prod_y (1 + x y) = sum_k x^k e_k(Y)
+    multiplies the row of each x; expanded by it, column i (0-based) is the
+    sum of e_k(Y) times the column of exponent k + n - 1 - i.  So the columns
+    go in one at a time: e_k adds a vertical k-strip to the Y key, which
+    starts at delta_m (V(Y) = a_delta(Y)), and merge_splits inserts the
+    exponent into the X key with the sign of the insertion, a repeated
+    exponent giving 0.  The X keys are held per Y key, and zero entries are
+    dropped after each column.
+    """
+    forms = {tuple(range(m - 1, -1, -1)): {(): 1}}  # Y key -> the X map at that key
+    for i in range(n):
+        out = {}
+        for beta, form in forms.items():
+            for key, k in vertical_strips(beta):
+                merge_splits(out.setdefault(key, {}), 1, form, {(k + n - 1 - i,): 1})
+        forms = {key: form for key, form in zip(out, map(nonzero, out.values())) if form}
+    return {(alpha, beta): c for beta, form in forms.items() for alpha, c in form.items()}
 
 
 def coefficients_differ(lhs: dict, rhs: dict) -> str:

@@ -24,9 +24,11 @@ variable order; every Vandermonde-type sign follows from that single rule.
 
 A check whose two sides are exact data compares them exactly in both modes,
 through _exact: the Schur corollaries, whose coefficient maps hold ints
-when Y is empty, dual Cauchy and the counterexample.  Only the five LS
-split sums depend on the mode, and the two modes check them by different
-methods; _conclude is the one function that reads the mode.  Symbolic mode
+when Y is empty, dual Cauchy, whose two sides times V(X) V(Y) are int maps
+keyed by an X key and a Y key (the sum read off the staircases, the
+product from dual_cauchy_product), and the counterexample.  Only the five
+LS split sums depend on the mode, and the two modes check them by
+different methods; _conclude is the one function that reads the mode.  Symbolic mode
 reads the paper's Laplace expansion on coefficients: multiplied by the
 Vandermonde product V of each cleared alphabet, both sides are sums of
 alternants in X (or in S and T) with coefficients that are polynomials in
@@ -58,6 +60,7 @@ from types import SimpleNamespace
 from . import report
 from .alternants import (
     coefficients_differ,
+    dual_cauchy_product,
     ls_alternant,
     merge_splits,
     nonzero,
@@ -75,7 +78,6 @@ from .overlap import (
 )
 from .partitions import Partition, partitions_in_box, shift_first
 from .polyring import (
-    ONE,
     MultiPoly,
     PolyMatrix,
     VarSeq,
@@ -757,17 +759,14 @@ def run_catalog(names=None, max_box=2, nvars=2, mode="symbolic", seed=0):
 
 
 def verify_dual_cauchy(X: VarSeq, Y: VarSeq, mode="symbolic"):
-    """Sum of paired Schur functions against the product of (1 + x y)."""
+    """Sum of paired Schur functions against the product of (1 + x y), both times V(X) V(Y), exact in both modes.
+
+    s_lam V = a_(lam + delta), so the sum is the map {(lam + delta_n,
+    lam' + delta_m): 1}; the product is dual_cauchy_product.
+    """
     ident = "dual-cauchy"
     n, m = len(X), len(Y)
     instance = {"l(X)": n, "l(Y)": m}
-    # lam has at most l(X) rows and l(Y) columns, so neither Schur factor is 0
-    total = poly_sum(schur(lam, X) * schur(lam.conjugate(), Y) for lam in partitions_in_box(m, n))
-    product = ONE
-    for i in range(n):
-        # a row of m factors is small, so the growing product is copied n times, not n * m
-        row = ONE
-        for j in range(m):
-            row = row * (ONE + X.term(i) * Y.term(j))
-        product = product * row
-    return _exact(ident, instance, mode, total, product)
+    # lam has at most l(X) rows and l(Y) columns, so neither Schur factor is 0 and both staircases exist
+    total = {(staircase(lam, n), staircase(lam.conjugate(), m)): 1 for lam in partitions_in_box(m, n)}
+    return _exact(ident, instance, mode, total, dual_cauchy_product(n, m), coefficients_differ)

@@ -12,20 +12,25 @@ import math
 import operator
 
 
+def as_ints(values, what: str) -> tuple:
+    """values read with operator.index, as a tuple; ValueError names the first value that is not integral."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            if not hasattr(type(v), "__index__"):
+                raise ValueError(f"non-integral {what} {v!r} in {values}") from None
+        raise
+
+
 class Partition:
     """Non-increasing sequence of non-negative integers, trailing zeros stripped."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(parts)
-        try:
-            parts = tuple(map(operator.index, parts))
-        except TypeError:
-            for p in parts:
-                if not hasattr(type(p), "__index__"):
-                    raise ValueError(f"non-integral part {p!r} in {parts}") from None
-            raise
+        parts = as_ints(parts, "part")
         if any(map(operator.lt, parts, parts[1:])):
             raise ValueError(f"parts not non-increasing: {parts}")
         if parts and parts[-1] < 0:

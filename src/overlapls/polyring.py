@@ -423,11 +423,6 @@ def divexact(f, g):
 as_fraction = as_poly
 
 
-def poly_equal(f, g) -> bool:
-    """Canonical-form equality."""
-    return as_poly(f) == as_poly(g)
-
-
 def eval_at(f, point: dict) -> Fraction:
     """Exact rational evaluation of a polynomial."""
     return as_poly(f).evaluate(point)
@@ -521,16 +516,6 @@ def delta_of(xs, ys):
 
 
 @functools.cache
-def vandermonde(X: VarSeq):
-    """vandermonde_of the terms of X, as a polynomial; ONE if l(X) <= 1.
-
-    Memoized, like delta_pair: the split sums ask for the same few alphabets
-    again and again, and a MultiPoly is never changed in place.
-    """
-    return as_poly(vandermonde_of(X.terms()))
-
-
-@functools.cache
 def delta_pair(X: VarSeq, Y: VarSeq):
     """delta_of the terms of X and Y, as a polynomial; ONE if either side is empty."""
     return as_poly(delta_of(X.terms(), Y.terms()))
@@ -558,21 +543,6 @@ def sort_sign(seq) -> int:
         return 0
     inversions = sum(itertools.starmap(operator.lt, itertools.combinations(seq, 2)))
     return -1 if inversions % 2 else 1
-
-
-def elem_sym(r: int, X: VarSeq):
-    """r-th elementary symmetric polynomial of X."""
-    if r < 0 or r > len(X):
-        return ZERO
-    if r == 0:
-        return ONE
-    total = ZERO
-    for idx in itertools.combinations(range(len(X)), r):
-        prod = ONE
-        for i in idx:
-            prod = prod * X.term(i)
-        total = total + prod
-    return total
 
 
 def e_prod(X: VarSeq):

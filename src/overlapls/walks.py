@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .partitions import Partition, binomial, rho
+from .partitions import Partition, as_ints, binomial, rho
 
 
 class StaircaseWalk:
@@ -56,8 +56,11 @@ class StaircaseWalk:
 
     @staticmethod
     def from_v_times(v_times, total: int) -> "StaircaseWalk":
-        """Build the walk of the given length whose V steps occur at v_times."""
-        times = tuple(v_times)
+        """Build the walk of the given length whose V steps occur at v_times; each time and total must be integral."""
+        times = as_ints(v_times, "step time")
+        (total,) = as_ints((total,), "walk length")
+        if total < 0:
+            raise ValueError(f"walk length must be non-negative, got {total}")
         vs = set(times)
         if any(not (1 <= t <= total) for t in vs) or len(vs) != len(times):
             raise ValueError(f"invalid vertical step times {times}")
@@ -172,9 +175,9 @@ def is_quasi_partition(alpha, pi: StaircaseWalk) -> bool:
     Conditions: the last label is non-negative; no interior double strict
     increase; labels weakly decrease across same-type consecutive steps; and
     labels increase by at most one across type changes.  Out-of-range
-    neighbours make a condition vacuous.
+    neighbours make a condition vacuous.  Labels must be integral.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = as_ints(alpha, "label")
     total = len(pi)
     if len(alpha) != total:
         raise ValueError(f"label sequence length {len(alpha)} != walk length {total}")

@@ -9,19 +9,26 @@ import pytest
 from overlapls import alternants, identities, littlewood_schur
 from overlapls import schur as schur_module
 from overlapls.littlewood_schur import ls_branching, ls_combinatorial, ls_determinantal
-from overlapls.overlap import enumerate_overlap_pairs, overlap
+from overlapls.overlap import enumerate_overlap_pairs, overlap, staircase
 from overlapls.partitions import Partition, partitions_in_box, shift_first
 from overlapls.polyring import (
+    ONE,
     MultiPoly,
     NonExactDivision,
     VarSeq,
+    as_poly,
     delta_pair,
     divexact,
     e_prod,
     poly_sum,
-    vandermonde,
+    vandermonde_of,
 )
 from overlapls.schur import schur, schur_bialternant, schur_ssyt, schur_value
+
+
+def vandermonde(X: VarSeq):
+    """prod_(i<j) (x_i - x_j) over the terms of X, as a polynomial: the clearing factor of the polynomial oracle."""
+    return as_poly(vandermonde_of(X.terms()))
 
 
 class TestConclude:
@@ -351,19 +358,69 @@ class TestDualCauchy:
         assert identities.verify_dual_cauchy(X, Y).passed
         assert identities.verify_dual_cauchy(X, Y, mode="grid").passed
 
+    def test_maps_match_the_polynomial_expansion(self):
+        # the oracle: sum s_lam(X) s_lam'(Y) and prod (1 + x y) expanded over both alphabets, and the
+        # product times V(X) V(Y) read at its strictly decreasing exponent keys
+        for n in range(0, 4):
+            for m in range(0, 4):
+                X, Y = VarSeq.make("x", n), VarSeq.make("y", m)
+                product = _cauchy_polynomial(X, Y)
+                assert _schur_pair_sum(X, Y, lambda lam: 1) == product, (n, m)
+                assert _keyed(vandermonde(X) * vandermonde(Y) * product, X, Y) == alternants.dual_cauchy_product(n, m)
+                for mode in ("symbolic", "grid"):
+                    assert identities.verify_dual_cauchy(X, Y, mode).passed, (n, m, mode)
+
     @pytest.mark.parametrize("mode", ["symbolic", "grid"])
-    def test_failing_witness_is_the_sum_minus_the_product(self, monkeypatch, mode):
-        # a wrong Schur factor fails the check, and the witness is the sum minus the product
+    def test_mutated_sums_fail_by_both_routes(self, mode):
+        # the sum side with one lam dropped or negated: the expansion and the coefficient maps both refuse it
         X, Y = VarSeq.make("x", 2), VarSeq.make("y", 3)
+        product = _cauchy_polynomial(X, Y)
+        for wrong in (Partition((1,)), Partition((2, 1)), Partition((3, 3))):
+            for mutant in (lambda lam: 0 if lam == wrong else 1, lambda lam: -1 if lam == wrong else 1):
+                assert _schur_pair_sum(X, Y, mutant) != product
+                total = {
+                    (staircase(lam, 2), staircase(lam.conjugate(), 3)): mutant(lam)
+                    for lam in partitions_in_box(3, 2) if mutant(lam)
+                }
+                r = identities._exact("dual-cauchy", {}, mode, total, alternants.dual_cauchy_product(2, 3), alternants.coefficients_differ)
+                assert r.failed and r.mode == mode
+                assert r.witness.startswith("coefficients differ: ")
 
-        def wrong(lam, Z):
-            return schur(lam, Z) + (Z.term(0) if lam == Partition((2, 1)) else 0)
+    @pytest.mark.parametrize("mode", ["symbolic", "grid"])
+    def test_failing_witness_lists_the_missing_key(self, monkeypatch, mode):
+        # with lam = (1) dropped from the sum, its key (lam + delta_1, lam' + delta_1) is the one difference
+        monkeypatch.setattr(
+            identities, "partitions_in_box",
+            lambda m, n: (lam for lam in partitions_in_box(m, n) if lam != Partition((1,))),
+        )
+        r = identities.verify_dual_cauchy(VarSeq.make("x", 1), VarSeq.make("y", 1), mode)
+        assert r.failed and r.mode == mode
+        assert r.witness == "coefficients differ: [(((1,), (1,)), 1)]"
 
-        total = poly_sum(wrong(lam, X) * wrong(lam.conjugate(), Y) for lam in partitions_in_box(3, 2))
-        product = functools.reduce(operator.mul, (1 + x * y for x in X.terms() for y in Y.terms()))
-        monkeypatch.setattr(identities, "schur", wrong)
-        r = identities.verify_dual_cauchy(X, Y, mode)
-        assert r.failed and r.witness == str(total - product) != "0"
+    @pytest.mark.parametrize("mode", ["symbolic", "grid"])
+    def test_sweep_expands_no_polynomial(self, mode, monkeypatch):
+        _sweep_refusing_products("dual-cauchy", mode, monkeypatch)
+
+
+def _cauchy_polynomial(X: VarSeq, Y: VarSeq) -> MultiPoly:
+    """prod (1 + x y) over the letters of X and Y, expanded."""
+    return functools.reduce(operator.mul, (1 + x * y for x in X.terms() for y in Y.terms()), ONE)
+
+
+def _schur_pair_sum(X: VarSeq, Y: VarSeq, coefficient) -> MultiPoly:
+    """sum coefficient(lam) s_lam(X) s_lam'(Y) over lam with at most l(X) rows and l(Y) columns, expanded."""
+    return poly_sum(coefficient(lam) * schur(lam, X) * schur(lam.conjugate(), Y) for lam in partitions_in_box(len(Y), len(X)))
+
+
+def _keyed(poly: MultiPoly, X: VarSeq, Y: VarSeq) -> dict:
+    """The coefficients of poly at the monomials whose X and Y exponents both strictly decrease, keyed by (X key, Y key)."""
+    out = {}
+    for mono, c in poly.monomials().items():
+        exps = dict(mono)
+        key = tuple(tuple(exps.get(name, 0) for name in Z.names) for Z in (X, Y))
+        if all(all(map(operator.gt, k, k[1:])) for k in key):
+            out[key] = c
+    return out
 
 
 SPLIT_SUM_SWEEPS = [
@@ -383,7 +440,7 @@ def _sweep_refusing_products(name, mode, monkeypatch):
     # a cached polynomial or value would hide an expansion, so start from empty caches
     for cached in (
         ls_determinantal, littlewood_schur.ls_branching, littlewood_schur._ls_strips, schur_module._y_peel,
-        schur, schur_bialternant, schur_ssyt, delta_pair, vandermonde, identities._quotient,
+        schur, schur_bialternant, schur_ssyt, delta_pair, identities._quotient,
     ):
         cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
@@ -538,7 +595,7 @@ def test_symbolic_union_schur_expands_no_polynomial(name, monkeypatch):
 ALTERNANT_SWEEPS = ["first-overlap", "max-index", "second-overlap", "walk-split", "subpartition-ls"]
 _ALTERNANT_MEMOS = (
     alternants.ls_alternant, schur_module._y_peel, littlewood_schur.ls_branching,
-    littlewood_schur._ls_strips, schur, delta_pair, vandermonde, identities._quotient,
+    littlewood_schur._ls_strips, schur, delta_pair, identities._quotient,
 )
 # the polynomial ring in which the split sums were once cleared, kept as the oracle
 _POLY_RING = SimpleNamespace(ls=ls_branching, delta=delta_pair, vandermonde=vandermonde)

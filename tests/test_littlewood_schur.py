@@ -22,7 +22,7 @@ from overlapls.polyring import (
     ZERO,
     delta_pair,
     e_prod,
-    elem_sym,
+    poly_sum,
 )
 from overlapls.schur import schur_bialternant, schur_ssyt
 
@@ -95,7 +95,7 @@ class TestCombinatorialLS:
 
     def test_single_box(self):
         X, Y = VarSeq.make("x", 2), VarSeq.make("y", 2)
-        assert ls_combinatorial(Partition((1,)), X, Y) == elem_sym(1, X) + elem_sym(1, Y)
+        assert ls_combinatorial(Partition((1,)), X, Y) == poly_sum(X.terms() + Y.terms())
 
 
 class TestDeterminantalLS:

@@ -1,6 +1,7 @@
+import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,23 +14,37 @@ from overlapls.polyring import (
     VarSeq,
     ZERO,
     ONE,
+    as_poly,
     delta_pair,
     det,
     det_leibniz,
     divexact,
     e_prod,
-    elem_sym,
     eval_at,
     laplace_expand,
-    poly_equal,
     poly_sum,
     sort_sign,
-    vandermonde,
+    vandermonde_of,
 )
 
 
 def x(name, e=1):
     return MultiPoly.var(name, e)
+
+
+def poly_equal(f, g) -> bool:
+    """Equality of canonical forms, ints read as constant polynomials."""
+    return as_poly(f) == as_poly(g)
+
+
+def vandermonde(X: VarSeq):
+    """prod_(i<j) (x_i - x_j) over the terms of X, as a polynomial; ONE if l(X) <= 1."""
+    return as_poly(vandermonde_of(X.terms()))
+
+
+def elem_sym(r: int, X: VarSeq):
+    """r-th elementary symmetric polynomial of X: the sum of the products of its r-subsets."""
+    return poly_sum(math.prod(S, start=ONE) for S in combinations(X.terms(), r))
 
 
 class TestMultiPoly:

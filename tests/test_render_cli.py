@@ -23,14 +23,18 @@ from overlapls.walks import StaircaseWalk
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv, **env):
-    """Run the CLI in a subprocess that imports overlapls from src, with extra environment variables."""
+def run_cli(*argv, timeout=None, **env):
+    """Run the CLI in a subprocess that imports overlapls from src, with extra environment variables.
+
+    A run past timeout seconds raises subprocess.TimeoutExpired.
+    """
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "overlapls.cli", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path, **env),
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -268,6 +272,13 @@ def test_bad_input_is_usage_error(argv):
     }
     if argv in exact:
         assert err == exact[argv]
+
+
+def test_dual_cauchy_at_six_variables_finishes():
+    # the two-alphabet polynomial expansion grew past 3.5 GB here and did not finish in 150 s
+    code, _, err = run_cli("verify", "dual-cauchy", "--max-box", "0", "--vars", "6", "--mode", "grid", timeout=60)
+    assert code == 0
+    assert err == "49 checks, 0 failed\n"
 
 
 def _verify_raising(monkeypatch, error):

@@ -229,6 +229,12 @@ class TestQuasiPartitions:
         with pytest.raises(ValueError):
             is_quasi_partition((1, 2), StaircaseWalk("HVH"))
 
+    @pytest.mark.parametrize("labels, bad", [((1.7, 0.2), "1.7"), (("1", "0"), "'1'")])
+    def test_non_integral_labels_rejected(self, labels, bad):
+        # int() would read these as (1, 0), a quasi-partition on HV
+        with pytest.raises(ValueError, match=f"non-integral label {bad}"):
+            is_quasi_partition(labels, StaircaseWalk("HV"))
+
 
 class TestConstruction:
     def test_from_v_times(self):
@@ -243,6 +249,16 @@ class TestConstruction:
             StaircaseWalk.from_v_times((0, 2), 3)
         with pytest.raises(ValueError):
             StaircaseWalk.from_v_times((2, 2), 3)
+
+    def test_non_integral_v_time_rejected(self):
+        # a time of 1.5 matches no step, so it used to give the walk HH with no V step
+        with pytest.raises(ValueError, match="non-integral step time 1.5"):
+            StaircaseWalk.from_v_times((1.5,), 2)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            StaircaseWalk.from_v_times((), -1)
+        assert StaircaseWalk.from_v_times((), 0) == StaircaseWalk("")
 
     def test_from_v_times_reads_an_iterator_once(self):
         assert StaircaseWalk.from_v_times((t for t in (1, 3)), 4) == StaircaseWalk("VHVH")
