@@ -90,14 +90,12 @@ def _enumeration(args):
     elif args.what == "walks":
         for pi in enumerate_walks(args.n, args.m):
             yield json.dumps({"walk": pi.to_json()})
-    elif args.what == "subpairs":
+    else:
         kappa = parse_partition(args.kappa)
         if args.l is None:
             raise UsageError("subpairs needs --l")
         for lam, K in enumerate_subpartition_pairs(kappa, args.m, args.n, args.l):
             yield json.dumps({"lambda": lam.to_json(), "K": list(K)})
-    else:
-        raise UsageError(f"unknown enumeration {args.what!r}")
 
 
 def cmd_enumerate(args) -> int:
@@ -117,7 +115,7 @@ def cmd_render(args) -> int:
     if args.what == "partition":
         lam = parse_partition(args.value)
         text = render.ferrers_svg(lam) if args.format == "svg" else render.ferrers_ascii(lam)
-    elif args.what == "walk":
+    else:
         pi = StaircaseWalk(args.value)
         labels = None
         if args.labels:
@@ -130,8 +128,6 @@ def cmd_render(args) -> int:
             text = render.walk_svg(pi, labels)
         else:
             text = render.walk_ascii(pi, labels)
-    else:
-        raise UsageError(f"unknown render target {args.what!r}")
     _emit(args, text)
     return 0
 

@@ -17,7 +17,6 @@ the three routes equal.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -37,7 +36,6 @@ from .polyring import (
 from .schur import _ls_strips, schur_ssyt
 
 
-@functools.cache
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient: skew tableaux of shape lam/mu, content nu.
 
@@ -88,7 +86,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return 1 if not cells else place(0)
 
 
-@functools.cache
 def ls_combinatorial(lam, X: VarSeq, Y: VarSeq):
     """Sum of c^lam_(mu,nu) s_mu(X) s_nu'(Y) over partition pairs inside lam.
 
@@ -181,14 +178,12 @@ def _mvj(lam: Partition, xs: tuple, ys: tuple):
     return divexact(total, vandermonde_of(ys))
 
 
-@functools.cache
 def ls_determinantal(lam: Partition, X: VarSeq, Y: VarSeq):
     """LS of the negated first alphabet, via the Moens-Van der Jeugt block determinant (_mvj)."""
     _check_alphabets(X, Y)
     return as_poly(_mvj(lam, X.terms(), Y.terms()))
 
 
-@functools.cache
 def ls_branching(lam: Partition, X: VarSeq, Y: VarSeq):
     """ls_determinantal(lam, X, Y) by the hook-Schur branching rule, with products but no division.
 
@@ -197,10 +192,8 @@ def ls_branching(lam: Partition, X: VarSeq, Y: VarSeq):
     LS_nu(-X; ()) over the horizontal strips; with no variable left only the
     empty partition gives 1 (_ls_strips, memoized per parts and variables).
     The y-variables are peeled first, so each LS_nu(-X; ()) is multiplied
-    once by its coefficient, a polynomial in Y.  The argument checks, the
-    zero case (outside the (n, m)-hook) and the memo per (lam, X, Y) are
-    those of ls_determinantal; the memo keeps a repeated call from hashing
-    the polynomial variables of the _ls_strips key.
+    once by its coefficient, a polynomial in Y.  The argument checks and the
+    zero case (outside the (n, m)-hook) are those of ls_determinantal.
     """
     _check_alphabets(X, Y)
     return as_poly(_ls_strips(lam.parts, X.terms(), Y.terms()))

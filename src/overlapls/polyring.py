@@ -515,25 +515,9 @@ def delta_of(xs, ys):
     return math.prod(x - y for x, y in itertools.product(xs, ys))
 
 
-@functools.cache
 def delta_pair(X: VarSeq, Y: VarSeq):
     """delta_of the terms of X and Y, as a polynomial; ONE if either side is empty."""
     return as_poly(delta_of(X.terms(), Y.terms()))
-
-
-def poly_sum(polys) -> MultiPoly:
-    """Sum of polynomials, added term by term into one dict, so no partial sum is copied."""
-    out = {}
-    deg = 0
-    for p in polys:
-        for m, c in p.terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                del out[m]
-        deg = max(deg, p.deg)
-    return MultiPoly._of(out, deg)
 
 
 def sort_sign(seq) -> int:

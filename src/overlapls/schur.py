@@ -35,7 +35,6 @@ from .polyring import (
 )
 
 
-@functools.cache
 def schur_bialternant(lam: Partition, X: VarSeq):
     """det(x_i^(lam_j + n - j)) over the Vandermonde prod_(i<j) (x_i - x_j); negation marks are honoured.
 

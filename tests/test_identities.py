@@ -1,5 +1,7 @@
 import functools
+import inspect
 import operator
+import re
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,7 +10,7 @@ import pytest
 
 from overlapls import alternants, identities, littlewood_schur
 from overlapls import schur as schur_module
-from overlapls.littlewood_schur import ls_branching, ls_combinatorial, ls_determinantal
+from overlapls.littlewood_schur import littlewood_square_check, ls_branching, ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap, staircase
 from overlapls.partitions import Partition, partitions_in_box, shift_first
 from overlapls.polyring import (
@@ -16,14 +18,14 @@ from overlapls.polyring import (
     MultiPoly,
     NonExactDivision,
     VarSeq,
+    ZERO,
     as_poly,
     delta_pair,
     divexact,
     e_prod,
-    poly_sum,
     vandermonde_of,
 )
-from overlapls.schur import schur, schur_bialternant, schur_ssyt, schur_value
+from overlapls.schur import complement_reciprocity_check, factor_rule_check, schur, schur_ssyt, schur_value
 
 
 def vandermonde(X: VarSeq):
@@ -409,7 +411,7 @@ def _cauchy_polynomial(X: VarSeq, Y: VarSeq) -> MultiPoly:
 
 def _schur_pair_sum(X: VarSeq, Y: VarSeq, coefficient) -> MultiPoly:
     """sum coefficient(lam) s_lam(X) s_lam'(Y) over lam with at most l(X) rows and l(Y) columns, expanded."""
-    return poly_sum(coefficient(lam) * schur(lam, X) * schur(lam.conjugate(), Y) for lam in partitions_in_box(len(Y), len(X)))
+    return sum((coefficient(lam) * schur(lam, X) * schur(lam.conjugate(), Y) for lam in partitions_in_box(len(Y), len(X))), ZERO)
 
 
 def _keyed(poly: MultiPoly, X: VarSeq, Y: VarSeq) -> dict:
@@ -438,10 +440,7 @@ def _sweep_refusing_products(name, mode, monkeypatch):
         raise AssertionError(f"{mode} mode built a Fraction")
 
     # a cached polynomial or value would hide an expansion, so start from empty caches
-    for cached in (
-        ls_determinantal, littlewood_schur.ls_branching, littlewood_schur._ls_strips, schur_module._y_peel,
-        schur, schur_bialternant, schur_ssyt, delta_pair, identities._quotient,
-    ):
+    for cached in (littlewood_schur._ls_strips, schur_module._y_peel, schur, schur_ssyt, identities._quotient):
         cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
@@ -462,7 +461,6 @@ def test_split_sums_need_no_determinant(mode, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"{mode} split sums computed a Moens-Van der Jeugt determinant")
 
-    littlewood_schur.ls_branching.cache_clear()
     littlewood_schur._ls_strips.cache_clear()
     monkeypatch.setattr(littlewood_schur, "_mvj", refuse)
     reports = identities.run_catalog(SPLIT_SUM_SWEEPS, max_box=2, nvars=2, mode=mode)
@@ -483,7 +481,7 @@ def test_schur_values_need_no_determinant(mode, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"{mode} mode computed a determinant for a Schur or LS value")
 
-    for cached in (schur, schur_bialternant, schur_ssyt, littlewood_schur.ls_branching, littlewood_schur._ls_strips):
+    for cached in (schur, schur_ssyt, littlewood_schur._ls_strips):
         cached.cache_clear()
     monkeypatch.setattr("overlapls.schur.det", refuse)
     monkeypatch.setattr(littlewood_schur, "_mvj", refuse)
@@ -594,8 +592,7 @@ def test_symbolic_union_schur_expands_no_polynomial(name, monkeypatch):
 # the split sums that depend on the mode: symbolic mode checks them by alternant coefficients
 ALTERNANT_SWEEPS = ["first-overlap", "max-index", "second-overlap", "walk-split", "subpartition-ls"]
 _ALTERNANT_MEMOS = (
-    alternants.ls_alternant, schur_module._y_peel, littlewood_schur.ls_branching,
-    littlewood_schur._ls_strips, schur, delta_pair, identities._quotient,
+    alternants.ls_alternant, schur_module._y_peel, littlewood_schur._ls_strips, schur, identities._quotient,
 )
 # the polynomial ring in which the split sums were once cleared, kept as the oracle
 _POLY_RING = SimpleNamespace(ls=ls_branching, delta=delta_pair, vandermonde=vandermonde)
@@ -869,3 +866,71 @@ class TestCatalog:
         b = identities.run_catalog(["laplace"], seed=1)
         assert [r.to_json() for r in a] == [r.to_json() for r in b]
         assert all(r.passed for r in a)
+
+    def test_laplace_failure_names_the_row_subset(self, monkeypatch):
+        # every expansion off by one: each trial fails at its first row subset, of size 1
+        monkeypatch.setattr(identities, "laplace_expand", lambda A, K: identities.det(A) + 1)
+        reports = identities.run_catalog(["laplace"], seed=1)
+        assert len(reports) == 5 and all(r.failed for r in reports)
+        assert all(re.fullmatch(r"row subset \([1-5],\)", r.witness) for r in reports)
+
+
+P, V = Partition, VarSeq.make
+# (identity, reason, a check that violates it): one case per inapplicable report of the verifiers
+INAPPLICABLE = [
+    ("first-overlap", "alphabet lengths do not match n, m",
+     lambda: identities.verify_first_overlap(P((1,)), 0, 2, 0, P(()), P((1,)), V("x", 1), V("y", 0))),
+    ("first-overlap", "l = 2 outside [0, min(n-k, n)] for k = 0",
+     lambda: identities.verify_first_overlap(P((1,)), 0, 1, 2, P(()), P(()), V("x", 1), V("y", 0))),
+    ("first-overlap", "mu or nu too long for the overlap",
+     lambda: identities.verify_first_overlap(P((1,)), 0, 1, 0, P((1,)), P(()), V("x", 1), V("y", 0))),
+    ("first-overlap", "overlap of (mu, nu) does not give the head of lambda",
+     lambda: identities.verify_first_overlap(P((1,)), 0, 1, 1, P((2,)), P(()), V("x", 1), V("y", 0))),
+    ("max-index", "need l(mu) <= l <= n",
+     lambda: identities.verify_cor_max_index(P((1,)), P(()), 0, V("x", 1), V("y", 0))),
+    ("max-index", "mu + <k^l> is not a partition",
+     lambda: identities.verify_cor_max_index(P(()), P((1,)), 1, V("x", 1), V("y", 0))),
+    ("max-index", "mu + <k^l> does not have maximal index 0",
+     lambda: identities.verify_cor_max_index(P(()), P(()), 1, V("x", 1), V("y", 1))),
+    ("first-overlap-schur", "need l(X) = m + n",
+     lambda: identities.verify_first_overlap_schur(P(()), P(()), 1, 1, V("x", 1))),
+    ("first-overlap-schur", "mu or nu too long",
+     lambda: identities.verify_first_overlap_schur(P((1, 1)), P(()), 1, 1, V("x", 2))),
+    ("second-overlap-schur", "lambda too long",
+     lambda: identities.verify_second_overlap_schur(P((1, 1)), V("s", 1), V("t", 0))),
+    ("labeled-walk-schur", "lambda too long",
+     lambda: identities.verify_labeled_walk_schur(P((1, 1)), V("s", 1), V("t", 0))),
+    ("subpartition-schur", "alphabet lengths do not match m, n",
+     lambda: identities.verify_subpartition_schur(P(()), 1, 0, 0, V("s", 0), V("t", 0))),
+    ("subpartition-schur", "kappa not inside 1x0",
+     lambda: identities.verify_subpartition_schur(P((1,)), 1, 0, 0, V("s", 1), V("t", 0))),
+    ("subpartition-ls", "need n~ <= q",
+     lambda: identities.verify_subpartition_ls(P(()), 0, 0, 1, 0, 0, V("s", 0), V("t", 1), V("y", 0))),
+    ("subpartition-ls", "alphabet lengths do not match",
+     lambda: identities.verify_subpartition_ls(P(()), 1, 0, 0, 0, 0, V("s", 0), V("t", 0), V("y", 0))),
+    ("subpartition-ls", "kappa not inside 1x0",
+     lambda: identities.verify_subpartition_ls(P((1,)), 1, 0, 0, 0, 0, V("s", 1), V("t", 0), V("y", 0))),
+    ("subpartition-ls", "kappa misses the corner cell",
+     lambda: identities.verify_subpartition_ls(P(()), 1, 0, 0, 1, 1, V("s", 1), V("t", 0), V("y", 1))),
+    ("littlewood-square", "l must be non-negative",
+     lambda: littlewood_square_check(0, 0, -1, V("x", 0), V("y", 0))),
+    ("littlewood-square", "alphabet lengths do not match n, m",
+     lambda: littlewood_square_check(1, 0, 0, V("x", 0), V("y", 0))),
+    ("factor-rule", "m must be non-negative",
+     lambda: factor_rule_check(P(()), -1, V("x", 1))),
+    ("factor-rule", "partition longer than variable count",
+     lambda: factor_rule_check(P((1, 1)), 0, V("x", 1))),
+    ("complement-reciprocity", "lambda does not fit in 1x1",
+     lambda: complement_reciprocity_check(P((2,)), 1, V("x", 1))),
+]
+
+
+@pytest.mark.parametrize("ident, reason, check", INAPPLICABLE, ids=[f"{i}: {r}" for i, r, _ in INAPPLICABLE])
+def test_each_precondition_reports_inapplicable(ident, reason, check):
+    r = check()
+    assert (r.identity, r.outcome, r.witness) == (ident, "inapplicable", reason)
+
+
+def test_every_inapplicable_report_has_a_case():
+    sites = sum(inspect.getsource(m).count("report.inapplicable(") for m in (identities, littlewood_schur, schur_module))
+    assert sites == len(INAPPLICABLE) == len({(i, r) for i, r, _ in INAPPLICABLE})

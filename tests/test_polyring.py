@@ -22,7 +22,6 @@ from overlapls.polyring import (
     e_prod,
     eval_at,
     laplace_expand,
-    poly_sum,
     sort_sign,
     vandermonde_of,
 )
@@ -44,7 +43,7 @@ def vandermonde(X: VarSeq):
 
 def elem_sym(r: int, X: VarSeq):
     """r-th elementary symmetric polynomial of X: the sum of the products of its r-subsets."""
-    return poly_sum(math.prod(S, start=ONE) for S in combinations(X.terms(), r))
+    return sum((math.prod(S, start=ONE) for S in combinations(X.terms(), r)), ZERO)
 
 
 class TestMultiPoly:
@@ -102,11 +101,12 @@ class TestMultiPoly:
         # a factor 1, as an int or as the constant polynomial, leaves the other unchanged
         assert f * 1 == f and 1 * m == m and ONE * f == f and m * MultiPoly.const(1) == m
 
-    def test_poly_sum(self):
+    def test_sum_from_zero(self):
+        # sorted_split_sum adds its Schur terms with sum(..., ZERO)
         polys = [x("x") + 1, x("y") - x("x"), ZERO, 3 * x("x") * x("y")]
-        assert poly_sum(iter(polys)) == x("y") + 1 + 3 * x("x") * x("y")
-        assert poly_sum([x("x"), -x("x")]) == ZERO and poly_sum([]) == ZERO
-        assert poly_sum([x("x", 3), x("y")]).degree() == 3
+        assert sum(iter(polys), ZERO) == x("y") + 1 + 3 * x("x") * x("y")
+        assert sum([x("x"), -x("x")], ZERO) == ZERO and sum([], ZERO) == ZERO
+        assert sum([x("x", 3), x("y")], ZERO).degree() == 3
 
     def test_pow(self):
         f = x("x") + 1

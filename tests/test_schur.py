@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from overlapls import schur as schur_module
 from overlapls.partitions import Partition, partitions_in_box, rect
 from overlapls.polyring import (
     MultiPoly,
@@ -193,3 +194,23 @@ class TestComplementReciprocity:
     def test_oversized_is_inapplicable(self):
         r = complement_reciprocity_check(Partition((4,)), 3, VarSeq.make("x", 2))
         assert r.inapplicable
+
+
+class TestFailingWitness:
+    """A wrong schur fails both checks, each with lhs - rhs as its witness."""
+
+    def wrong_schur(self, monkeypatch):
+        # s_lam + |lam|: wrong for every non-empty shape
+        monkeypatch.setattr(schur_module, "schur", lambda lam, X: schur(lam, X) + lam.size)
+
+    def test_factor_rule(self, monkeypatch):
+        self.wrong_schur(monkeypatch)
+        # lhs s_(2)(x1) + 2 = x1^2 + 2 against e(x1) (s_(1)(x1) + 1) = x1^2 + x1
+        r = factor_rule_check(Partition((1,)), 1, VarSeq.make("x", 1))
+        assert r.failed and r.witness == str(2 - x("x1")) == "-x1 + 2"
+
+    def test_complement_reciprocity(self, monkeypatch):
+        self.wrong_schur(monkeypatch)
+        # the (1, 1)-complement of (1) is empty: lhs 1 against (x1 + 1) at inverted x1, times x1
+        r = complement_reciprocity_check(Partition((1,)), 1, VarSeq.make("x", 1))
+        assert r.failed and r.witness == str(-x("x1")) == "-x1"

@@ -1,0 +1,76 @@
+"""The package's memo list and the code-line counter of scripts/code_lines.py."""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import overlapls
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Every memo the package keeps, by module and qualified name.  Each one has
+# traffic on the verify workloads; adding a memo means adding it here.
+KEPT_MEMOS = {
+    "alternants.ls_alternant",
+    "identities._quotient",
+    "polyring.VarSeq.splits",
+    "polyring.VarSeq.terms",
+    "schur._ls_strips",
+    "schur._y_peel",
+    "schur.schur",
+    "schur.schur_ssyt",
+}
+
+
+def package_memos() -> dict:
+    """Every memoized function of overlapls, module functions and methods alike: each object with cache_info."""
+    found = {}
+    for info in pkgutil.iter_modules(overlapls.__path__):
+        module = importlib.import_module(f"overlapls.{info.name}")
+        for value in vars(module).values():
+            for f in [value, *(vars(value).values() if isinstance(value, type) else ())]:
+                if hasattr(f, "cache_info") and f.__module__ == module.__name__:
+                    found[f"{info.name}.{f.__qualname__}"] = f
+    return found
+
+
+def test_memos_are_the_kept_list():
+    assert set(package_memos()) == KEPT_MEMOS
+
+
+def _code_lines_module():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SAMPLE = '''"""Module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        text = """a string, not a docstring
+# this line is text"""
+        return os.sep + text
+'''
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings():
+    # counted: import, class, def, the two lines of the string, return
+    assert _code_lines_module().code_lines(SAMPLE) == 6
+
+
+def test_code_lines_prints_modules_and_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(SAMPLE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    assert _code_lines_module().main(["code_lines.py", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "    6  a.py\n    1  b.py\n    7  total\n"
