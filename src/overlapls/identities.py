@@ -23,10 +23,11 @@ Each split sum iterates over order-preserving subsequences of a fixed
 variable order; every Vandermonde-type sign follows from that single rule.
 
 A check whose two sides are exact data compares them exactly in both modes,
-through _exact: the Schur corollaries, whose coefficient maps hold ints
-when Y is empty, dual Cauchy, whose two sides times V(X) V(Y) are int maps
-keyed by an X key and a Y key (the sum read off the staircases, the
-product from dual_cauchy_product), and the counterexample.  Only the five
+through report.exact: the Schur corollaries, whose coefficient maps hold
+ints when Y is empty, dual Cauchy, whose two sides times V(X) V(Y) are int
+maps keyed by an X key and a Y key (the sum read off the staircases, the
+product from dual_cauchy_product), and the counterexample, as do the
+factor rule, complement reciprocity and the Littlewood square.  Only the five
 LS split sums depend on the mode, and the two modes check them by
 different methods; _conclude is the one function that reads the mode.  Symbolic mode
 reads the paper's Laplace expansion on coefficients: multiplied by the
@@ -140,14 +141,6 @@ def _cleared(terms, clear):
     return sum(parts, next(parts, 0))
 
 
-def _exact(ident, instance, mode, lhs, rhs, witness=lambda lhs, rhs: str(lhs - rhs)):
-    """Compare two exact sides with ==, in either mode; witness(lhs, rhs) runs only on a failure."""
-    report.check_mode(mode)
-    if lhs == rhs:
-        return report.passed(ident, instance, mode)
-    return report.failed(ident, instance, witness(lhs, rhs), mode)
-
-
 def _conclude(ident, instance, mode, forms, build, names, clear):
     """Check a split sum lhs = sum of num / den: by alternant coefficients, or at spot points in grid mode.
 
@@ -164,7 +157,7 @@ def _conclude(ident, instance, mode, forms, build, names, clear):
     report.check_mode(mode)
     if mode == "symbolic":
         lhs, rhs = forms()
-        return _exact(ident, instance, mode, lhs, rhs, coefficients_differ)
+        return report.exact(ident, instance, lhs, rhs, mode, coefficients_differ)
     for point in spot_points(names):
         R = _at_point(point)
         lhs, terms = build(R)
@@ -269,7 +262,7 @@ def counterexample_regression(mode="symbolic"):
     instance = {"lambda": lam.to_json(), "n": 2, "m": 3, "l": 1}
     diff = ls_determinantal(lam, X, Y) - sorted_split_sum(lam, 1, X, Y)
     target = e_prod(Y)
-    r = _exact(ident, instance, mode, diff, target)
+    r = report.exact(ident, instance, diff, target, mode)
     return replace(r, witness=str(target)) if r.passed else r
 
 
@@ -459,7 +452,7 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
     # signs cancel: s_lam = (-1)^|lam| LS_lam(-X; ()), |ov| = |mu| + |nu| - mn, delta(S, T) = (-1)^(mn) delta(T, S)
     lam = ov.value if ov.is_finite else None
     # with Y empty both maps hold ints, so the check is exact in both modes
-    return _exact(ident, instance, mode, *_x_split_forms(lam, mu, nu, m, X, VarSeq.of(), ov.sign), coefficients_differ)
+    return report.exact(ident, instance, *_x_split_forms(lam, mu, nu, m, X, VarSeq.of(), ov.sign), mode, coefficients_differ)
 
 
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
@@ -474,7 +467,7 @@ def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
     """
     empty = VarSeq.of()
     summands = {(empty, empty): [(sign, mu, nu) for mu, nu, sign in triples]}
-    return _exact(ident, instance, mode, *_y_split_forms(target, S, T, empty, summands), coefficients_differ)
+    return report.exact(ident, instance, *_y_split_forms(target, S, T, empty, summands), mode, coefficients_differ)
 
 
 def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
@@ -755,4 +748,4 @@ def verify_dual_cauchy(X: VarSeq, Y: VarSeq, mode="symbolic"):
     instance = {"l(X)": n, "l(Y)": m}
     # lam has at most l(X) rows and l(Y) columns, so neither Schur factor is 0 and both staircases exist
     total = {(staircase(lam, n), staircase(lam.conjugate(), m)): 1 for lam in partitions_in_box(m, n)}
-    return _exact(ident, instance, mode, total, dual_cauchy_product(n, m), coefficients_differ)
+    return report.exact(ident, instance, total, dual_cauchy_product(n, m), mode, coefficients_differ)

@@ -225,7 +225,5 @@ def littlewood_square_check(
         ls_combinatorial(lam, X.negated(), Y),
         ls_branching(lam, X, Y),
     )
-    wrong = next((p for p in routes if p != rhs), None)
-    if wrong is None:
-        return report.passed(ident, instance)
-    return report.failed(ident, instance, str(wrong - rhs))
+    # the first route that differs from rhs, if any, is the one compared
+    return report.exact(ident, instance, next((p for p in routes if p != rhs), rhs), rhs)

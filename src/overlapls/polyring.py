@@ -88,19 +88,6 @@ def _degree(terms) -> int:
     return max(map(MAX_EXP.__and__, terms))
 
 
-def _mono_cmp_key(names: tuple) -> callable:
-    """Dense (degree, exponent-vector) sort key of tuple monomials over a fixed name order."""
-    pos = {n: i for i, n in enumerate(names)}
-
-    def key(m):
-        dense = [0] * len(names)
-        for n, e in m:
-            dense[pos[n]] = e
-        return (sum(dense), tuple(dense))
-
-    return key
-
-
 class MultiPoly:
     """Canonical sparse polynomial; structural equality is mathematical equality.
 
@@ -202,10 +189,6 @@ class MultiPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -332,15 +315,17 @@ class MultiPoly:
     # -- text ------------------------------------------------------------
 
     def __str__(self):
+        """Terms by descending (total degree, exponents over the sorted variable names)."""
         if not self.terms:
             return "0"
-        monos = self.monomials()
-        key = _mono_cmp_key(tuple(sorted(self.variables())))
+        names = sorted(self.variables())
+        shifts = [_SHIFTS[n] for n in names]
         parts = []
-        for m in sorted(monos, key=key, reverse=True):
-            c = monos[m]
-            factors = [f"{n}^{e}" if e > 1 else n for n, e in m]
-            body = "*".join(factors)
+        # distinct keys have distinct exponents, so the coefficient never breaks a tie
+        for _, exps, c in sorted(
+            ((m & MAX_EXP, [(m >> s) & MAX_EXP for s in shifts], c) for m, c in self.terms.items()), reverse=True
+        ):
+            body = "*".join(f"{n}^{e}" if e > 1 else n for n, e in zip(names, exps) if e)
             mag = abs(c)
             if not body:
                 text = str(mag)
@@ -349,11 +334,8 @@ class MultiPoly:
             else:
                 text = f"{mag}*{body}"
             parts.append(("- " if c < 0 else "+ ") + text)
-        first = parts[0]
-        out = ("-" + first[2:]) if first[0] == "-" else first[2:]
-        for piece in parts[1:]:
-            out += " " + piece
-        return out
+        out = " ".join(parts)
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -531,38 +513,23 @@ def sort_sign(seq) -> int:
 
 def e_prod(X: VarSeq):
     """Product of all elements of X (the top elementary symmetric polynomial)."""
-    result = ONE
-    for i in range(len(X)):
-        result = result * X.term(i)
-    return result
+    return math.prod(X.terms(), start=ONE)
 
 
 # -- matrices ----------------------------------------------------------------
 
 
-class PolyMatrix:
-    """Rectangular matrix of exact entries (int or MultiPoly)."""
+class PolyMatrix(list):
+    """Rectangular matrix of exact entries (int or MultiPoly), as the list of its rows.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    The rows are copied, and a ragged matrix is rejected; det,
+    det_leibniz and laplace_expand take a PolyMatrix or any list of rows.
+    """
 
     def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
-
-    @property
-    def is_square(self):
-        return self.nrows == self.ncols
-
-    def submatrix(self, rows, cols) -> "PolyMatrix":
-        return PolyMatrix([[self.rows[i][j] for j in cols] for i in rows])
-
-
-def _as_matrix(A):
-    return A if isinstance(A, PolyMatrix) else PolyMatrix(A)
+        super().__init__(map(list, rows))
+        if any(len(r) != len(self[0]) for r in self):
+            raise ValueError("ragged matrix")
 
 
 def det(A) -> "MultiPoly | int":
@@ -574,9 +541,8 @@ def det(A) -> "MultiPoly | int":
     exactly when it is zero.  Tested against the Leibniz-sum oracle
     det_leibniz.
     """
-    rows = A.rows if isinstance(A, PolyMatrix) else A  # a list of rows needs no copy
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(A)
+    if any(len(r) != n for r in A):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
@@ -584,7 +550,7 @@ def det(A) -> "MultiPoly | int":
 
     def minor(cols: tuple):
         if len(cols) == 1:
-            return rows[n - 1][cols[0]]
+            return A[n - 1][cols[0]]
         got = memo.get(cols)
         if got is not None:
             return got
@@ -592,7 +558,7 @@ def det(A) -> "MultiPoly | int":
         total = 0
         sign = 1
         for pos, c in enumerate(cols):
-            entry = rows[r][c]
+            entry = A[r][c]
             if entry:
                 sub = minor(cols[:pos] + cols[pos + 1 :])
                 total = total + sign * entry * sub
@@ -605,14 +571,13 @@ def det(A) -> "MultiPoly | int":
 
 def det_leibniz(A):
     """Permutation-sum determinant; an oracle, exponential on purpose."""
-    A = _as_matrix(A)
-    n = A.nrows
+    n = len(A)
     total = 0
     for perm in itertools.permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
         prod = 1
         for i in range(n):
-            prod = prod * A.rows[i][perm[i]]
+            prod = prod * A[i][perm[i]]
         total = total + (-1) ** inv * prod
     return total
 
@@ -624,10 +589,9 @@ def _subset_sign(K, J) -> int:
 
 def laplace_expand(A, K) -> "MultiPoly | int":
     """Laplace expansion of det(A) along the rows K (1-based indices)."""
-    A = _as_matrix(A)
-    if not A.is_square:
+    n = len(A)
+    if any(len(r) != n for r in A):
         raise ValueError("Laplace expansion of a non-square matrix")
-    n = A.nrows
     K = tuple(K)
     if any(not (1 <= k <= n) for k in K) or list(K) != sorted(set(K)):
         raise ValueError(f"invalid row subsequence {K}")
@@ -637,9 +601,9 @@ def laplace_expand(A, K) -> "MultiPoly | int":
     for J in itertools.combinations(range(1, n + 1), len(K)):
         J0 = [j - 1 for j in J]
         Jbar = [j for j in range(n) if j not in set(J0)]
-        d1 = det(A.submatrix(K0, J0))
+        d1 = det([[A[i][j] for j in J0] for i in K0])
         if not d1:
             continue
-        d2 = det(A.submatrix(Kbar, Jbar))
+        d2 = det([[A[i][j] for j in Jbar] for i in Kbar])
         total = total + _subset_sign(K, J) * d1 * d2
     return total

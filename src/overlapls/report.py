@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -53,10 +52,6 @@ class VerificationReport:
             "witness": self.witness,
         }
 
-    def __str__(self):
-        body = json.dumps(self.to_json(), sort_keys=True)
-        return body
-
 
 def passed(identity: str, instance: dict, mode: str = "symbolic") -> VerificationReport:
     return VerificationReport(identity, instance, mode, PASS, "")
@@ -66,3 +61,11 @@ def failed(identity: str, instance: dict, witness: str, mode: str = "symbolic") 
 
 def inapplicable(identity: str, instance: dict, reason: str, mode: str = "symbolic") -> VerificationReport:
     return VerificationReport(identity, instance, mode, INAPPLICABLE, reason)
+
+
+def exact(identity: str, instance: dict, lhs, rhs, mode: str = "symbolic", witness=lambda lhs, rhs: str(lhs - rhs)) -> VerificationReport:
+    """Compare two exact sides with ==, in either mode; witness(lhs, rhs) runs only on a failure."""
+    check_mode(mode)
+    if lhs == rhs:
+        return passed(identity, instance, mode)
+    return failed(identity, instance, witness(lhs, rhs), mode)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from overlapls import alternants, identities, littlewood_schur
+from overlapls import alternants, identities, littlewood_schur, report
 from overlapls import schur as schur_module
 from overlapls.littlewood_schur import littlewood_square_check, ls_branching, ls_combinatorial, ls_determinantal
 from overlapls.overlap import enumerate_overlap_pairs, overlap, staircase
@@ -384,7 +384,7 @@ class TestDualCauchy:
                     (staircase(lam, 2), staircase(lam.conjugate(), 3)): mutant(lam)
                     for lam in partitions_in_box(3, 2) if mutant(lam)
                 }
-                r = identities._exact("dual-cauchy", {}, mode, total, alternants.dual_cauchy_product(2, 3), alternants.coefficients_differ)
+                r = report.exact("dual-cauchy", {}, total, alternants.dual_cauchy_product(2, 3), mode, alternants.coefficients_differ)
                 assert r.failed and r.mode == mode
                 assert r.witness.startswith("coefficients differ: ")
 
@@ -824,6 +824,11 @@ class TestExactInGridMode:
             identities.verify_dual_cauchy(S, T, "exact")
         with pytest.raises(ValueError, match="unknown mode 'exact'"):
             identities.counterexample_regression("exact")
+
+
+def test_spot_points_reject_more_names_than_bases():
+    with pytest.raises(ValueError, match="too many variables"):
+        list(identities.spot_points([f"v{i}" for i in range(17)]))
 
 
 def test_spot_points_are_distinct_nonzero_integers():

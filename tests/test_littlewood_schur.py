@@ -270,6 +270,15 @@ class TestLittlewoodSquare:
         got = ls_determinantal(Partition((1,)), VarSeq.make("x", 1), VarSeq.make("y", 1))
         assert got == x("y1") - x("x1")
 
+    def test_witness_is_the_first_wrong_route_minus_the_rhs(self, monkeypatch):
+        # the determinantal route is right, so the combinatorial one is the first to differ
+        X, Y = VarSeq.make("x", 1), VarSeq.make("y", 1)
+        monkeypatch.setattr(littlewood_schur, "ls_combinatorial", lambda lam, X, Y: ONE)
+        monkeypatch.setattr(littlewood_schur, "ls_branching", lambda lam, X, Y: ZERO)
+        r = littlewood_square_check(1, 1, 0, X, Y)
+        assert r.failed and r.mode == "symbolic"
+        assert r.witness == str(ONE - (x("y1") - x("x1"))) == "x1 - y1 + 1"
+
     def test_empty_x(self):
         r = littlewood_square_check(0, 2, 1, VarSeq.of(), VarSeq.make("y", 2))
         assert r.passed

@@ -77,6 +77,15 @@ class TestOverlap:
         r = overlap(Partition((10, 8, 1)), Partition((4, 2, 2)), 3, 6)
         assert r.is_infinite and r.sign == 1
 
+    def test_result_sign_repr_and_hash(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            OverlapResult.finite(Partition((1,)), 0)
+        r = OverlapResult.finite(Partition((2, 1)), -1)
+        assert repr(r) == "OverlapResult(Partition(2, 1), sign=-1)"
+        assert repr(OverlapResult.infinite()) == "OverlapResult(infinite)"
+        assert hash(r) == hash(OverlapResult.finite(Partition((2, 1)), -1))
+        assert hash(OverlapResult.infinite()) == hash(OverlapResult.infinite())
+
     def test_length_preconditions(self):
         # overlap and the witness share one check, which names a negative dimension first
         cases = [

@@ -196,6 +196,10 @@ class TestHelpers:
         assert lam.drop(1) == Partition((3, 1))
         assert lam.drop(4) == Partition(())
 
+    def test_negative_part_index(self):
+        with pytest.raises(IndexError, match="negative part index"):
+            Partition((2, 1)).part(-1)
+
     def test_select(self):
         lam = Partition((7, 4, 3, 3, 3, 1))
         assert lam.select((2, 3, 7)) == (4, 3, 0)

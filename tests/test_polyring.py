@@ -117,6 +117,24 @@ class TestMultiPoly:
         f = x("x1", 2) * x("y1") - 2 * x("x1") * x("x2") + MultiPoly.const(3)
         assert str(f) == "x1^2*y1 - 2*x1*x2 + 3"
 
+    def test_str_sorts_by_name_not_by_interning(self):
+        # q2 is interned first, so its packed field lies below q1's; the text still reads q1 first
+        f = x("q2", 2) * x("q1") + x("q1", 2) * x("q2") - 3 * x("q2") + x("q1") + 5
+        assert str(f) == "q1^2*q2 + q1*q2^2 + q1 - 3*q2 + 5"
+        assert str(-f) == "-q1^2*q2 - q1*q2^2 - q1 + 3*q2 - 5"
+
+    def test_sub_promotes_ints_only(self):
+        p = x("x") + 1
+        assert p - 3 == MultiPoly({(("x", 1),): 1, (): -2})
+        assert 3 - p == MultiPoly({(("x", 1),): -1, (): 2})
+        for bad in (Fraction(1, 2), "a"):
+            with pytest.raises(TypeError):
+                p - bad
+
+    def test_as_poly_rejects_other_types(self):
+        with pytest.raises(TypeError, match="cannot promote str"):
+            as_poly("x")
+
     def test_evaluate(self):
         f = vandermonde(VarSeq.of("x1", "x2"))
         assert eval_at(f, {"x1": Fraction(1, 2), "x2": Fraction(1, 3)}) == Fraction(1, 6)
@@ -147,6 +165,10 @@ class TestDivision:
         q = divexact(f, x("x") - x("y"))
         assert q == (x("x") + 3 * x("y")) ** 2
 
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            divexact(x("x"), ZERO)
+
     def test_remainder_raises(self):
         with pytest.raises(NonExactDivision):
             divexact(x("x", 2) + 1, x("x") + 1)
@@ -169,6 +191,10 @@ class TestVandermonde:
         assert vandermonde(VarSeq.of()) == ONE
         assert vandermonde(VarSeq.of("x1")) == ONE
         assert vandermonde(VarSeq.of("x1", "x2")) == x("x1") - x("x2")
+
+    def test_repeated_names_rejected(self):
+        with pytest.raises(ValueError, match="repeated identifiers"):
+            VarSeq.of("x", "x")
 
     def test_splits(self):
         X = VarSeq.make("x", 3)
@@ -303,6 +329,19 @@ class TestDeterminants:
             det([[1, 2, 3], [4, 5, 6]])
 
 
+class TestPolyMatrix:
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError, match="ragged"):
+            PolyMatrix([[1, 2], [3]])
+
+    def test_is_its_list_of_rows(self):
+        rows = [[x("a"), 1], [2, x("b")]]
+        A = PolyMatrix(rows)
+        assert A == rows and det(A) == det(rows) == x("a") * x("b") - 2
+        A[0][0] = 0  # the rows were copied
+        assert rows[0][0] == x("a")
+
+
 class TestLaplace:
     def test_full_row_set_is_det(self):
         rng = random.Random(2)
@@ -315,8 +354,8 @@ class TestLaplace:
         for j in range(3):
             minor_rows = [0, 2]
             minor_cols = [c for c in range(3) if c != j]
-            m = det(A.submatrix(minor_rows, minor_cols))
-            manual = manual + (-1) ** (1 + j) * A.rows[1][j] * m
+            m = det([[A[i][c] for c in minor_cols] for i in minor_rows])
+            manual = manual + (-1) ** (1 + j) * A[1][j] * m
         assert laplace_expand(A, (2,)) == manual == det(A)
 
     def test_every_k_of_size_3_on_6x6(self):
@@ -327,6 +366,11 @@ class TestLaplace:
         d = det(A)
         for K in combinations(range(1, 7), 3):
             assert laplace_expand(A, K) == d
+
+    @pytest.mark.parametrize("wrap", [PolyMatrix, list])
+    def test_non_square_rejected(self, wrap):
+        with pytest.raises(ValueError, match="non-square"):
+            laplace_expand(wrap([[1, 2, 3], [4, 5, 6]]), (1,))
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):

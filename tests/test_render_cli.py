@@ -154,6 +154,10 @@ class TestRenderCommand:
         text = walk_ascii(StaircaseWalk("HVVHHHVHH"))
         assert parse_walk_ascii(text) == StaircaseWalk("HVVHHHVHH")
 
+    def test_parse_needs_a_walk_line(self):
+        with pytest.raises(ValueError, match="no walk line"):
+            parse_walk_ascii(ferrers_ascii(Partition((2, 1))))
+
     def test_svg_outputs(self):
         svg = ferrers_svg(Partition((3, 1)))
         assert svg.startswith("<svg") and svg.count("<rect") == 4

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from overlapls import schur as schur_module
 from overlapls.partitions import Partition, partitions_in_box, rect
 from overlapls.polyring import (
@@ -194,6 +196,12 @@ class TestComplementReciprocity:
     def test_oversized_is_inapplicable(self):
         r = complement_reciprocity_check(Partition((4,)), 3, VarSeq.make("x", 2))
         assert r.inapplicable
+
+    def test_unknown_mode_before_the_precondition(self):
+        # (5) does not fit in 1 x 2, yet the bad mode raises first, as it does for a lambda that fits
+        for lam in (Partition((5,)), Partition((1,))):
+            with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+                complement_reciprocity_check(lam, 1, VarSeq.make("x", 2), mode="bogus")
 
 
 class TestFailingWitness:

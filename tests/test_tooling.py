@@ -1,5 +1,6 @@
-"""The package's memo list and the code-line counter of scripts/code_lines.py."""
+"""The package's memo list, its hand-written verdicts and the code-line counter of scripts/code_lines.py."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -37,6 +38,39 @@ def package_memos() -> dict:
 
 def test_memos_are_the_kept_list():
     assert set(package_memos()) == KEPT_MEMOS
+
+
+# Every function outside report.py that writes its own pass/fail verdict
+# instead of comparing two exact sides through report.exact; adding one
+# means adding it here.
+HAND_WRITTEN_VERDICTS = {
+    "identities._conclude",  # the grid loop over spot points
+    "identities.walk_split_bijection_check",
+    "identities._sweep_laplace",
+}
+
+
+def verdict_sites() -> set:
+    """module.function of each top-level function or class of src/overlapls that calls report.passed or report.failed."""
+    found = set()
+    for path in sorted((ROOT / "src" / "overlapls").glob("*.py")):
+        if path.name == "report.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("passed", "failed")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "report"
+                ):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_hand_written_verdicts_are_the_kept_list():
+    assert verdict_sites() == HAND_WRITTEN_VERDICTS
 
 
 def _code_lines_module():

@@ -229,6 +229,9 @@ class TestQuasiPartitions:
         with pytest.raises(ValueError):
             is_quasi_partition((1, 2), StaircaseWalk("HVH"))
 
+    def test_empty_walk(self):
+        assert is_quasi_partition((), StaircaseWalk(""))
+
     @pytest.mark.parametrize("labels, bad", [((1.7, 0.2), "1.7"), (("1", "0"), "'1'")])
     def test_non_integral_labels_rejected(self, labels, bad):
         # int() would read these as (1, 0), a quasi-partition on HV
@@ -239,6 +242,9 @@ class TestQuasiPartitions:
 class TestConstruction:
     def test_from_v_times(self):
         assert StaircaseWalk.from_v_times((2, 3, 7), 9) == REFERENCE_WALK
+
+    def test_repr(self):
+        assert repr(StaircaseWalk("HV")) == "StaircaseWalk('HV')"
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
