@@ -6,19 +6,22 @@ x^alpha, with coefficient 1.  So a sum of alternants, such as any
 antisymmetric polynomial, is determined by its coefficient map
 {alpha: coefficient}, and two sums are equal exactly when their maps are.
 The coefficients here are ints or polynomials in a second alphabet Y, or
-the keys are pairs (X key, Y key) when a polynomial is antisymmetric in
-each of two alphabets.  V(X), the product of x_i - x_j over i < j, is
-a_delta(X).
+the keys are tuples of keys, one per alphabet, when a polynomial is
+antisymmetric in each of several alphabets.  V(X), the product of
+x_i - x_j over i < j, is a_delta(X).
 
-Three facts from Macdonald, Symmetric Functions and Hall Polynomials,
+Four facts from Macdonald, Symmetric Functions and Hall Polynomials,
 ch. I, turn products into operations on keys: s_nu(X) V(X) = a_(nu+delta)(X)
-(the bialternant formula, section 3; ls_alternant); the
-Laplace expansion of an alternant along the rows or columns of a split of
-X (shuffles, merge_splits); and the Pieri rule for e_j (section 5), one
-step on a key (vertical_strips) that both times_delta and
-dual_cauchy_product apply.  The overlap verifiers compare split sums this
-way in symbolic mode, multiplying polynomials in Y only, and dual Cauchy
-is compared on int maps in both alphabets, with no polynomial at all.
+(the bialternant formula, section 3; ls_alternant); for symmetric f,
+a_beta f is the sum of f_gamma a_(beta+gamma) over the monomials of f
+(section 3), which puts a second alphabet on keys too (ls_alternant_xy,
+times_differences); the Laplace expansion of an alternant along the rows or
+columns of a split of an alphabet (shuffles, merge_splits); and the Pieri
+rule for e_j (section 5), one step on a key (vertical_strips) that both
+times_differences and dual_cauchy_product apply.  The overlap verifiers
+compare split sums this way in symbolic mode: the sums over splits of X
+with coefficients that are polynomials in Y, the sums over splits of Y and
+dual Cauchy on int maps keyed in every alphabet, with no polynomial at all.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import operator
 from .overlap import staircase
 from .partitions import Partition
 from .polyring import sort_sign
-from .schur import _y_peel
+from .schur import _vertical_strips, _y_peel
 
 
 @functools.cache
@@ -46,6 +49,37 @@ def ls_alternant(parts: tuple, n: int, ys: tuple) -> dict:
         staircase(Partition._of(nu), n): -c if sum(nu) % 2 else c
         for nu, c in _y_peel(parts, ys, n)
     }
+
+
+@functools.cache
+def ls_alternant_xy(parts: tuple, n: int, m: int) -> dict:
+    """LS_parts(-X; Y) V(X) V(Y) for an n-letter X and an m-letter Y, as an int map keyed by (X key, Y key).
+
+    The y-letters are peeled as _y_peel peels them, the last first, a
+    vertical strip of r cells giving y^r, with the (n, j)-hook test at every
+    level.  For symmetric f, f V(Y) = f a_delta(Y) is the sum of f_kappa
+    a_(delta+kappa)(Y) over its monomials f_kappa y^kappa (Macdonald I
+    section 3), so letter i (0-based) with r cells adds r + m - 1 - i to the
+    Y exponent vector, which is then sorted with its sort sign (a repeated
+    entry gives 0).  Here the first m - 1 letters come from the map for
+    m - 1 letters, whose Y keys are one higher in every entry at m letters,
+    and the last letter's r is inserted into them.  What is left after the
+    peel, LS_nu(-X; ()) V(X) = (-1)^|nu| a_(nu+delta_n)(X), gives the X key.
+    """
+    if len(parts) > n and parts[n] > m:
+        return {}  # outside the (n, m)-hook
+    if not m:
+        return {(staircase(Partition._of(parts), n), ()): -1 if sum(parts) % 2 else 1}
+    out = {}
+    for nu, r in _vertical_strips(parts):
+        for (alpha, beta), c in ls_alternant_xy(nu, n, m - 1).items():
+            beta = tuple(b + 1 for b in beta)
+            if r in beta:
+                continue
+            i = sum(b > r for b in beta)  # r moves past the m - 1 - i smaller entries
+            key, c = (alpha, beta[:i] + (r,) + beta[i:]), -c if (m - 1 - i) % 2 else c
+            out[key] = out[key] + c if key in out else c
+    return nonzero(out)
 
 
 def nonzero(form: dict) -> dict:
@@ -99,19 +133,29 @@ def vertical_strips(alpha: tuple):
     return strips
 
 
-def times_delta(form: dict, vs: tuple, l: int) -> dict:
-    """The coefficient map of prod over v in vs and the l letters s of (v - s), times the sum that form maps.
+def times_differences(form: dict, width: int, l: int) -> dict:
+    """The int map of prod over the width letters v of V and the l letters s of S of (v - s), times the sum that form maps.
 
-    Each v contributes prod_s (v - s) = sum_j (-1)^j v^(l-j) e_j, and e_j
-    acts on the keys by vertical_strips.  Only the vs are multiplied out.
+    form is keyed (alpha, gamma, rest) and stands for the sum of
+    c a_alpha(S) a_gamma(V) rest, with gamma an exponent vector in any order
+    (a_gamma then being sort_sign(gamma) times the sorted alternant, 0 at a
+    repeated entry).  Each v contributes prod_s (v - s) = sum_j (-1)^j
+    v^(l-j) e_j(S), and for symmetric f, a_gamma f is the sum of f_kappa
+    a_(gamma+kappa) over the monomials f_kappa v^kappa of f (Macdonald I
+    section 3): so column i of gamma gains l - j while e_j acts on alpha by
+    vertical_strips, with sign (-1)^j.  rest is carried along.
     """
-    for v in vs:
-        pows = [1, *itertools.accumulate(itertools.repeat(v, l), operator.mul)]
-        coeffs = [-pows[l - j] if j % 2 else pows[l - j] for j in range(l + 1)]
-        out = {}
-        for alpha, c in form.items():
-            for key, j in vertical_strips(alpha):
-                term = coeffs[j] * c
+    strips = {}
+    for i in range(width if l else 0):  # with S empty the product is 1
+        out, raised = {}, {}
+        for (alpha, gamma, rest), c in form.items():
+            if alpha not in strips:
+                strips[alpha] = vertical_strips(alpha)
+            if gamma not in raised:  # gamma with column i raised by l - j, by j
+                raised[gamma] = [gamma[:i] + (gamma[i] + l - j,) + gamma[i + 1:] for j in range(l + 1)]
+            gammas = raised[gamma]
+            for key, j in strips[alpha]:
+                key, term = (key, gammas[j], rest), -c if j % 2 else c
                 out[key] = out[key] + term if key in out else term
         form = nonzero(out)
     return form

@@ -13,11 +13,12 @@ Both overlap identities come from one Laplace expansion, and each family
 of split sums has one symbolic comparison, written once: _x_split_forms for
 sums over splits (S, T) of X, _y_split_forms for sums over splits (U, V) of
 Y.  The Y-split summands come keyed by split, {(U, V): [(sign, reduced,
-below), ...]}, so each split's factors are formed once per key, in both
-modes.  The four Schur corollaries are those sums with Y empty:
-first-overlap-schur is the X-split comparison, and the union-Schur checks
-(_union_schur) are the Y-split comparison with the one split (empty, empty)
-and one term per triple.
+below), ...]}; second-overlap and subpartition-ls build one term list per
+split size and share it across the splits of that size, and walk-split
+lists one term per walk.  The four Schur corollaries are those sums with Y
+empty: first-overlap-schur is the X-split comparison, and the union-Schur
+checks (_union_schur) are the Y-split comparison with the one split
+(empty, empty) and one term per triple.
 sorted_split_sum reads its polynomial off the X-split coefficient map.
 Each split sum iterates over order-preserving subsequences of a fixed
 variable order; every Vandermonde-type sign follows from that single rule.
@@ -29,20 +30,26 @@ maps keyed by an X key and a Y key (the sum read off the staircases, the
 product from dual_cauchy_product), and the counterexample, as do the
 factor rule, complement reciprocity and the Littlewood square.  Only the five
 LS split sums depend on the mode, and the two modes check them by
-different methods; _conclude is the one function that reads the mode.  Symbolic mode
-reads the paper's Laplace expansion on coefficients: multiplied by the
-Vandermonde product V of each cleared alphabet, both sides are sums of
-alternants in X (or in S and T) with coefficients that are polynomials in
-Y, so they are equal exactly when the coefficients agree at the strictly
-decreasing exponent keys.  The alternants module gives the pieces: every
-LS factor times V is such a coefficient map (ls_alternant, which peels
-only the y-variables), each split sum is the Laplace expansion of an
-alternant (merge_splits, shuffles), and a product of differences with one
-letter in S or T is applied by the Pieri rule (times_delta), so symbolic
-mode multiplies polynomials in Y only.  Grid mode writes the two sides
-once, as build(R), from the integer primitives R.ls and R.delta at each
-spot point, and compares lhs times V (R.vandermonde) with the sum of the
-numerators times V / den, each quotient certified exact by divexact.
+different methods; _conclude is the one function that reads the mode.
+Symbolic mode reads the paper's Laplace expansion on coefficients:
+multiplied by the Vandermonde product V of each cleared alphabet, both
+sides are sums of products of alternants, so they are equal exactly when
+the coefficients agree at the strictly decreasing exponent keys.  The
+alternants module gives the pieces.  The X-split sums key their maps in X,
+with coefficients that are polynomials in Y (ls_alternant, which peels
+only the y-variables), and each sum is the Laplace expansion of an
+alternant (merge_splits), so only polynomials in Y are multiplied.  The
+Y-split sums hold ints, keyed in S, T and Y (ls_alternant_xy): the terms
+of one split size are summed once, the two products of differences with
+an S or T letter act on that sum by the Pieri rule (times_differences),
+and one Laplace merge of the U and V keys into a Y key takes the place of
+the loop over the splits of that size, so no polynomial is formed.  That
+merge needs every split of one size to carry the same nonzero terms, which
+_terms_by_size checks; walk-split fails with a witness naming two splits
+when they do not.  Grid mode writes the two sides once, as build(R), from
+the integer primitives R.ls and R.delta at each spot point, and compares
+lhs times V (R.vandermonde) with the sum of the numerators times V / den,
+each quotient certified exact by divexact.
 Each LS value there comes from the strip branching rule (ls_value runs it
 at the point, R.delta and R.vandermonde multiply integer differences), so
 the split sums in grid mode expand no polynomial, compute no determinant
@@ -52,6 +59,7 @@ and build no fraction; _cleared and _quotient see only ints.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import operator
 import random
@@ -63,10 +71,11 @@ from .alternants import (
     coefficients_differ,
     dual_cauchy_product,
     ls_alternant,
+    ls_alternant_xy,
     merge_splits,
     nonzero,
     shuffles,
-    times_delta,
+    times_differences,
 )
 from .littlewood_schur import littlewood_square_check, ls_determinantal, ls_value
 from .overlap import (
@@ -88,6 +97,7 @@ from .polyring import (
     divexact,
     e_prod,
     laplace_expand,
+    sort_sign,
     vandermonde_of,
 )
 from .schur import complement_reciprocity_check, factor_rule_check, schur
@@ -147,7 +157,8 @@ def _conclude(ident, instance, mode, forms, build, names, clear):
     This is the one function that reads the mode.  Symbolic mode compares
     the two coefficient maps that forms() returns: both sides times the
     Vandermonde products of the cleared alphabets, read at strictly
-    decreasing exponent keys (each map holds no zero coefficient).  Grid
+    decreasing exponent keys (each map holds no zero coefficient), or fails
+    with the witness that forms() returns in their place.  Grid
     mode runs build(R) = (lhs, terms) in the integers at each spot point of
     names and compares lhs * V with the cleared sum, V being the product of
     R.vandermonde over the one or two alphabets in clear, which every den
@@ -156,8 +167,10 @@ def _conclude(ident, instance, mode, forms, build, names, clear):
     """
     report.check_mode(mode)
     if mode == "symbolic":
-        lhs, rhs = forms()
-        return report.exact(ident, instance, lhs, rhs, mode, coefficients_differ)
+        sides = forms()
+        if isinstance(sides, str):  # Y-split summands that the Laplace merge cannot take
+            return report.failed(ident, instance, sides, mode)
+        return report.exact(ident, instance, *sides, mode, coefficients_differ)
     for point in spot_points(names):
         R = _at_point(point)
         lhs, terms = build(R)
@@ -299,46 +312,97 @@ def _second_overlap_setup(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
 
 
 def _y_split_forms(lam, S, T, Y, summands):
-    """LS(lam; S u T, Y) and the sum of the summands' terms, both times V(S u T) V(Y), as coefficient maps in Y.
+    """LS(lam; S u T, Y) and the sum of the summands' terms, both times V(S u T) V(Y), as int maps.
 
     summands maps each split (U, V) of Y to its terms (sign, reduced,
     below); a term stands for sign delta(V, S) delta(T, U) LS(reduced; S, U)
-    LS(below; T, V) / (delta(V, U) delta(T, S)), and each split's sign and
-    Vandermonde factor is formed once, for all of its terms.  The maps are
-    keyed by pairs (alpha, beta) of exponent keys on S and on T.  The left
-    side's are the shuffle signs of each key of LS(lam) V(S u T).  On the
-    right, V(S u T) / delta(T, S) =
-    (-1)^(l(S) l(T)) V(S) V(T), V(Y) / delta(V, U) = (-1)^e V(U) V(V) with e
-    the pairs of Y whose U letter comes first, and delta(T, U) =
-    (-1)^(l(T) l(U)) prod (u - t); the two products of differences with an S
-    or T letter go into the coefficient maps by times_delta, so only
-    polynomials in Y are multiplied.  With Y empty the maps hold ints.
+    LS(below; T, V) / (delta(V, U) delta(T, S)).  The maps are keyed by
+    (alpha, beta, y), exponent keys on S, T and Y, or by (alpha, beta) when Y
+    is empty.  The left side's are the shuffle signs of each key of
+    LS(lam) V(S u T) V(Y) (ls_alternant_xy).  On the right, V(S u T) /
+    delta(T, S) = (-1)^(l(S) l(T)) V(S) V(T), and each term is a product of
+    the maps of LS(reduced) V(S) V(U) and LS(below) V(T) V(V).  The terms of
+    one split size p (_terms_by_size) are summed once, keyed (alpha, V key,
+    (beta, U key)), and the two products of differences act on that sum
+    (times_differences, delta(T, U) being (-1)^(l(T) p) prod (u - t)).  Then
+    V(Y) / delta(V, U) = (-1)^e V(U) V(V), e counting the pairs of Y whose U
+    letter comes first, so summed over the splits of size p this is the
+    Laplace expansion of an alternant in Y: (-1)^(p (l(Y) - p)) times the U
+    and V keys merged in sorted order with their sort sign.  A size that
+    leaves one of U and V empty and has no difference to multiply goes
+    straight into the right side.  Returns a witness instead when two splits
+    of one size carry different terms.
     """
-    l, r = len(S), len(T)
-    ys = Y.terms()
-    vy = vandermonde_of(ys)
+    l, r, m = len(S), len(T), len(Y)
     lhs = {}
-    for gamma, c in ls_alternant(lam.parts, l + r, ys).items():
-        c = c * vy
+    for (gamma, y), c in ls_alternant_xy(lam.parts, l + r, m).items():
         for alpha, beta, sign in shuffles(gamma, l):
-            lhs[alpha, beta] = sign * c
-    rhs = {}
-    for (U, V), terms in summands.items():
-        us, vs = U.terms(), V.terms()
-        e = sum(Y.names.index(u) < Y.names.index(v) for u in U.names for v in V.names)
-        factor = (-1) ** (l * r + r * len(us) + e) * vandermonde_of(us) * vandermonde_of(vs)
+            lhs[(alpha, beta, y) if m else (alpha, beta)] = sign * c
+    sizes = _terms_by_size(summands, l, r, Y)
+    if isinstance(sizes, str):
+        return sizes
+    rhs, flip = {}, (-1) ** (l * r)
+    for p, terms in sizes.items():
+        q = m - p
+        direct = p in (0, m) and not (l and q or r and p)
+        out = rhs if direct else {}
         for sign, reduced, below in terms:
-            head = times_delta(ls_alternant(reduced.parts, l, us), vs, l)
-            if not head:
-                continue
-            tail = times_delta(ls_alternant(below.parts, r, vs), us, r)
-            signed = sign * factor
-            for alpha, a in head.items():
-                a = signed * a
-                for beta, b in tail.items():
-                    key, c = (alpha, beta), a * b
-                    rhs[key] = rhs[key] + c if key in rhs else c
-    return nonzero(lhs), nonzero(rhs)
+            sign *= flip
+            tail = ls_alternant_xy(below.parts, r, q).items()
+            for (alpha, u), a in ls_alternant_xy(reduced.parts, l, p).items():
+                a *= sign
+                for (beta, v), b in tail:
+                    if not direct:
+                        key = (alpha, v, (beta, u))
+                    elif m:
+                        key = (alpha, beta, u + v)
+                    else:
+                        key = (alpha, beta)
+                    out[key] = out[key] + a * b if key in out else a * b
+        if direct:
+            continue
+        form = times_differences(out, q, l)
+        form = times_differences({(b, u, (a, v)): c for (a, v, (b, u)), c in form.items()}, p, r)
+        sign, merged = (-1) ** (r * p + p * q), {}
+        for (beta, u, (alpha, v)), c in form.items():
+            if (u, v) not in merged:
+                merged[u, v] = sort_sign(u + v), tuple(sorted(u + v, reverse=True))
+            s, y = merged[u, v]
+            if s:
+                key, c = (alpha, beta, y), sign * s * c
+                rhs[key] = rhs[key] + c if key in rhs else c
+    return lhs, nonzero(rhs)
+
+
+def _terms_by_size(summands, l, r, Y):
+    """{p: terms} over the split sizes p of the summands, or a witness naming two splits of one size whose terms differ.
+
+    The splits of one size are summed as one by the Laplace merge of
+    _y_split_forms, so every split of that size must carry the same terms,
+    a missing split carrying none.  Terms that give 0, where the map of
+    either factor is empty, are dropped before the lists are compared; a
+    list shared by all the splits of its size is taken as it is.
+    """
+    m, out = len(Y), {}
+
+    def nonzero_terms(terms, p):
+        return collections.Counter(
+            t for t in terms if ls_alternant_xy(t[1].parts, l, p) and ls_alternant_xy(t[2].parts, r, m - p)
+        )
+
+    for p in sorted({len(U) for U, _ in summands}):
+        first, *rest = Y.splits(p)
+        terms = summands.get(first, [])
+        kept = None
+        for split in rest:
+            other = summands.get(split, [])
+            if other is not terms:
+                kept = nonzero_terms(terms, p) if kept is None else kept
+                if nonzero_terms(other, p) != kept:
+                    a, b = ((U.names, V.names) for U, V in (first, split))
+                    return f"terms differ between the splits {a} and {b}"
+        out[p] = terms
+    return out
 
 
 def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
@@ -359,16 +423,22 @@ def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
     return _conclude(ident, instance, mode, forms, build, S.names + T.names + Y.names, (S.concat(T), Y))
 
 
-def _fiber_labels(head, c, l, Y):
-    """(p, U, V, mu, nu, sign) over splits (U, V) of Y times overlap fibers of head.
+def _fibers(head, c, l, Y):
+    """(p, fiber) over the split sizes p of Y: the overlap fiber of head that each split of size p carries.
 
     c = n - k is the cut at the index columns.  The split count p starts at
     l - c when the cut runs past them: smaller p would ask the fiber for a
     negative-length side.
     """
     for p in range(max(0, l - c), min(l, len(Y)) + 1):
+        yield p, list(enumerate_overlap_pairs(head, l - p, c - l + p))
+
+
+def _fiber_labels(head, c, l, Y):
+    """(p, U, V, mu, nu, sign) over splits (U, V) of Y times overlap fibers of head."""
+    for p, fiber in _fibers(head, c, l, Y):
         for U, V in Y.splits(p):
-            for mu, nu, sign in enumerate_overlap_pairs(head, l - p, c - l + p):
+            for mu, nu, sign in fiber:
                 yield p, U, V, mu, nu, sign
 
 
@@ -387,13 +457,27 @@ def _walk_labels(head, c, l, Y):
         yield (l - i, U, V) + _labeled(stair, v_times[:i], h_times[:c - i], Partition._of)
 
 
-def _second_overlap_summands(lam, S, T, Y, k, labels):
-    """The summands of the triple sum by split (U, V) of Y, one term per label of labels(head, n - k, l, Y)."""
+def _second_overlap_summands(lam, S, T, Y, k, labels=None):
+    """The summands of the triple sum by split (U, V) of Y, one term per label of labels(head, n - k, l, Y).
+
+    Without labels they come from _fibers: a fiber depends on its split only
+    through the size p, so the splits of one size share one term list, and
+    each fiber is enumerated once.
+    """
     n, m, l = len(S) + len(T), len(Y), len(S)
-    tail = lam.drop(n - k)
+    c, tail = n - k, lam.drop(n - k)
+
+    def term(p, mu, nu, sign):
+        return sign, shift_first(mu, -(m - k), l - p), nu.union(tail)
+
     summands = {}
-    for p, U, V, mu, nu, sign in labels(lam.take(n - k), n - k, l, Y):
-        summands.setdefault((U, V), []).append((sign, shift_first(mu, -(m - k), l - p), nu.union(tail)))
+    if labels is None:
+        for p, fiber in _fibers(lam.take(c), c, l, Y):
+            if fiber:
+                summands.update(dict.fromkeys(Y.splits(p), [term(p, *pair) for pair in fiber]))
+        return summands
+    for p, U, V, mu, nu, sign in labels(lam.take(c), c, l, Y):
+        summands.setdefault((U, V), []).append(term(p, mu, nu, sign))
     return summands
 
 
@@ -404,12 +488,17 @@ def verify_second_overlap(lam, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic")
     only shifts where the split count starts.
     """
     n, m, l, k, instance = _second_overlap_setup(lam, S, T, Y)
-    summands = _second_overlap_summands(lam, S, T, Y, k, _fiber_labels)
+    summands = _second_overlap_summands(lam, S, T, Y, k)
     return _conclude_y_splits("second-overlap", instance, mode, lam, S, T, Y, summands)
 
 
 def verify_walk_split(lam, S: VarSeq, T: VarSeq, Y: VarSeq, mode="symbolic"):
-    """Single walk sum with prefix/suffix splitting against LS of the union."""
+    """Single walk sum with prefix/suffix splitting against LS of the union.
+
+    Symbolic mode merges the splits of one size (_y_split_forms), so it also
+    checks that they carry the same nonzero terms: the walks of the rectangle
+    are the prefix walks times the suffix walks.  Grid mode sums each split.
+    """
     n, m, l, k, instance = _second_overlap_setup(lam, S, T, Y)
     summands = _second_overlap_summands(lam, S, T, Y, k, _walk_labels)
     return _conclude_y_splits("walk-split", instance, mode, lam, S, T, Y, summands)

@@ -655,6 +655,69 @@ def _flipped(sign, reduced, below):
     return -sign, reduced, below
 
 
+def _times_delta(form, vs, l):
+    """The coefficient map of prod over v in vs and the l letters s of (v - s), times the sum that form maps.
+
+    Each v contributes prod_s (v - s) = sum_j (-1)^j v^(l-j) e_j, and e_j
+    acts on the keys by vertical_strips; the vs are multiplied out.
+    """
+    for v in vs:
+        coeffs = [(-1) ** j * v ** (l - j) for j in range(l + 1)]
+        out = {}
+        for alpha, c in form.items():
+            for key, j in alternants.vertical_strips(alpha):
+                out[key] = out.get(key, 0) + coeffs[j] * c
+        form = alternants.nonzero(out)
+    return form
+
+
+def _y_split_oracle(lam, S, T, Y, summands):
+    """The Y-split maps with coefficients that are polynomials in Y, split by split: the oracle of _y_split_forms.
+
+    Both sides times V(S u T) V(Y), keyed by (alpha, beta), exponent keys on
+    S and T.  V(S u T) / delta(T, S) = (-1)^(l(S) l(T)) V(S) V(T), V(Y) /
+    delta(V, U) = (-1)^e V(U) V(V) with e the pairs of Y whose U letter comes
+    first, and delta(T, U) = (-1)^(l(T) l(U)) prod (u - t).
+    """
+    l, r = len(S), len(T)
+    ys = Y.terms()
+    vy = vandermonde_of(ys)
+    lhs = {}
+    for gamma, c in alternants.ls_alternant(lam.parts, l + r, ys).items():
+        for alpha, beta, sign in alternants.shuffles(gamma, l):
+            lhs[alpha, beta] = sign * c * vy
+    rhs = {}
+    for (U, V), terms in summands.items():
+        us, vs = U.terms(), V.terms()
+        e = sum(Y.names.index(u) < Y.names.index(v) for u in U.names for v in V.names)
+        factor = (-1) ** (l * r + r * len(us) + e) * vandermonde_of(us) * vandermonde_of(vs)
+        for sign, reduced, below in terms:
+            head = _times_delta(alternants.ls_alternant(reduced.parts, l, us), vs, l)
+            tail = _times_delta(alternants.ls_alternant(below.parts, r, vs), us, r)
+            for alpha, a in head.items():
+                for beta, b in tail.items():
+                    rhs[alpha, beta] = rhs.get((alpha, beta), 0) + sign * factor * a * b
+    return tuple(_at_decreasing_y(form, Y) for form in (lhs, rhs))
+
+
+def _at_decreasing_y(form, Y):
+    """A map with coefficients in Y read at its strictly decreasing Y exponents, as {(alpha, beta, y): int}.
+
+    With Y empty the coefficients are ints already, and the map keeps its
+    (alpha, beta) keys.
+    """
+    if not Y:
+        return alternants.nonzero(form)
+    out = {}
+    for (alpha, beta), c in form.items():
+        for mono, coeff in as_poly(c).monomials().items():
+            exps = dict(mono)
+            y = tuple(exps.get(name, 0) for name in Y.names)
+            if all(map(operator.gt, y, y[1:])):
+                out[alpha, beta, y] = coeff
+    return out
+
+
 class TestAlternantSplitSums:
     """The alternant-coefficient comparison of the split sums against the cleared polynomial expansion."""
 
@@ -694,8 +757,9 @@ class TestAlternantSplitSums:
         for name in ALTERNANT_SWEEPS:
             assert failing.count(f"{name}/sign") > 0 and failing.count(f"{name}/grown") > 0
 
-    def test_failing_witness_prints_polynomial_coefficients(self):
-        # LS_(1)(-(s u t); y1) = y1 - s - t, with one Y split summand's sign flipped
+    def test_failing_witness_prints_int_coefficients_at_three_keys(self):
+        # LS_(1)(-(s u t); y1) V(s, t) V(y1) = (y1 - s - t)(s - t) = y1 s - y1 t - s^2 + t^2, keyed by the
+        # exponents of (s, t, y1); flipping the sign of one Y split's summand flips its y1 s and s^2 terms
         lam = Partition((1,))
         S, T, Y = VarSeq.make("s", 1), VarSeq.make("t", 1), VarSeq.make("y", 1)
         n, m, l, k, instance = identities._second_overlap_setup(lam, S, T, Y)
@@ -703,8 +767,120 @@ class TestAlternantSplitSums:
         assert identities._conclude_y_splits("t", instance, "symbolic", lam, S, T, Y, summands).passed
         flipped = _mutate_first_term(summands, _flipped)
         r = identities._conclude_y_splits("t", instance, "symbolic", lam, S, T, Y, flipped)
-        assert r.failed and r.witness.startswith("coefficients differ: [(((")
-        assert "MultiPoly" not in r.witness and "y1" in r.witness
+        assert r.failed and r.witness == (
+            "coefficients differ: [(((1,), (0,), (1,)), 1), (((1,), (0,), (1,)), -1), "
+            "(((2,), (0,), (0,)), -1), (((2,), (0,), (0,)), 1)]"
+        )
+
+
+class TestYSplitKeys:
+    """The Y-split maps keyed in S, T and Y against the polynomial forms of _y_split_oracle, read at decreasing Y keys."""
+
+    def test_maps_match_the_oracle(self, monkeypatch):
+        forms = identities._y_split_forms
+
+        def agree(lam, S, T, Y, summands):
+            assert forms(lam, S, T, Y, summands) == _y_split_oracle(lam, S, T, Y, summands)
+
+        def flip_shared(summands):
+            # the first term flipped in the list that every split of its size shares
+            terms = next(terms for terms in summands.values() if terms)
+            flipped = [_flipped(*terms[0]), *terms[1:]]
+            return {key: flipped if value is terms else value for key, value in summands.items()}
+
+        # every instance of the sweeps at --max-box 3 --vars 3, and l(Y) = 3 with l(S) + l(T) <= 3
+        instances = list(identities._y_split_instances(3, 3)) + [
+            (lam, VarSeq.make("s", l), VarSeq.make("t", n - l), VarSeq.make("y", 3))
+            for lam in partitions_in_box(3, 3) for n in range(4) for l in range(n + 1)
+        ]
+        failing = 0
+        for lam, S, T, Y in instances:
+            k = lam.index(len(Y), len(S) + len(T))
+            # second-overlap's fibers, shared by the splits of one size, and walk-split's walks
+            for labels in (None, identities._walk_labels):
+                summands = identities._second_overlap_summands(lam, S, T, Y, k, labels)
+                agree(lam, S, T, Y, summands)
+                if labels is None and any(summands.values()):
+                    mutant = flip_shared(summands)
+                    agree(lam, S, T, Y, mutant)
+                    lhs, rhs = forms(lam, S, T, Y, mutant)
+                    failing += lhs != rhs
+        assert failing > 0
+
+        # the subpartition-ls sweep, whose terms are shared by the splits of one size
+        seen = []
+
+        def checked(lam, S, T, Y, summands):
+            seen.append(Y)
+            agree(lam, S, T, Y, summands)
+            return forms(lam, S, T, Y, summands)
+
+        monkeypatch.setattr(identities, "_y_split_forms", checked)
+        reports = identities.run_catalog(["subpartition-ls"], max_box=3, nvars=3)
+        assert reports and all(r.passed for r in reports)
+        assert len(seen) == len(reports) and max(map(len, seen)) == 2
+
+    # lam = (2, 1) over S u T = (s1, t1) and Y = (y1, y2): each split of size 1 carries one walk's term
+    lam = Partition((2, 1))
+    S, T, Y = VarSeq.make("s", 1), VarSeq.make("t", 1), VarSeq.make("y", 2)
+
+    def walk_split(self, mode, mutate=lambda summands: summands):
+        n, m, l, k, instance = identities._second_overlap_setup(self.lam, self.S, self.T, self.Y)
+        summands = identities._second_overlap_summands(self.lam, self.S, self.T, self.Y, k, identities._walk_labels)
+        assert [len(U) for U, V in summands].count(1) == 2
+        summands = mutate(summands)
+        return identities._conclude_y_splits("walk-split", instance, mode, self.lam, self.S, self.T, self.Y, summands)
+
+    @staticmethod
+    def flip_first(summands):
+        return _mutate_first_term(summands, _flipped)
+
+    def with_terms(self, *extra):
+        """The first split of size 1 with extra terms added to its list."""
+        def mutate(summands):
+            key = next(key for key in summands if len(key[0]) == 1)
+            return {**summands, key: [*summands[key], *extra]}
+
+        return mutate
+
+    def test_walk_split_splits_of_one_size_must_agree(self):
+        assert self.walk_split("symbolic").passed
+        r = self.walk_split("symbolic", self.flip_first)
+        assert r.failed and r.witness == "terms differ between the splits (('y1',), ('y2',)) and (('y2',), ('y1',))"
+
+    def test_walk_split_ignores_a_difference_of_zero_terms(self):
+        # (2, 2) is outside the (1, 1)-hook of S u U, so LS_(2,2)(-S; U) = 0 and the term adds nothing
+        zero = (1, Partition((2, 2)), Partition(()))
+        for mode in ("symbolic", "grid"):
+            assert self.walk_split(mode, self.with_terms(zero)).passed
+
+    def test_walk_split_grid_mode_sums_each_split(self):
+        # a term and its negative cancel in one split's sum, but that split's terms differ from the other's
+        term = (1, Partition(()), Partition((2, 1)))
+        cancelling = self.with_terms(term, (-1, *term[1:]))
+        assert self.walk_split("grid", cancelling).passed
+        r = self.walk_split("symbolic", cancelling)
+        assert r.failed and r.witness.startswith("terms differ between the splits ")
+        r = self.walk_split("grid", self.flip_first)
+        assert r.failed and r.witness.startswith("point ")
+
+
+# the symbolic sweeps that take Y-split maps: no polynomial is multiplied or added in them
+Y_SPLIT_SWEEPS = ["second-overlap", "walk-split", "subpartition-ls", *UNION_SWEEPS]
+
+
+@pytest.mark.parametrize("name", Y_SPLIT_SWEEPS)
+def test_symbolic_y_split_sums_build_no_polynomial(name, monkeypatch):
+    def refuse(self, other):
+        raise AssertionError(f"symbolic {name} multiplied or added a polynomial")
+
+    # a cached form or polynomial would hide an operation, so start from empty caches
+    for cached in (*_ALTERNANT_MEMOS, alternants.ls_alternant_xy, schur_ssyt):
+        cached.cache_clear()
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(MultiPoly, op, refuse)
+    reports = identities.run_catalog([name], max_box=3, nvars=4, mode="symbolic")
+    assert reports and all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("name", ALTERNANT_SWEEPS)

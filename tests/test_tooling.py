@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # traffic on the verify workloads; adding a memo means adding it here.
 KEPT_MEMOS = {
     "alternants.ls_alternant",
+    "alternants.ls_alternant_xy",
     "identities._quotient",
     "polyring.VarSeq.splits",
     "polyring.VarSeq.terms",
