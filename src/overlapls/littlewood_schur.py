@@ -118,11 +118,6 @@ def _sign_exponent(lam: Partition, m: int, n: int, k: int) -> int:
     return lam.take(max(n - k, 0)).size + m * k + k * (k - 1) // 2
 
 
-def ls_sign(lam: Partition, m: int, n: int) -> int:
-    """Sign in front of the block determinant; depends on (lam, m, n) jointly."""
-    return -1 if _sign_exponent(lam, m, n, lam.index(m, n)) % 2 else 1
-
-
 def _check_alphabets(X: VarSeq, Y: VarSeq) -> None:
     """The determinantal and branching routes take two unmarked alphabets with distinct names."""
     names = X.names + Y.names
@@ -142,9 +137,10 @@ def _mvj(lam: Partition, xs: tuple, ys: tuple):
     times the x-minor with each x-row multiplied by the product of its
     remaining (x - y) (which clears the Cauchy entries) and divided exactly
     by V(xs), times the (x - y) factors of J.  One certified division by
-    V(ys) finishes.  The sign in front of the determinant (ls_sign) is
-    folded into each term's.  Every exponent is non-negative: k + 1 failed
-    the index test, so the cell (m - k, n - k) lies in lam.
+    V(ys) finishes.  The sign in front of the determinant, which depends on
+    (lam, m, n) jointly (_sign_exponent), is folded into each term's.  Every
+    exponent is non-negative: k + 1 failed the index test, so the cell
+    (m - k, n - k) lies in lam.
     """
     n, m = len(xs), len(ys)
     k = lam.index(m, n)
@@ -156,7 +152,7 @@ def _mvj(lam: Partition, xs: tuple, ys: tuple):
     diffs = [[x - y for y in ys] for x in xs]
     x_pows = [[x**e for e in x_exp] for x in xs]
     vand_x = vandermonde_of(xs)
-    # each term's sign: y-rows n+1..n+m-k against columns J (1-based), times (-1)^(nm) and ls_sign
+    # each term's sign: y-rows n+1..n+m-k against columns J (1-based), times (-1)^(nm) and the sign in front
     parity = sum(range(n + 1, n + m - k + 1)) + (m - k) + n * m + _sign_exponent(lam, m, n, k)
     total = 0
     for J in itertools.combinations(range(m), m - k):

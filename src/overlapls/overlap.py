@@ -13,16 +13,24 @@ across the n-wide, m-high rectangle, labeled by lam, carries the pair with
 mu + rho_m = (lam + rho_{m+n}) at the V step times of pi and
 nu + rho_n = (lam + rho_{m+n}) at its H step times.  The same formula with
 any label sequence in place of lam, quasi-partitions included, inverts the
-witness map of an infinite overlap.
+witness map of an infinite overlap.  All walks of one rectangle are labeled
+in one pass (walks._labeled_walks), which builds the rectangle's constants
+once.
+
+Two scans check the walk enumerations against the definitions, and read no
+walk.  Both are lookups, since a strictly decreasing staircase leaves at
+most one candidate: brute_force_fiber reads the one nu that each mu of its
+box leaves off the entries of lam + rho_{m+n} that mu + rho_m does not
+take, and enumerate_subpartition_pairs reads the one index set K that each
+lam of its box admits off the values of lam's shifted staircase.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 
 from .partitions import Partition, binomial, partitions_in_box
-from .walks import StaircaseWalk, _labeled, _unstair, is_quasi_partition, walk_times
+from .walks import StaircaseWalk, _labeled, _labeled_walks, _unstair, is_quasi_partition, walk_times
 
 
 class OverlapResult:
@@ -31,8 +39,8 @@ class OverlapResult:
     __slots__ = ("value", "sign")
 
     def __init__(self, value, sign):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "sign", sign)
+        OverlapResult.value.__set__(self, value)
+        OverlapResult.sign.__set__(self, sign)
 
     def __setattr__(self, *a):
         raise AttributeError("OverlapResult is immutable")
@@ -45,7 +53,7 @@ class OverlapResult:
 
     @staticmethod
     def infinite() -> "OverlapResult":
-        return OverlapResult(None, 1)
+        return _INFINITE
 
     @property
     def is_infinite(self) -> bool:
@@ -74,6 +82,9 @@ class OverlapResult:
         return {"value": self.value.to_json(), "sign": self.sign}
 
 
+_INFINITE = OverlapResult(None, 1)
+
+
 def overlap(mu: Partition, nu: Partition, m: int, n: int) -> OverlapResult:
     """The (m, n)-overlap of mu and nu with its sign.
 
@@ -82,22 +93,15 @@ def overlap(mu: Partition, nu: Partition, m: int, n: int) -> OverlapResult:
     whose staircase-reduction is automatically a partition.
     """
     _check_pair(mu, nu, m, n)
-    merged, at = _merge(staircase(mu, m), staircase(nu, n))
+    mu_stair = staircase(mu, m)
+    merged = sorted(mu_stair + staircase(nu, n), reverse=True)
     if len(set(merged)) < m + n:
-        return OverlapResult.infinite()
-    # only cross pairs invert: the mu entry at at[i] comes after at[i] - i nu entries
-    sign = -1 if (sum(at) - m * (m - 1) // 2) % 2 else 1
-    return OverlapResult(Partition._of(_unstair(merged, m + n)), sign)
-
-
-def _merge(mu_stair: tuple, nu_stair: tuple):
-    """The two staircases sorted into one decreasing list, and the position of each mu entry in it.
-
-    A value both staircases hold sits twice in the list; its mu entry
-    takes the first of the two positions.
-    """
-    merged = sorted(mu_stair + nu_stair, reverse=True)
-    return merged, tuple(map(merged.index, mu_stair))
+        return _INFINITE
+    r = OverlapResult.__new__(OverlapResult)
+    OverlapResult.value.__set__(r, Partition._of(_unstair(merged, m + n)))
+    # only cross pairs invert: the mu entry at position p_i comes after p_i - i nu entries
+    OverlapResult.sign.__set__(r, -1 if (sum(map(merged.index, mu_stair)) - m * (m - 1) // 2) % 2 else 1)
+    return r
 
 
 def staircase(lam: Partition, k: int) -> tuple:
@@ -116,12 +120,11 @@ def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
     horizontal steps extend the columns below into nu; the sign counts the
     boxes below the walk.  lam + rho_{m+n} is built once, and each walk
     reads mu and nu off it at its step times, which walk_times reads off
-    the combinations of step positions.
+    the combinations of step positions; _labeled_walks labels the whole
+    rectangle in one pass.
     """
     _check_fiber(lam, m, n)
-    stair = (None, *staircase(lam, m + n))
-    for v_times, h_times in walk_times(n, m):
-        yield _labeled(stair, v_times, h_times, Partition._of)
+    yield from _labeled_walks((None, *staircase(lam, m + n)), walk_times(n, m), m, n, Partition._of)
 
 
 def _check_fiber(lam: Partition, m: int, n: int):
@@ -168,11 +171,13 @@ def infinite_overlap_witness(mu: Partition, nu: Partition, m: int, n: int):
     chosen, so the output is deterministic.
     """
     _check_pair(mu, nu, m, n)
-    merged, at = _merge(staircase(mu, m), staircase(nu, n))
+    mu_stair = staircase(mu, m)
+    merged = sorted(mu_stair + staircase(nu, n), reverse=True)
     if len(set(merged)) == m + n:
         return None
     alpha = _unstair(merged, m + n)
-    pi = StaircaseWalk.from_v_times([p + 1 for p in at], m + n)
+    # a value both staircases hold sits twice in merged; its mu entry takes the first of the two positions
+    pi = StaircaseWalk.from_v_times([merged.index(s) + 1 for s in mu_stair], m + n)
     assert is_quasi_partition(alpha, pi)
     return pi, alpha
 
@@ -196,22 +201,24 @@ def brute_force_fiber(lam: Partition, m: int, n: int):
 
     (mu, nu) lies in the fiber of lam exactly when the merged staircases
     (mu + rho_m) u (nu + rho_n), sorted decreasingly, equal lam + rho_{m+n}.
-    The target is strictly decreasing, so a merge with a repeated entry never
-    matches; overlap() runs only on accepted pairs, for the sign.
-    Any pair overlapping to lam fits in mu_1 <= lam_1 + n, nu_1 <= lam_1 + m,
-    and pair sizes are forced to |mu| + |nu| = |lam| + m*n.
+    Any pair overlapping to lam fits in mu_1 <= lam_1 + n, nu_1 <= lam_1 + m.
+    The target is strictly decreasing, so mu + rho_m must be m of its
+    entries, and then nu + rho_n can only be the other n, in order: each nu
+    of its box is looked up by its staircase, and each mu of its box reads
+    off the one candidate it leaves.  overlap() runs only on accepted pairs,
+    for the sign.  The scan covers the whole mu box and reads no walk, so it
+    stays independent of the walk enumeration it checks.
     """
     _check_fiber(lam, m, n)
-    target = list(staircase(lam, m + n))
-    target_size = lam.size + m * n
-    by_size = {}
-    for nu in partitions_in_box(lam.part(1) + m, n):
-        by_size.setdefault(nu.size, []).append((nu, staircase(nu, n)))
+    target = staircase(lam, m + n)
+    entries = set(target)
+    nu_of = {staircase(nu, n): nu for nu in partitions_in_box(lam.part(1) + m, n)}
     out = []
     for mu in partitions_in_box(lam.part(1) + n, m):
         mu_stair = staircase(mu, m)
-        for nu, nu_stair in by_size.get(target_size - mu.size, ()):
-            if sorted(mu_stair + nu_stair, reverse=True) == target:
+        if entries.issuperset(mu_stair):
+            nu = nu_of.get(tuple(t for t in target if t not in mu_stair))
+            if nu is not None:
                 r = overlap(mu, nu, m, n)
                 if r.is_finite and r.value == lam:
                     out.append((mu, nu, r.sign))
@@ -234,8 +241,8 @@ def sub_partition(lam: Partition, N: int, K) -> Partition:
 def _sub_parts(parts: tuple, N: int, K: tuple) -> tuple:
     """sub_partition's parts lam_{K_j} + N - K_j - (l(K) - j), unchecked.
 
-    parts is lam padded to N; K must be valid, as itertools.combinations
-    and c_indices always make it.
+    parts is lam padded to N; K must be valid, as _check_indices and
+    c_indices make it.
     """
     top = N - len(K) + 1
     return tuple(parts[k - 1] + top - k + j for j, k in enumerate(K))
@@ -275,21 +282,28 @@ def subpartition_to_overlap(lam: Partition, K, m: int, n: int):
 def enumerate_subpartition_pairs(kappa: Partition, m: int, n: int, l: int):
     """All (lam, K) with lam in the m x (n+l) box, l(K) = l, sub(lam, K) = kappa.
 
-    Definitional scan over the bounded search space, comparing part tuples;
-    the count is the same binomial as the overlap fiber, and mapping through
-    subpartition_to_overlap is a bijection onto the fiber of kappa'.
+    Definitional scan over the lam box.  Part j (0-based) of sub(lam, K) is
+    s_(K_j) + j, where s_k = lam_k + n + 1 - k strictly decreases in k, so
+    K_j can only be the position where s takes the value kappa_j - j: each
+    lam reads its one candidate K off a map from the values of s to their
+    positions, and has a pair exactly when every value is found.  Those
+    positions increase with j, as kappa_j - j decreases, so K is a valid
+    index sequence.  The count is the same binomial as the overlap fiber,
+    and mapping through subpartition_to_overlap is a bijection onto the
+    fiber of kappa'.
     """
     _check_dimensions(m, n, l)
     if not kappa.fits_in(m + n, l):
         raise ValueError(f"{kappa} does not fit in a {m + n}x{l} rectangle")
     N = n + l
-    target = kappa.padded(l)
+    want = tuple(map(operator.sub, kappa.padded(l), range(l)))
+    shift, positions = range(n, n - N, -1), range(1, N + 1)
     out = []
     for lam in partitions_in_box(m, N):
-        parts = lam.padded(N)
-        for K in itertools.combinations(range(1, N + 1), l):
-            if _sub_parts(parts, N, K) == target:
-                out.append((lam, K))
+        position = dict(zip(map(operator.add, lam.padded(N), shift), positions))
+        K = tuple(map(position.get, want))
+        if None not in K:
+            out.append((lam, K))
     return out
 
 

@@ -36,7 +36,7 @@ class Partition:
         if parts and parts[-1] < 0:
             raise ValueError(f"negative part in {parts}")
         # parts is non-increasing and non-negative now, so its zeros start at the first 0
-        object.__setattr__(self, "parts", parts[: parts.index(0)] if parts and not parts[-1] else parts)
+        Partition.parts.__set__(self, parts[: parts.index(0)] if parts and not parts[-1] else parts)
 
     @staticmethod
     def _of(parts: tuple) -> "Partition":
@@ -46,7 +46,7 @@ class Partition:
         checks every value it is given.
         """
         p = Partition.__new__(Partition)
-        object.__setattr__(p, "parts", parts[: parts.index(0)] if parts and not parts[-1] else parts)
+        Partition.parts.__set__(p, parts[: parts.index(0)] if parts and not parts[-1] else parts)
         return p
 
     def __setattr__(self, *a):

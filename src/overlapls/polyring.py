@@ -522,8 +522,8 @@ def e_prod(X: VarSeq):
 class PolyMatrix(list):
     """Rectangular matrix of exact entries (int or MultiPoly), as the list of its rows.
 
-    The rows are copied, and a ragged matrix is rejected; det,
-    det_leibniz and laplace_expand take a PolyMatrix or any list of rows.
+    The rows are copied, and a ragged matrix is rejected; det and
+    laplace_expand take a PolyMatrix or any list of rows.
     """
 
     def __init__(self, rows):
@@ -538,8 +538,8 @@ def det(A) -> "MultiPoly | int":
     Each minor on the bottom rows is keyed by its column subset and computed
     once, so order n costs at most n * 2^(n-1) products and no division.  An
     empty matrix gives 1.  The result (an int or a MultiPoly) is falsy
-    exactly when it is zero.  Tested against the Leibniz-sum oracle
-    det_leibniz.
+    exactly when it is zero.  The tests hold it equal to the Leibniz
+    permutation sum.
     """
     n = len(A)
     if any(len(r) != n for r in A):
@@ -567,19 +567,6 @@ def det(A) -> "MultiPoly | int":
         return total
 
     return minor(tuple(range(n)))
-
-
-def det_leibniz(A):
-    """Permutation-sum determinant; an oracle, exponential on purpose."""
-    n = len(A)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        prod = 1
-        for i in range(n):
-            prod = prod * A[i][perm[i]]
-        total = total + (-1) ** inv * prod
-    return total
 
 
 def _subset_sign(K, J) -> int:

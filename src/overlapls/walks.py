@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .partitions import Partition, as_ints, binomial, rho
+from .partitions import Partition, as_ints, rho
 
 
 class StaircaseWalk:
@@ -102,13 +102,6 @@ class StaircaseWalk:
             raise ValueError(f"cut {c} out of range for a walk of {len(self.steps)} steps")
         return StaircaseWalk._of(self.steps[:c]), StaircaseWalk._of(self.steps[c:])
 
-    def complement_walk(self) -> "StaircaseWalk":
-        """Walk the stairs in the opposite direction: reverses the step word.
-
-        Swaps the two associated partitions: mu of the result is nu of self.
-        """
-        return StaircaseWalk._of(self.steps[::-1])
-
     def to_json(self) -> str:
         return self.steps
 
@@ -149,24 +142,31 @@ def _unstair(seq, k: int) -> tuple:
     return tuple(map(operator.sub, seq, range(k - 1, -1, -1)))
 
 
-def _labeled(stair, v_times: tuple, h_times: tuple, build):
-    """(mu, nu, sign) of the walk with these step times, labeled so that stair[t] = label_t + N - t.
+def _labeled_walks(stair, times, m: int, n: int, build):
+    """(mu, nu, sign) of each walk of the n-wide, m-high rectangle, labeled so that stair[t] = label_t + N - t.
 
+    times gives the (v_times, h_times) of each walk, as walk_times does;
     stair[0] is unused.  mu + rho_m and nu + rho_n are stair at the V and H
     step times.  The sign counts the boxes below the walk: the j-th H step
     (0-based) at time t has m + 1 + j - t V steps after it, so the count has
     the parity of sum(h_times) + n m + n (n + 1) / 2.  build makes each
     partition from its parts: Partition._of for the labels of a partition,
-    whose staircase strictly decreases, else the checking Partition.
+    whose staircase strictly decreases, else the checking Partition.  The
+    staircase offsets and the sign constant depend only on the rectangle,
+    so they are built once for all its walks.
     """
-    m, n = len(v_times), len(h_times)
-    mu = build(_unstair(map(stair.__getitem__, v_times), m))
-    nu = build(_unstair(map(stair.__getitem__, h_times), n))
-    return mu, nu, -1 if (sum(h_times) + n * m + n * (n + 1) // 2) % 2 else 1
+    at, sub = stair.__getitem__, operator.sub
+    down_m, down_n = range(m - 1, -1, -1), range(n - 1, -1, -1)
+    offset = n * m + n * (n + 1) // 2
+    for v_times, h_times in times:
+        mu = build(tuple(map(sub, map(at, v_times), down_m)))
+        nu = build(tuple(map(sub, map(at, h_times), down_n)))
+        yield mu, nu, -1 if (sum(h_times) + offset) % 2 else 1
 
 
-def count_walks(n: int, m: int) -> int:
-    return binomial(n + m, m)
+def _labeled(stair, v_times: tuple, h_times: tuple, build):
+    """(mu, nu, sign) of the one walk with these step times: _labeled_walks on a single walk."""
+    return next(_labeled_walks(stair, ((v_times, h_times),), len(v_times), len(h_times), build))
 
 
 def is_quasi_partition(alpha, pi: StaircaseWalk) -> bool:

@@ -10,7 +10,6 @@ from overlapls.littlewood_schur import (
     ls_branching,
     ls_combinatorial,
     ls_determinantal,
-    ls_sign,
     ls_value,
 )
 from overlapls.partitions import Partition, partitions_in_box, rect
@@ -24,6 +23,11 @@ from overlapls.polyring import (
     e_prod,
 )
 from overlapls.schur import schur_bialternant, schur_ssyt
+
+
+def ls_sign(lam, m, n):
+    """Sign in front of the Moens-Van der Jeugt block determinant; depends on (lam, m, n) jointly."""
+    return -1 if littlewood_schur._sign_exponent(lam, m, n, lam.index(m, n)) % 2 else 1
 
 
 def negate_vars(p, names):

@@ -46,6 +46,17 @@ def overlap_scan_oracle(lam, m, n):
     return out
 
 
+def overlap_oracle(mu, nu, m, n):
+    """The overlap from the positions of the mu entries in the merge, each result built by the checking constructors."""
+    mu_stair = staircase(mu, m)
+    merged = sorted(mu_stair + staircase(nu, n), reverse=True)
+    at = tuple(map(merged.index, mu_stair))
+    if len(set(merged)) < m + n:
+        return OverlapResult(None, 1)
+    sign = -1 if (sum(at) - m * (m - 1) // 2) % 2 else 1
+    return OverlapResult(Partition(map(operator.sub, merged, range(m + n - 1, -1, -1))), sign)
+
+
 def padded_sum_oracle(alpha, pi):
     """The labeling by padded sums: each partition of the walk, padded, plus the labels at its step times."""
     mu = Partition(map(operator.add, pi.mu().padded(pi.m), (alpha[t - 1] for t in pi.v_times())))
@@ -124,6 +135,27 @@ class TestOverlap:
                         assert shifted == merged
                     else:
                         assert len(set(merged)) < m + n
+
+    def test_matches_the_oracle_on_the_4x4_boxes(self):
+        # every pair of the 4 x 4 boxes with m, n <= 4, infinite overlaps included
+        infinite = 0
+        for m in range(5):
+            for n in range(5):
+                for mu in partitions_in_box(4, m):
+                    for nu in partitions_in_box(4, n):
+                        r = overlap(mu, nu, m, n)
+                        assert r == overlap_oracle(mu, nu, m, n)
+                        if r.value is None:
+                            assert r.is_infinite and r.sign == 1
+                            infinite += 1
+        assert infinite
+
+    def test_results_are_immutable(self):
+        # both are built through their slot setters, past the __setattr__ that refuses
+        finite, infinite = overlap(Partition((1,)), Partition(()), 1, 1), overlap(Partition((1,)), Partition((1,)), 1, 1)
+        for obj, name in [(finite, "value"), (finite, "sign"), (infinite, "sign"), (finite.value, "parts")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
 
     def test_complement_skew_commutativity(self):
         for m in range(0, 4):

@@ -17,7 +17,6 @@ from overlapls.polyring import (
     as_poly,
     delta_pair,
     det,
-    det_leibniz,
     divexact,
     e_prod,
     eval_at,
@@ -34,6 +33,19 @@ def x(name, e=1):
 def poly_equal(f, g) -> bool:
     """Equality of canonical forms, ints read as constant polynomials."""
     return as_poly(f) == as_poly(g)
+
+
+def det_leibniz(A):
+    """Permutation-sum determinant; the oracle for det, exponential on purpose."""
+    n = len(A)
+    total = 0
+    for perm in permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        prod = 1
+        for i in range(n):
+            prod = prod * A[i][perm[i]]
+        total = total + (-1) ** inv * prod
+    return total
 
 
 def vandermonde(X: VarSeq):

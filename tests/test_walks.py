@@ -1,11 +1,12 @@
 import inspect
+import operator
 
 import pytest
 
-from overlapls.partitions import Partition, binomial, rho
+from overlapls.overlap import enumerate_overlap_pairs, staircase
+from overlapls.partitions import Partition, binomial, partitions_in_box, rho
 from overlapls.walks import (
     StaircaseWalk,
-    count_walks,
     enumerate_walks,
     is_quasi_partition,
     step_time_encoding,
@@ -13,6 +14,19 @@ from overlapls.walks import (
 )
 
 REFERENCE_WALK = StaircaseWalk("HVVHHHVHH")
+
+
+def labeled_walk_oracle(stair, v_times, h_times, build):
+    """One walk's (mu, nu, sign), with every constant built for that walk alone: the oracle for the rectangle pass."""
+    m, n = len(v_times), len(h_times)
+    mu = build(tuple(map(operator.sub, map(stair.__getitem__, v_times), range(m - 1, -1, -1))))
+    nu = build(tuple(map(operator.sub, map(stair.__getitem__, h_times), range(n - 1, -1, -1))))
+    return mu, nu, -1 if (sum(h_times) + n * m + n * (n + 1) // 2) % 2 else 1
+
+
+def complement_walk(w):
+    """Walk the stairs in the opposite direction: the reversed step word, whose mu is nu of w."""
+    return StaircaseWalk(w.steps[::-1])
 
 
 class TestEnumeration:
@@ -55,7 +69,7 @@ class TestEnumeration:
             for m in range(5):
                 walks = list(enumerate_walks(n, m))
                 assert len(walks) == len(set(walks)) == binomial(n + m, m)
-                assert count_walks(n, m) == binomial(n + m, m)
+                assert len(list(walk_times(n, m))) == binomial(n + m, m)
 
 
 class TestStepTimes:
@@ -173,23 +187,23 @@ class TestSplit:
 
 class TestComplementWalk:
     def test_reversal(self):
-        assert REFERENCE_WALK.complement_walk().steps == "HHVHHHVVH"
+        assert complement_walk(REFERENCE_WALK).steps == "HHVHHHVVH"
 
     def test_involution(self):
         for w in enumerate_walks(3, 2):
-            assert w.complement_walk().complement_walk() == w
+            assert complement_walk(complement_walk(w)) == w
 
     def test_swaps_partitions(self):
         for n in range(5):
             for m in range(5):
                 for w in enumerate_walks(n, m):
-                    tau = w.complement_walk()
+                    tau = complement_walk(w)
                     assert tau.mu() == w.nu()
                     assert tau.nu() == w.mu()
 
     def test_step_time_reflection(self):
         for w in enumerate_walks(4, 3):
-            tau = w.complement_walk()
+            tau = complement_walk(w)
             vt, vw = tau.v_times(), w.v_times()
             total = len(w)
             for i in range(w.m):
@@ -268,3 +282,15 @@ class TestConstruction:
 
     def test_from_v_times_reads_an_iterator_once(self):
         assert StaircaseWalk.from_v_times((t for t in (1, 3)), 4) == StaircaseWalk("VHVH")
+
+
+class TestRectangleLabeling:
+    def test_fiber_matches_the_per_walk_oracle(self):
+        # the fibers sizes: every lam of the 5 x 5 box, m, n <= 4; same triples in the same order
+        for lam in partitions_in_box(5, 5):
+            for m in range(5):
+                for n in range(5):
+                    if lam.length <= m + n:
+                        stair = (None, *staircase(lam, m + n))
+                        want = [labeled_walk_oracle(stair, v, h, Partition._of) for v, h in walk_times(n, m)]
+                        assert list(enumerate_overlap_pairs(lam, m, n)) == want
