@@ -46,14 +46,14 @@ and one Laplace merge of the U and V keys into a Y key takes the place of
 the loop over the splits of that size, so no polynomial is formed.  That
 merge needs every split of one size to carry the same nonzero terms, which
 _terms_by_size checks; walk-split fails with a witness naming two splits
-when they do not.  Grid mode writes the two sides once, as build(R), from
-the integer primitives R.ls and R.delta at each spot point, and compares
-lhs times V (R.vandermonde) with the sum of the numerators times V / den,
-each quotient certified exact by divexact.
-Each LS value there comes from the strip branching rule (ls_value runs it
-at the point, R.delta and R.vandermonde multiply integer differences), so
-the split sums in grid mode expand no polynomial, compute no determinant
-and build no fraction; _cleared and _quotient see only ints.
+when they do not.  Grid mode writes the two sides once, as build(at), at
+being the map from an alphabet to its values at a spot point: ls_value
+runs the strip branching rule on those values and delta_of multiplies
+their differences.  At each point the sum of num / den is compared over
+the common denominator, lhs times the lcm of the dens against the sum of
+each num times lcm / den, so the split sums in grid mode expand no
+polynomial, compute no determinant and build no fraction; a pass means
+the identity holds exactly at every spot point.
 """
 
 from __future__ import annotations
@@ -61,10 +61,9 @@ from __future__ import annotations
 import bisect
 import collections
 import functools
-import operator
+import math
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 
 from . import report
 from .alternants import (
@@ -94,11 +93,9 @@ from .polyring import (
     ZERO,
     delta_of,
     det,
-    divexact,
     e_prod,
     laplace_expand,
     sort_sign,
-    vandermonde_of,
 )
 from .schur import complement_reciprocity_check, factor_rule_check, schur
 from .walks import _labeled, _unstair, enumerate_walks, walk_times
@@ -115,43 +112,18 @@ def spot_points(names, count: int = _SPOT_COUNT):
 
     Coordinate i of point j is _SPOT_BASES[i] + 60 j: the bases are distinct
     and below 60, so no two coordinates of a point meet and none is zero.
+    A repeated name, or more names than bases, raises ValueError.
     """
     names = list(names)
     if len(names) > len(_SPOT_BASES):
         raise ValueError("too many variables for the spot grid")
+    if len(set(names)) < len(names):
+        raise ValueError("repeated variable names for the spot grid")
     for j in range(count):
         yield {n: _SPOT_BASES[i] + 60 * j for i, n in enumerate(names)}
 
 
-def _at_point(point):
-    """Grid primitives on unmarked alphabets: exact integer values at one spot point, no polynomial built."""
-    def at(X: VarSeq):
-        return tuple(map(point.__getitem__, X.names))
-
-    return SimpleNamespace(
-        ls=lambda lam, X, Y: ls_value(lam, at(X), at(Y)),
-        delta=lambda X, Y: delta_of(at(X), at(Y)),
-        vandermonde=lambda X: vandermonde_of(at(X)),
-    )
-
-
-@functools.cache
-def _quotient(clear, den):
-    """clear / den, certified exact by divexact; the split sums meet few distinct pairs, so each is divided once."""
-    return divexact(clear, den)
-
-
-def _cleared(terms, clear):
-    """clear times the sum of (num, den) terms; every den must divide clear.
-
-    Each quotient clear / den comes from _quotient.  The sum starts from the
-    first term, so on ints it stays an int; no terms give 0.
-    """
-    parts = (num if den == clear else num * _quotient(clear, den) for num, den in terms)
-    return sum(parts, next(parts, 0))
-
-
-def _conclude(ident, instance, mode, forms, build, names, clear):
+def _conclude(ident, instance, mode, forms, build, names):
     """Check a split sum lhs = sum of num / den: by alternant coefficients, or at spot points in grid mode.
 
     This is the one function that reads the mode.  Symbolic mode compares
@@ -159,11 +131,11 @@ def _conclude(ident, instance, mode, forms, build, names, clear):
     Vandermonde products of the cleared alphabets, read at strictly
     decreasing exponent keys (each map holds no zero coefficient), or fails
     with the witness that forms() returns in their place.  Grid
-    mode runs build(R) = (lhs, terms) in the integers at each spot point of
-    names and compares lhs * V with the cleared sum, V being the product of
-    R.vandermonde over the one or two alphabets in clear, which every den
-    must divide.  A failing witness lists the coefficients that differ, or
-    names the point.
+    mode runs build(at) = (lhs, terms) at each spot point of names, at
+    mapping an alphabet to its integer values there, and compares lhs *
+    common with the sum of num * (common / den), common being the lcm of
+    the dens; a den that vanishes at the point raises ZeroDivisionError.  A
+    failing witness lists the coefficients that differ, or names the point.
     """
     report.check_mode(mode)
     if mode == "symbolic":
@@ -172,10 +144,9 @@ def _conclude(ident, instance, mode, forms, build, names, clear):
             return report.failed(ident, instance, sides, mode)
         return report.exact(ident, instance, *sides, mode, coefficients_differ)
     for point in spot_points(names):
-        R = _at_point(point)
-        lhs, terms = build(R)
-        vand = functools.reduce(operator.mul, map(R.vandermonde, clear))
-        if lhs * vand != _cleared(terms, vand):
+        lhs, terms = build(lambda A: tuple(map(point.__getitem__, A.names)))
+        common = math.lcm(*(den for _, den in terms))
+        if lhs * common != sum(num * (common // den) for num, den in terms):
             return report.failed(ident, instance, f"point {point}", mode)
     return report.passed(ident, instance, mode)
 
@@ -183,12 +154,13 @@ def _conclude(ident, instance, mode, forms, build, names, clear):
 # -- first overlap identity ---------------------------------------------------
 
 
-def _x_split_terms(R, head, tail, l, X: VarSeq, Y: VarSeq, sign=1):
-    """(sign * LS(head; S) * LS(tail; T), delta(T, S)) over the splits (S, T) of X with l(S) = l."""
-    return [
-        (sign * R.ls(head, S, Y) * R.ls(tail, T, Y), R.delta(T, S))
-        for S, T in X.splits(l)
-    ]
+def _x_split_terms(at, head, tail, l, X: VarSeq, ys, sign=1):
+    """(sign * LS(head; S) * LS(tail; T), delta(T, S)) over the splits (S, T) of X with l(S) = l, at the values at(S), at(T) and ys of Y."""
+    out = []
+    for S, T in X.splits(l):
+        s, t = at(S), at(T)
+        out.append((sign * ls_value(head, s, ys) * ls_value(tail, t, ys), delta_of(t, s)))
+    return out
 
 
 def _x_split_forms(lam, head, tail, l, X: VarSeq, Y: VarSeq, sign):
@@ -214,11 +186,12 @@ def _conclude_x_splits(ident, instance, mode, lam, head, tail, l, X: VarSeq, Y: 
 
     Symbolic mode compares _x_split_forms.
     """
-    def build(R):
-        return (0 if lam is None else R.ls(lam, X, Y)), _x_split_terms(R, head, tail, l, X, Y, sign)
+    def build(at):
+        ys = at(Y)
+        return (0 if lam is None else ls_value(lam, at(X), ys)), _x_split_terms(at, head, tail, l, X, ys, sign)
 
     forms = functools.partial(_x_split_forms, lam, head, tail, l, X, Y, sign)
-    return _conclude(ident, instance, mode, forms, build, X.names + Y.names, (X,))
+    return _conclude(ident, instance, mode, forms, build, X.names + Y.names)
 
 
 def verify_first_overlap(lam, m, n, l, mu, nu, X: VarSeq, Y: VarSeq, mode="symbolic"):
@@ -410,17 +383,19 @@ def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
 
     summands maps each split (U, V) to its terms, as in _y_split_forms.
     Symbolic mode compares _y_split_forms; grid mode sums each split's terms
-    over its one denominator and clears by V(S u T) V(Y).
+    over its one denominator, delta(V, U) delta(T, S).
     """
-    def build(R):
-        out = []
+    def build(at):
+        s, t, out = at(S), at(T), []
+        ts = delta_of(t, s)
         for (U, V), terms in summands.items():
-            total = sum(sign * R.ls(reduced, S, U) * R.ls(below, T, V) for sign, reduced, below in terms)
-            out.append((R.delta(V, S) * R.delta(T, U) * total, R.delta(V, U) * R.delta(T, S)))
-        return R.ls(lam, S.concat(T), Y), out
+            u, v = at(U), at(V)
+            total = sum(sign * ls_value(reduced, s, u) * ls_value(below, t, v) for sign, reduced, below in terms)
+            out.append((delta_of(v, s) * delta_of(t, u) * total, delta_of(v, u) * ts))
+        return ls_value(lam, s + t, at(Y)), out
 
     forms = functools.partial(_y_split_forms, lam, S, T, Y, summands)
-    return _conclude(ident, instance, mode, forms, build, S.names + T.names + Y.names, (S.concat(T), Y))
+    return _conclude(ident, instance, mode, forms, build, S.names + T.names + Y.names)
 
 
 def _fibers(head, c, l, Y):

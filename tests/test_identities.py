@@ -1,16 +1,16 @@
 import functools
 import inspect
+import itertools
 import operator
 import re
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from overlapls import alternants, identities, littlewood_schur, report
 from overlapls import schur as schur_module
-from overlapls.littlewood_schur import littlewood_square_check, ls_branching, ls_combinatorial, ls_determinantal
+from overlapls.littlewood_schur import littlewood_square_check, ls_combinatorial, ls_determinantal, ls_value
 from overlapls.overlap import enumerate_overlap_pairs, overlap, staircase
 from overlapls.partitions import Partition, partitions_in_box, shift_first
 from overlapls.polyring import (
@@ -20,12 +20,13 @@ from overlapls.polyring import (
     VarSeq,
     ZERO,
     as_poly,
+    delta_of,
     delta_pair,
     divexact,
     e_prod,
     vandermonde_of,
 )
-from overlapls.schur import complement_reciprocity_check, factor_rule_check, schur, schur_ssyt, schur_value
+from overlapls.schur import complement_reciprocity_check, factor_rule_check, schur, schur_ssyt
 
 
 def vandermonde(X: VarSeq):
@@ -34,24 +35,24 @@ def vandermonde(X: VarSeq):
 
 
 class TestConclude:
-    """Symbolic mode compares the coefficient maps of forms(); grid mode clears build(R) at the spot points."""
+    """Symbolic mode compares the coefficient maps of forms(); grid mode compares build(at) at the spot points."""
 
     X = VarSeq.make("x", 2)
     one, two = Partition((1,)), Partition((2,))
 
-    def conclude(self, sign, mode, den=None):
+    def conclude(self, sign, mode):
         # s_1(x1, x2) = x1 + x2 = x1^2 / (x1 - x2) + x2^2 / (x2 - x1), the sum of s_2(S) / delta(S, T) over the splits
         def forms():
             rhs = {}
             alternants.merge_splits(rhs, sign, {(2,): 1}, {(0,): 1})
             return {(2, 0): 1}, rhs  # s_1(X) V(X) = a_(2, 0)(X)
 
-        def build(R):
+        def build(at):
             # LS_2(-S; ()) = s_2(S) and LS_1(-X; ()) = -s_1(X)
-            terms = [(sign * R.ls(self.two, S, VarSeq.of()), (den or R.delta)(S, T)) for S, T in self.X.splits(1)]
-            return -R.ls(self.one, self.X, VarSeq.of()), terms
+            terms = [(sign * ls_value(self.two, at(S), ()), delta_of(at(S), at(T))) for S, T in self.X.splits(1)]
+            return -ls_value(self.one, at(self.X), ()), terms
 
-        return identities._conclude("t", {}, mode, forms, build, self.X.names, (self.X,))
+        return identities._conclude("t", {}, mode, forms, build, self.X.names)
 
     def test_split_terms_pass(self):
         for mode in ("symbolic", "grid"):
@@ -63,15 +64,39 @@ class TestConclude:
         r = self.conclude(-1, "grid")
         assert r.failed and r.witness.startswith("point ")
 
-    def test_denominator_must_divide_clear(self):
-        # grid mode divides V by each den: at the point (2, 3), V = -1 and s_1 = 5
-        def den(S, T):
-            return schur_value(self.one, (2, 3))
+    def test_wrong_or_vanishing_denominator_never_passes(self, monkeypatch):
+        # grid mode compares over the lcm of the dens: a wrong den fails at a point, and one that vanishes raises
+        conclude = identities._conclude
+        lam, X, Y = Partition((2, 1)), VarSeq.make("x", 2), VarSeq.make("y", 1)
+        S, T = VarSeq.make("s", 1), VarSeq.make("t", 1)
+        k = lam.index(1, 2)
+        mu, nu, _ = next(enumerate_overlap_pairs(lam.take(2 - k), 1, 1 - k))
+        checks = (
+            lambda mode: identities.verify_first_overlap(lam, 1, 2, 1, mu, nu, X, Y, mode),  # over the splits of X
+            lambda mode: identities.verify_second_overlap(lam, S, T, Y, mode),  # over the splits of Y
+        )
 
-        with pytest.raises(NonExactDivision, match="-1 not divisible by 5"):
-            self.conclude(1, "grid", den)
-        # symbolic mode divides nothing and never builds the terms
-        assert self.conclude(1, "symbolic", den).passed
+        def with_dens(dens):
+            def checked(ident, instance, mode, forms, build, names):
+                def rebuilt(at):
+                    lhs, terms = build(at)
+                    return lhs, [(num, dens(den)) for num, den in terms]
+
+                return conclude(ident, instance, mode, forms, rebuilt, names)
+
+            monkeypatch.setattr(identities, "_conclude", checked)
+
+        for check in checks:
+            with_dens(lambda den: den)
+            assert check("grid").passed
+            with_dens(lambda den: 2 * den)
+            r = check("grid")
+            assert r.failed and r.witness.startswith("point ")
+            with_dens(lambda den: 0)
+            with pytest.raises(ZeroDivisionError):
+                check("grid")
+            # symbolic mode never builds the terms
+            assert check("symbolic").passed
 
 
 class TestFirstOverlap:
@@ -153,8 +178,8 @@ class TestSortedSplitAndCounterexample:
                     X, Y = VarSeq.make("x", n), VarSeq.make("y", m)
                     for l in range(0, n + 1):
                         head, tail = shift_first(lam.take(l), n - l, l), lam.drop(l)
-                        terms = identities._x_split_terms(_POLY_RING, head, tail, l, X, Y)
-                        expected = divexact(identities._cleared(terms, vandermonde(X)), vandermonde(X))
+                        terms = identities._x_split_terms(_poly_at, head, tail, l, X, Y.terms())
+                        expected = divexact(_cleared(terms, vandermonde(X)), vandermonde(X))
                         assert identities.sorted_split_sum(lam, l, X, Y) == expected, (lam, n, m, l)
 
     def test_both_sides_match_combinatorial_route(self):
@@ -440,11 +465,11 @@ def _sweep_refusing_products(name, mode, monkeypatch):
         raise AssertionError(f"{mode} mode built a Fraction")
 
     # a cached polynomial or value would hide an expansion, so start from empty caches
-    for cached in (littlewood_schur._ls_strips, schur_module._y_peel, schur, schur_ssyt, identities._quotient):
+    for cached in (littlewood_schur._ls_strips, schur_module._y_peel, schur, schur_ssyt):
         cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
-    # the spot points are integers and grid clearing divides ints, so no sweep makes a Fraction anywhere
+    # the spot points are integers and grid mode divides ints by their divisors, so no sweep makes a Fraction anywhere
     monkeypatch.setattr(Fraction, "__new__", refuse_fraction)
     reports = identities.run_catalog([name], max_box=2, nvars=2, mode=mode)
     assert reports and all(r.passed for r in reports)
@@ -505,10 +530,11 @@ def _union_checks(lam, S, T, mode="symbolic"):
 
 def _x_split_oracle(lam, head, tail, l, X, Y, sign):
     """The cleared expansion's verdict on LS(lam; X, Y), or 0 when lam is None, against the sum of _x_split_terms."""
-    def build(R):
-        return (0 if lam is None else R.ls(lam, X, Y)), identities._x_split_terms(R, head, tail, l, X, Y, sign)
+    def build(at):
+        ys = at(Y)
+        return (0 if lam is None else ls_value(lam, at(X), ys)), identities._x_split_terms(at, head, tail, l, X, ys, sign)
 
-    return _cleared_expansion_agrees(build, (X,))
+    return _cleared_expansion_agrees(build, X.names + Y.names)
 
 
 class TestUnionSchurCoefficients:
@@ -591,49 +617,64 @@ def test_symbolic_union_schur_expands_no_polynomial(name, monkeypatch):
 
 # the split sums that depend on the mode: symbolic mode checks them by alternant coefficients
 ALTERNANT_SWEEPS = ["first-overlap", "max-index", "second-overlap", "walk-split", "subpartition-ls"]
-_ALTERNANT_MEMOS = (
-    alternants.ls_alternant, schur_module._y_peel, littlewood_schur._ls_strips, schur, identities._quotient,
-)
-# the polynomial ring in which the split sums were once cleared, kept as the oracle
-_POLY_RING = SimpleNamespace(ls=ls_branching, delta=delta_pair, vandermonde=vandermonde)
+_ALTERNANT_MEMOS = (alternants.ls_alternant, schur_module._y_peel, littlewood_schur._ls_strips, schur)
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "grid"])
 def test_clearing_sees_only_ints(mode, monkeypatch):
-    quotient, cleared, divide = identities._quotient, identities._cleared, identities.divexact
+    # grid mode compares what build(at) returns at each spot point, and only ints; symbolic mode evaluates at no point
+    conclude = identities._conclude
     seen = []
 
-    def ints(*values):
-        if any(type(v) is not int for v in values):
-            raise AssertionError(f"{mode} mode cleared a non-int: {values}")
-        seen.append(values)
+    def checked(ident, instance, mode, forms, build, names):
+        def ints(at):
+            lhs, terms = build(at)
+            values = (lhs, *(v for term in terms for v in term))
+            if any(type(v) is not int for v in values):
+                raise AssertionError(f"{mode} mode compared a non-int: {values}")
+            seen.append(values)
+            return lhs, terms
 
-    def checked_cleared(terms, clear):
-        terms = list(terms)
-        ints(clear, *(v for term in terms for v in term))
-        return cleared(terms, clear)
+        return conclude(ident, instance, mode, forms, ints, names)
 
-    def checked(f):
-        def call(clear, den):
-            ints(clear, den)
-            return f(clear, den)
-
-        return call
-
-    quotient.cache_clear()
-    monkeypatch.setattr(identities, "_cleared", checked_cleared)
-    monkeypatch.setattr(identities, "_quotient", checked(quotient))
-    monkeypatch.setattr(identities, "divexact", checked(divide))
+    monkeypatch.setattr(identities, "_conclude", checked)
     reports = identities.run_catalog(None, 2, 2, mode)
     assert reports and all(r.passed for r in reports)
     assert bool(seen) == (mode == "grid")
 
 
-def _cleared_expansion_agrees(build, clear):
-    """The oracle's verdict: lhs * V == the sum of num * (V / den), expanded as polynomials."""
-    lhs, terms = build(_POLY_RING)
-    vand = functools.reduce(operator.mul, map(vandermonde, clear))
-    return lhs * vand == identities._cleared(terms, vand)
+def _poly_at(A: VarSeq):
+    """The values of an alphabet as polynomial variables: build(_poly_at) gives a split sum's sides as polynomials."""
+    return A.terms()
+
+
+def _cleared(terms, vand):
+    """vand times the sum of num / den over the (num, den) terms, each den certified by divexact to divide vand."""
+    return sum((num * divexact(vand, den) for num, den in terms), ZERO)
+
+
+def _divides(d, f) -> bool:
+    try:
+        divexact(f, d)
+    except NonExactDivision:
+        return False
+    return True
+
+
+def _cleared_expansion_agrees(build, names):
+    """The oracle's verdict: lhs * L == the sum of num * (L / den), expanded as polynomials.
+
+    Each den is a product of differences a - b of distinct letters of
+    names, none repeated, so their lcm L is the product of the differences
+    that divide some den.
+    """
+    lhs, terms = build(_poly_at)
+    dens = {as_poly(den) for _, den in terms}
+    common = ONE
+    for a, b in itertools.combinations(VarSeq.of(*names).terms(), 2):
+        if any(_divides(a - b, den) for den in dens):
+            common *= a - b
+    return lhs * common == _cleared(terms, common)
 
 
 def _grown(lam):
@@ -726,9 +767,9 @@ class TestAlternantSplitSums:
         x_splits, y_splits = identities._conclude_x_splits, identities._conclude_y_splits
         verdicts = []
 
-        def checked(ident, instance, mode, forms, build, names, clear):
-            r = conclude(ident, instance, mode, forms, build, names, clear)
-            verdicts.append((ident, r.passed, _cleared_expansion_agrees(build, clear)))
+        def checked(ident, instance, mode, forms, build, names):
+            r = conclude(ident, instance, mode, forms, build, names)
+            verdicts.append((ident, r.passed, _cleared_expansion_agrees(build, names)))
             return r
 
         def mutated_x(ident, instance, mode, lam, head, tail, l, X, Y, sign):
@@ -972,11 +1013,11 @@ class TestExactInGridMode:
             assert all(r.witness.startswith("coefficients differ: ") for r in failed)
 
     def test_schur_corollaries_clear_nothing(self, monkeypatch):
-        # grid mode compares the Schur corollaries' integer coefficient maps: no LS value, no clearing
+        # grid mode compares the Schur corollaries' integer coefficient maps: no spot point, no LS value, no den
         def refuse(*args):
-            raise AssertionError("a Schur corollary took an LS value or cleared a sum at a spot point")
+            raise AssertionError("a Schur corollary took an LS value or a den, or went to a spot point")
 
-        for name in ("ls_value", "_cleared", "_quotient"):
+        for name in ("spot_points", "ls_value", "delta_of"):
             monkeypatch.setattr(identities, name, refuse)
         for name in SCHUR_SWEEPS:
             reports = identities.run_catalog([name], max_box=3, nvars=2, mode="grid")
@@ -1005,6 +1046,12 @@ class TestExactInGridMode:
 def test_spot_points_reject_more_names_than_bases():
     with pytest.raises(ValueError, match="too many variables"):
         list(identities.spot_points([f"v{i}" for i in range(17)]))
+
+
+def test_spot_points_reject_repeated_names():
+    # a repeated name would get one value, and the coordinates would no longer be pairwise distinct
+    with pytest.raises(ValueError, match="repeated variable names"):
+        list(identities.spot_points(["a", "a", "b"]))
 
 
 def test_spot_points_are_distinct_nonzero_integers():

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 KEPT_MEMOS = {
     "alternants.ls_alternant",
     "alternants.ls_alternant_xy",
-    "identities._quotient",
     "polyring.VarSeq.splits",
     "polyring.VarSeq.terms",
     "schur._ls_strips",
