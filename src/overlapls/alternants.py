@@ -16,7 +16,9 @@ ch. I, turn products into operations on keys: s_nu(X) V(X) = a_(nu+delta)(X)
 a_beta f is the sum of f_gamma a_(beta+gamma) over the monomials of f
 (section 3), which puts a second alphabet on keys too (ls_alternant_xy,
 times_differences); the Laplace expansion of an alternant along the rows or
-columns of a split of an alphabet (shuffles, merge_splits); and the Pieri
+columns of a split of an alphabet (shuffles, which lists a key's splits in
+complement order and signs each by the positions it chooses, and
+merge_splits, which signs each merged pair by its sort); and the Pieri
 rule for e_j (section 5), one step on a key (vertical_strips) that both
 times_differences and dual_cauchy_product apply.  The overlap verifiers
 compare split sums this way in symbolic mode: the sums over splits of X
@@ -34,6 +36,7 @@ from .overlap import staircase
 from .partitions import Partition
 from .polyring import sort_sign
 from .schur import _vertical_strips, _y_peel
+from .walks import subsets_and_complements
 
 
 @functools.cache
@@ -90,14 +93,19 @@ def nonzero(form: dict) -> dict:
 def shuffles(gamma: tuple, m: int):
     """(alpha, beta, sign) over the splits of gamma into m entries alpha and the rest beta, both in gamma's order.
 
-    With gamma strictly decreasing this is the Laplace expansion of the
-    alternant a_gamma(S u T) along the rows of an m-letter S:
+    gamma must strictly decrease.  Then this is the Laplace expansion of
+    the alternant a_gamma(S u T) along the rows of an m-letter S:
     a_gamma(S u T) is the sum of sign a_alpha(S) a_beta(T), sign being
-    sort_sign(alpha + beta).
+    sort_sign(alpha + beta).  Only cross pairs invert, an alpha entry at
+    position p passing the p - j beta entries before it (j its rank in
+    alpha), so the sign is read off the chosen positions P:
+    (-1)^(sum P - m (m - 1) / 2).  The splits come in complement order
+    (walks.subsets_and_complements); m > len(gamma) gives none.
     """
-    for alpha in itertools.combinations(gamma, m):
-        beta = tuple(g for g in gamma if g not in alpha)
-        yield alpha, beta, sort_sign(alpha + beta)
+    alphas, betas = subsets_and_complements(gamma, m)
+    base = m * (m - 1) // 2
+    for positions, alpha, beta in zip(itertools.combinations(range(len(gamma)), m), alphas, betas):
+        yield alpha, beta, -1 if (sum(positions) - base) % 2 else 1
 
 
 def merge_splits(rhs: dict, sign, head: dict, tail: dict) -> None:

@@ -15,7 +15,9 @@ sums over splits (S, T) of X, _y_split_forms for sums over splits (U, V) of
 Y.  The Y-split summands come keyed by split, {(U, V): [(sign, reduced,
 below), ...]}; second-overlap and subpartition-ls build one term list per
 split size and share it across the splits of that size, and walk-split
-lists one term per walk.  The four Schur corollaries are those sums with Y
+lists one term per walk, labeling the walks whose prefixes share a
+rectangle in one _labeled_walks pass (_walk_labels), each from its own step
+times.  The four Schur corollaries are those sums with Y
 empty: first-overlap-schur is the X-split comparison, and the union-Schur
 checks (_union_schur) are the Y-split comparison with the one split
 (empty, empty) and one term per triple.
@@ -61,6 +63,7 @@ from __future__ import annotations
 import bisect
 import collections
 import functools
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -98,7 +101,7 @@ from .polyring import (
     sort_sign,
 )
 from .schur import complement_reciprocity_check, factor_rule_check, schur
-from .walks import _labeled, _unstair, enumerate_walks, walk_times
+from .walks import _labeled_walks, _unstair, enumerate_walks, walk_times
 
 _SPOT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _SPOT_COUNT = 4
@@ -421,15 +424,21 @@ def _walk_labels(head, c, l, Y):
     """The same labels from single walks: the prefix carries the fiber pair, the suffix the split of Y.
 
     The step times are cut at c: the first i V times and c - i H times are
-    the prefix walk's, and the later ones, less c + 1, index the letters of Y
-    that go to U and to V.
+    the prefix walk's, and the later V times, less c + 1, index the letters
+    of Y that go to U, the rest going to V.  The walks are grouped by i, so
+    each group's prefixes lie in one rectangle and one _labeled_walks pass
+    labels them, each from its own step times; (U, V) is read off Y.splits
+    by the suffix's V times.
     """
-    stair = (None, *staircase(head, c))
+    stair, by_prefix = (None, *staircase(head, c)), {}
     for v_times, h_times in walk_times(len(Y) + c - l, l):
-        i = bisect.bisect(v_times, c)
-        U = Y.subseq([t - c - 1 for t in v_times[i:]])
-        V = Y.subseq([t - c - 1 for t in h_times[c - i:]])
-        yield (l - i, U, V) + _labeled(stair, v_times[:i], h_times[:c - i], Partition._of)
+        by_prefix.setdefault(bisect.bisect(v_times, c), []).append((v_times, h_times))
+    for i, walks in by_prefix.items():
+        p = l - i
+        split = dict(zip(itertools.combinations(range(c + 1, c + len(Y) + 1), p), Y.splits(p)))
+        prefixes = ((v_times[:i], h_times[:c - i]) for v_times, h_times in walks)
+        for (v_times, _), labels in zip(walks, _labeled_walks(stair, prefixes, i, c - i, Partition._of)):
+            yield (p, *split[v_times[i:]], *labels)
 
 
 def _second_overlap_summands(lam, S, T, Y, k, labels=None):

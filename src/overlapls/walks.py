@@ -122,19 +122,32 @@ def enumerate_walks(n: int, m: int):
         yield StaircaseWalk._of("".join(word))
 
 
+def subsets_and_complements(seq, m: int):
+    """(chosen, rest): iterators over the m-subsets of seq and, in step, the complement of each, both in seq's order.
+
+    The chosen subsets come by position in lexicographic order, as
+    itertools.combinations gives them.  Taking complements reverses that
+    order (the first position where two subsets differ lies in the smaller
+    one), so rest is the (len(seq) - m)-subsets in reverse order, listed up
+    front: C(len(seq), m) tuples.  With m > len(seq) both are empty; a
+    negative m raises ValueError.
+    """
+    k = len(seq)
+    rest = list(itertools.combinations(seq, k - m)) if m <= k else []
+    return itertools.combinations(seq, m), reversed(rest)
+
+
 def walk_times(n: int, m: int):
     """(v_times, h_times) of each walk with n horizontal and m vertical steps, in enumerate_walks order.
 
-    The H times are the n-subsets of [n + m] in lexicographic order, as
-    itertools.combinations gives them.  The V times are their complements,
-    and taking complements reverses the lexicographic order (the smallest
-    step time where two subsets differ lies in the smaller one), so they are
-    the m-subsets in reverse order, listed up front: C(n + m, m) tuples.
+    The H times are the n-subsets of [n + m] in lexicographic order and the
+    V times their complements (subsets_and_complements), so the C(n + m, m)
+    V times are listed up front.
     """
     if n < 0 or m < 0:
         raise ValueError("rectangle dimensions must be non-negative")
-    times = range(1, n + m + 1)
-    return zip(reversed(list(itertools.combinations(times, m))), itertools.combinations(times, n))
+    h_times, v_times = subsets_and_complements(range(1, n + m + 1), n)
+    return zip(v_times, h_times)
 
 
 def _unstair(seq, k: int) -> tuple:

@@ -1,3 +1,5 @@
+import bisect
+import collections
 import functools
 import inspect
 import itertools
@@ -8,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from overlapls import alternants, identities, littlewood_schur, report
+from overlapls import alternants, identities, littlewood_schur, polyring, report
 from overlapls import schur as schur_module
 from overlapls.littlewood_schur import littlewood_square_check, ls_combinatorial, ls_determinantal, ls_value
 from overlapls.overlap import enumerate_overlap_pairs, overlap, staircase
@@ -27,6 +29,7 @@ from overlapls.polyring import (
     vandermonde_of,
 )
 from overlapls.schur import complement_reciprocity_check, factor_rule_check, schur, schur_ssyt
+from overlapls.walks import _labeled, walk_times
 
 
 def vandermonde(X: VarSeq):
@@ -227,6 +230,16 @@ class TestMaxIndex:
         assert found > 0
 
 
+def walk_labels_oracle(head, c, l, Y):
+    """_walk_labels one walk at a time, with U and V built by VarSeq.subseq: the oracle for the pass per prefix rectangle."""
+    stair = (None, *staircase(head, c))
+    for v_times, h_times in walk_times(len(Y) + c - l, l):
+        i = bisect.bisect(v_times, c)
+        U = Y.subseq([t - c - 1 for t in v_times[i:]])
+        V = Y.subseq([t - c - 1 for t in h_times[c - i:]])
+        yield (l - i, U, V) + _labeled(stair, v_times[:i], h_times[:c - i], Partition._of)
+
+
 class TestSecondOverlapAndWalkSplit:
     def test_y_empty_forces_p_zero(self):
         lam = Partition((2, 1))
@@ -263,6 +276,24 @@ class TestSecondOverlapAndWalkSplit:
         lam = Partition((2, 1))
         S, T, Y = VarSeq.make("s", 1), VarSeq.make("t", 1), VarSeq.make("y", 1)
         assert identities.verify_second_overlap(lam, S, T, Y, mode="grid").passed
+
+    def test_walk_labels_match_the_per_walk_oracle(self, monkeypatch):
+        # every head of the 3 x 3 box, cut c <= 4, l <= c and l(Y) <= 3; the Y.splits memo is filled first
+        cases = [
+            (head, c, l, VarSeq.make("y", m))
+            for head in partitions_in_box(3, 3) for c in range(head.length, 5) for l in range(c + 1) for m in range(4)
+        ]
+        want = [collections.Counter(walk_labels_oracle(*case)) for case in cases]
+        for m in range(4):
+            for p in range(m + 1):
+                VarSeq.make("y", m).splits(p)
+
+        def refused(self, indices):
+            raise AssertionError("the batched walk labels called VarSeq.subseq")
+
+        monkeypatch.setattr(VarSeq, "subseq", refused)
+        for case, labels in zip(cases, want):
+            assert collections.Counter(identities._walk_labels(*case)) == labels, case
 
     def test_bijection_check_sees_a_flipped_sign(self, monkeypatch):
         lam = Partition((1, 1, 1))
@@ -712,6 +743,35 @@ def _times_delta(form, vs, l):
     return form
 
 
+def _inversion_sign(seq):
+    """Inversion parity relative to strictly decreasing order, 0 at a repeated entry: the sort_sign body, kept here as an oracle."""
+    seq = tuple(seq)
+    if len(set(seq)) < len(seq):
+        return 0
+    inversions = sum(itertools.starmap(operator.lt, itertools.combinations(seq, 2)))
+    return -1 if inversions % 2 else 1
+
+
+def _shuffles_oracle(gamma, m):
+    """(alpha, beta, sign) over the m-subsets alpha of gamma, beta the rest, each signed by counting its inversions: the oracle of shuffles."""
+    for alpha in itertools.combinations(gamma, m):
+        beta = tuple(g for g in gamma if g not in alpha)
+        yield alpha, beta, _inversion_sign(alpha + beta)
+
+
+def test_shuffles_sign_by_position(monkeypatch):
+    def refused(seq):
+        raise AssertionError("shuffles called sort_sign")
+
+    monkeypatch.setattr(alternants, "sort_sign", refused)
+    monkeypatch.setattr(polyring, "sort_sign", refused)
+    # every strictly decreasing gamma of length <= 10 has the positions of one with entries below 11
+    for k in range(11):
+        for gamma in itertools.combinations(range(10, -1, -1), k):
+            for m in range(k + 2):
+                assert list(alternants.shuffles(gamma, m)) == list(_shuffles_oracle(gamma, m)), (gamma, m)
+
+
 def _y_split_oracle(lam, S, T, Y, summands):
     """The Y-split maps with coefficients that are polynomials in Y, split by split: the oracle of _y_split_forms.
 
@@ -725,7 +785,7 @@ def _y_split_oracle(lam, S, T, Y, summands):
     vy = vandermonde_of(ys)
     lhs = {}
     for gamma, c in alternants.ls_alternant(lam.parts, l + r, ys).items():
-        for alpha, beta, sign in alternants.shuffles(gamma, l):
+        for alpha, beta, sign in _shuffles_oracle(gamma, l):
             lhs[alpha, beta] = sign * c * vy
     rhs = {}
     for (U, V), terms in summands.items():

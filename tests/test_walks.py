@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import operator
 
 import pytest
@@ -10,6 +11,7 @@ from overlapls.walks import (
     enumerate_walks,
     is_quasi_partition,
     step_time_encoding,
+    subsets_and_complements,
     walk_times,
 )
 
@@ -119,8 +121,40 @@ class TestGeometry:
                     assert (w.mu(), w.nu_conj()) == (mu, nu_conj)
 
     def test_times_reject_negative_dimensions(self):
+        for n, m in ((-1, 2), (2, -1), (-1, -1), (0, -1)):
+            with pytest.raises(ValueError):
+                walk_times(n, m)
+
+    def test_times_keep_enumerate_walks_order(self):
+        # enumerate pairs streams its fiber in this order
+        for n in range(6):
+            for m in range(6):
+                walks = [(w.v_times(), w.h_times()) for w in enumerate_walks(n, m)]
+                assert list(walk_times(n, m)) == walks
+
+
+class TestSubsetsAndComplements:
+    def test_each_subset_meets_its_exact_complement(self):
+        for seq in ((), "a", "abcde", range(1, 7), (9, 7, 4, 2, 1)):
+            k = len(seq)
+            for m in range(k + 2):
+                chosen, rest = subsets_and_complements(seq, m)
+                pairs = list(zip(chosen, rest))
+                assert [alpha for alpha, _ in pairs] == list(itertools.combinations(seq, m))
+                assert len(pairs) == (binomial(k, m) if m <= k else 0)
+                assert next(rest, None) is None
+                for alpha, beta in pairs:
+                    assert beta == tuple(x for x in seq if x not in alpha)
+
+    def test_ends_of_the_range(self):
+        seq = (5, 3, 2)
+        assert [list(it) for it in subsets_and_complements(seq, 0)] == [[()], [seq]]
+        assert [list(it) for it in subsets_and_complements(seq, 3)] == [[seq], [()]]
+        assert [list(it) for it in subsets_and_complements((), 0)] == [[()], [()]]
+
+    def test_negative_size_raises(self):
         with pytest.raises(ValueError):
-            walk_times(-1, 2)
+            subsets_and_complements((1, 2), -1)
 
 
 class TestWalkPartitions:
