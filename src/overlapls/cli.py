@@ -156,7 +156,8 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"{args.name} ran no checks at --max-box {args.max_box} --vars {args.vars}"
         )
-    lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode(r.to_json()) for r in reports]
     _emit(args, "\n".join(lines) + ("\n" if lines else ""))
     failed = sum(1 for r in reports if r.failed)
     summary = f"{len(reports)} checks, {failed} failed"

@@ -13,11 +13,13 @@ Both overlap identities come from one Laplace expansion, and each family
 of split sums has one symbolic comparison, written once: _x_split_forms for
 sums over splits (S, T) of X, _y_split_forms for sums over splits (U, V) of
 Y.  The Y-split summands come keyed by split, {(U, V): [(sign, reduced,
-below), ...]}; second-overlap and subpartition-ls build one term list per
-split size and share it across the splits of that size, and walk-split
-lists one term per walk, labeling the walks whose prefixes share a
-rectangle in one _labeled_walks pass (_walk_labels), each from its own step
-times.  The four Schur corollaries are those sums with Y
+below), ...]}, reduced and below being the part tuples of partitions, so a
+term builds no Partition: the labels it comes from are part tuples too.
+second-overlap and subpartition-ls build one term list per split size and
+share it across the splits of that size, and walk-split lists one term per
+walk, labeling the walks whose prefixes share a rectangle in one
+_labeled_walks pass (_walk_labels), each from its own step times.  The four
+Schur corollaries are those sums with Y
 empty: first-overlap-schur is the X-split comparison, and the union-Schur
 checks (_union_schur) are the Y-split comparison with the one split
 (empty, empty) and one term per triple.
@@ -88,7 +90,7 @@ from .overlap import (
     subpartition_to_overlap,
     walk_overlap_pair,
 )
-from .partitions import Partition, partitions_in_box, shift_first
+from .partitions import Partition, partitions_in_box, shift_first, shifted_parts, stripped
 from .polyring import (
     MultiPoly,
     PolyMatrix,
@@ -100,7 +102,7 @@ from .polyring import (
     laplace_expand,
     sort_sign,
 )
-from .schur import complement_reciprocity_check, factor_rule_check, schur
+from .schur import _ls_strips, complement_reciprocity_check, factor_rule_check, schur
 from .walks import _labeled_walks, _unstair, enumerate_walks, walk_times
 
 _SPOT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -291,10 +293,11 @@ def _y_split_forms(lam, S, T, Y, summands):
     """LS(lam; S u T, Y) and the sum of the summands' terms, both times V(S u T) V(Y), as int maps.
 
     summands maps each split (U, V) of Y to its terms (sign, reduced,
-    below); a term stands for sign delta(V, S) delta(T, U) LS(reduced; S, U)
-    LS(below; T, V) / (delta(V, U) delta(T, S)).  The maps are keyed by
-    (alpha, beta, y), exponent keys on S, T and Y, or by (alpha, beta) when Y
-    is empty.  The left side's are the shuffle signs of each key of
+    below), reduced and below the part tuples of partitions; a term stands
+    for sign delta(V, S) delta(T, U) LS(reduced; S, U) LS(below; T, V) /
+    (delta(V, U) delta(T, S)), and the maps read its tuples as they come
+    (ls_alternant_xy).  The maps are keyed by (alpha, beta, y), exponent
+    keys on S, T and Y, or by (alpha, beta) when Y is empty.  The left side's are the shuffle signs of each key of
     LS(lam) V(S u T) V(Y) (ls_alternant_xy).  On the right, V(S u T) /
     delta(T, S) = (-1)^(l(S) l(T)) V(S) V(T), and each term is a product of
     the maps of LS(reduced) V(S) V(U) and LS(below) V(T) V(V).  The terms of
@@ -324,8 +327,8 @@ def _y_split_forms(lam, S, T, Y, summands):
         out = rhs if direct else {}
         for sign, reduced, below in terms:
             sign *= flip
-            tail = ls_alternant_xy(below.parts, r, q).items()
-            for (alpha, u), a in ls_alternant_xy(reduced.parts, l, p).items():
+            tail = ls_alternant_xy(below, r, q).items()
+            for (alpha, u), a in ls_alternant_xy(reduced, l, p).items():
                 a *= sign
                 for (beta, v), b in tail:
                     if not direct:
@@ -363,7 +366,7 @@ def _terms_by_size(summands, l, r, Y):
 
     def nonzero_terms(terms, p):
         return collections.Counter(
-            t for t in terms if ls_alternant_xy(t[1].parts, l, p) and ls_alternant_xy(t[2].parts, r, m - p)
+            t for t in terms if ls_alternant_xy(t[1], l, p) and ls_alternant_xy(t[2], r, m - p)
         )
 
     for p in sorted({len(U) for U, _ in summands}):
@@ -384,16 +387,18 @@ def _terms_by_size(summands, l, r, Y):
 def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
     """LS(lam; S u T, Y) against the sum over splits (U, V) of Y of the summands' terms.
 
-    summands maps each split (U, V) to its terms, as in _y_split_forms.
-    Symbolic mode compares _y_split_forms; grid mode sums each split's terms
-    over its one denominator, delta(V, U) delta(T, S).
+    summands maps each split (U, V) to its terms, as in _y_split_forms, with
+    part tuples in place of partitions.  Symbolic mode compares
+    _y_split_forms; grid mode sums each split's terms over its one
+    denominator, delta(V, U) delta(T, S), the strip branching rule
+    (_ls_strips) taking the tuples as ls_value passes a partition's parts.
     """
     def build(at):
         s, t, out = at(S), at(T), []
         ts = delta_of(t, s)
         for (U, V), terms in summands.items():
             u, v = at(U), at(V)
-            total = sum(sign * ls_value(reduced, s, u) * ls_value(below, t, v) for sign, reduced, below in terms)
+            total = sum(sign * _ls_strips(reduced, s, u) * _ls_strips(below, t, v) for sign, reduced, below in terms)
             out.append((delta_of(v, s) * delta_of(t, u) * total, delta_of(v, u) * ts))
         return ls_value(lam, s + t, at(Y)), out
 
@@ -404,16 +409,17 @@ def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
 def _fibers(head, c, l, Y):
     """(p, fiber) over the split sizes p of Y: the overlap fiber of head that each split of size p carries.
 
-    c = n - k is the cut at the index columns.  The split count p starts at
-    l - c when the cut runs past them: smaller p would ask the fiber for a
+    The fiber lists (mu, nu, sign) with mu and nu as part tuples.  c = n - k
+    is the cut at the index columns.  The split count p starts at l - c
+    when the cut runs past them: smaller p would ask the fiber for a
     negative-length side.
     """
     for p in range(max(0, l - c), min(l, len(Y)) + 1):
-        yield p, list(enumerate_overlap_pairs(head, l - p, c - l + p))
+        yield p, [(mu.parts, nu.parts, sign) for mu, nu, sign in enumerate_overlap_pairs(head, l - p, c - l + p)]
 
 
 def _fiber_labels(head, c, l, Y):
-    """(p, U, V, mu, nu, sign) over splits (U, V) of Y times overlap fibers of head."""
+    """(p, U, V, mu, nu, sign) over splits (U, V) of Y times overlap fibers of head, mu and nu as part tuples."""
     for p, fiber in _fibers(head, c, l, Y):
         for U, V in Y.splits(p):
             for mu, nu, sign in fiber:
@@ -427,8 +433,8 @@ def _walk_labels(head, c, l, Y):
     the prefix walk's, and the later V times, less c + 1, index the letters
     of Y that go to U, the rest going to V.  The walks are grouped by i, so
     each group's prefixes lie in one rectangle and one _labeled_walks pass
-    labels them, each from its own step times; (U, V) is read off Y.splits
-    by the suffix's V times.
+    labels them, each from its own step times, with mu and nu as part
+    tuples (stripped); (U, V) is read off Y.splits by the suffix's V times.
     """
     stair, by_prefix = (None, *staircase(head, c)), {}
     for v_times, h_times in walk_times(len(Y) + c - l, l):
@@ -437,22 +443,26 @@ def _walk_labels(head, c, l, Y):
         p = l - i
         split = dict(zip(itertools.combinations(range(c + 1, c + len(Y) + 1), p), Y.splits(p)))
         prefixes = ((v_times[:i], h_times[:c - i]) for v_times, h_times in walks)
-        for (v_times, _), labels in zip(walks, _labeled_walks(stair, prefixes, i, c - i, Partition._of)):
+        for (v_times, _), labels in zip(walks, _labeled_walks(stair, prefixes, i, c - i, stripped)):
             yield (p, *split[v_times[i:]], *labels)
 
 
 def _second_overlap_summands(lam, S, T, Y, k, labels=None):
     """The summands of the triple sum by split (U, V) of Y, one term per label of labels(head, n - k, l, Y).
 
+    A label's mu shifted down by m - k in its first l - p parts is the
+    reduced partition, and nu merged with the parts of lam after the cut is
+    below, both as part tuples; the shift is checked (shifted_parts).
+
     Without labels they come from _fibers: a fiber depends on its split only
     through the size p, so the splits of one size share one term list, and
     each fiber is enumerated once.
     """
     n, m, l = len(S) + len(T), len(Y), len(S)
-    c, tail = n - k, lam.drop(n - k)
+    c, tail = n - k, lam.parts[n - k:]
 
     def term(p, mu, nu, sign):
-        return sign, shift_first(mu, -(m - k), l - p), nu.union(tail)
+        return sign, shifted_parts(mu, -(m - k), l - p), tuple(sorted(nu + tail, reverse=True))
 
     summands = {}
     if labels is None:
@@ -500,7 +510,7 @@ def walk_split_bijection_check(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
     n, m, l, k, instance = _second_overlap_setup(lam, S, T, Y)
     a, b = (
         {
-            (p, U.names, V.names, mu.parts, nu.parts): sign
+            (p, U.names, V.names, mu, nu): sign
             for p, U, V, mu, nu, sign in labels(lam.take(n - k), n - k, l, Y)
         }
         for labels in (_fiber_labels, _walk_labels)
@@ -531,15 +541,16 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
     """schur(target, S u T) * delta(S, T) against sum sign * s_mu(S) * s_nu(T) over the triples.
 
-    The Y-split sum with Y empty: each triple is a term (sign, mu, nu) of the
-    one split (empty, empty) of _y_split_forms, whose maps then hold ints, so
-    the check is exact in both modes and the mode only labels the report.  As
+    The Y-split sum with Y empty: each triple is a term (sign, mu.parts,
+    nu.parts) of the one split (empty, empty) of _y_split_forms, whose maps
+    then hold ints, so the check is exact in both modes and the mode only
+    labels the report.  As
     LS_lam(-X; ()) = (-1)^|lam| s_lam(X) and each triple has |mu| + |nu| =
     |target| + l(S) l(T), both maps are (-1)^|target| times the coefficients
     of the alternants that the two sides times V(S) V(T) become.
     """
     empty = VarSeq.of()
-    summands = {(empty, empty): [(sign, mu, nu) for mu, nu, sign in triples]}
+    summands = {(empty, empty): [(sign, mu.parts, nu.parts) for mu, nu, sign in triples]}
     return report.exact(ident, instance, *_y_split_forms(target, S, T, empty, summands), mode, coefficients_differ)
 
 
@@ -602,7 +613,7 @@ def verify_subpartition_ls(kappa, m, n, n_tilde, l, q, S: VarSeq, T: VarSeq, Y: 
         at_p = []
         for lam, K in enumerate_subpartition_pairs(kappa, m - p, n + p, l):
             mu, below, sign = subpartition_to_overlap(lam, K, m - p, n + p + l)
-            at_p.append((sign, shift_first(mu, -(q - n_tilde), m - p), below))
+            at_p.append((sign, shifted_parts(mu.parts, -(q - n_tilde), m - p), below.parts))
         if at_p:
             summands.update(dict.fromkeys(Y.splits(p), at_p))
     return _conclude_y_splits(ident, instance, mode, kappa.conjugate(), S, T, Y, summands)
@@ -611,12 +622,18 @@ def verify_subpartition_ls(kappa, m, n, n_tilde, l, q, S: VarSeq, T: VarSeq, Y: 
 # -- classical specializations -------------------------------------------------
 
 
+def _alphabets(prefix, count):
+    """VarSeq.make(prefix, j) for j = 0, ..., count, indexed by length: a sweep builds its alphabets once."""
+    return [VarSeq.make(prefix, j) for j in range(count + 1)]
+
+
 def _sweep_first_overlap(max_box, nvars, mode, seed):
     out = []
+    xs, ys = _alphabets("x", nvars), _alphabets("y", min(nvars, 2))
     for lam in partitions_in_box(max_box, max_box):
         for n in range(1, nvars + 1):
             for m in range(0, min(nvars, 2) + 1):
-                X, Y = VarSeq.make("x", n), VarSeq.make("y", m)
+                X, Y = xs[n], ys[m]
                 k = lam.index(m, n)
                 if k < 0:
                     continue
@@ -639,12 +656,12 @@ def _sweep_max_index(max_box, nvars, mode, seed):
 
 def _y_split_instances(max_box, nvars):
     """(lam, S, T, Y) for the second-overlap and walk-split sweeps."""
+    ss, ts, ys = _alphabets("s", nvars), _alphabets("t", nvars), _alphabets("y", min(nvars, 2))
     for lam in partitions_in_box(max_box, max_box):
         for n in range(0, nvars + 1):
             for l in range(0, n + 1):
-                S, T = VarSeq.make("s", l), VarSeq.make("t", n - l)
                 for m in range(0, min(nvars, 2) + 1):
-                    yield lam, S, T, VarSeq.make("y", m)
+                    yield lam, ss[l], ts[n - l], ys[m]
 
 
 def _sweep_second_overlap(max_box, nvars, mode, seed):
@@ -670,11 +687,12 @@ def _sweep_first_overlap_schur(max_box, nvars, mode, seed):
 
 def _union_instances(max_box, nvars):
     """(lam, S, T) with l(lam) <= l(S) + l(T), for the Schur sweeps over the union S u T."""
+    ss, ts = _alphabets("s", nvars), _alphabets("t", nvars)
     for lam in partitions_in_box(max_box, max_box):
         for m in range(0, nvars + 1):
             for n in range(0, nvars + 1):
                 if lam.length <= m + n:
-                    yield lam, VarSeq.make("s", m), VarSeq.make("t", n)
+                    yield lam, ss[m], ts[n]
 
 
 def _sweep_second_overlap_schur(max_box, nvars, mode, seed):

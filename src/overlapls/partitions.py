@@ -24,19 +24,28 @@ def as_ints(values, what: str) -> tuple:
         raise
 
 
+def stripped(parts: tuple) -> tuple:
+    """A non-increasing tuple of non-negative ints without its trailing zeros, unchecked."""
+    # the zeros of such a tuple start at its first 0
+    return parts[: parts.index(0)] if parts and not parts[-1] else parts
+
+
+def checked_parts(parts: tuple) -> tuple:
+    """stripped(parts) for a tuple of ints that is a partition; ValueError otherwise."""
+    if any(map(operator.lt, parts, parts[1:])):
+        raise ValueError(f"parts not non-increasing: {parts}")
+    if parts and parts[-1] < 0:
+        raise ValueError(f"negative part in {parts}")
+    return stripped(parts)
+
+
 class Partition:
     """Non-increasing sequence of non-negative integers, trailing zeros stripped."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = as_ints(parts, "part")
-        if any(map(operator.lt, parts, parts[1:])):
-            raise ValueError(f"parts not non-increasing: {parts}")
-        if parts and parts[-1] < 0:
-            raise ValueError(f"negative part in {parts}")
-        # parts is non-increasing and non-negative now, so its zeros start at the first 0
-        Partition.parts.__set__(self, parts[: parts.index(0)] if parts and not parts[-1] else parts)
+        Partition.parts.__set__(self, checked_parts(as_ints(parts, "part")))
 
     @staticmethod
     def _of(parts: tuple) -> "Partition":
@@ -46,6 +55,7 @@ class Partition:
         checks every value it is given.
         """
         p = Partition.__new__(Partition)
+        # stripped(parts), inlined: every walk label of a fiber is built here
         Partition.parts.__set__(p, parts[: parts.index(0)] if parts and not parts[-1] else parts)
         return p
 
@@ -190,10 +200,15 @@ def rect(m: int, n: int) -> Partition:
 def shift_first(lam: Partition, k: int, l: int) -> Partition:
     """Add k (possibly negative) to each of the first l parts.
 
-    The result must still be a partition; construction validates that.
+    The result must still be a partition; shifted_parts validates that.
     """
-    p = lam.padded(max(l, lam.length))
-    return Partition(tuple(x + k for x in p[:l]) + p[l:])
+    return Partition._of(shifted_parts(lam.parts, k, l))
+
+
+def shifted_parts(parts: tuple, k: int, l: int) -> tuple:
+    """The parts of shift_first, from and to part tuples: ValueError unless they form a partition."""
+    p = parts + (0,) * (l - len(parts))
+    return checked_parts(tuple(x + k for x in p[:l]) + p[l:])
 
 
 def partitions_in_box(m: int, n: int):

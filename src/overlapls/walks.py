@@ -164,9 +164,10 @@ def _labeled_walks(stair, times, m: int, n: int, build):
     (0-based) at time t has m + 1 + j - t V steps after it, so the count has
     the parity of sum(h_times) + n m + n (n + 1) / 2.  build makes each
     partition from its parts: Partition._of for the labels of a partition,
-    whose staircase strictly decreases, else the checking Partition.  The
-    staircase offsets and the sign constant depend only on the rectangle,
-    so they are built once for all its walks.
+    whose staircase strictly decreases, or partitions.stripped for bare
+    part tuples, else the checking Partition.  The staircase offsets and the
+    sign constant depend only on the rectangle, so they are built once for
+    all its walks.
     """
     at, sub = stair.__getitem__, operator.sub
     down_m, down_n = range(m - 1, -1, -1), range(n - 1, -1, -1)

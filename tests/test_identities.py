@@ -1,5 +1,4 @@
 import bisect
-import collections
 import functools
 import inspect
 import itertools
@@ -13,7 +12,13 @@ import pytest
 from overlapls import alternants, identities, littlewood_schur, polyring, report
 from overlapls import schur as schur_module
 from overlapls.littlewood_schur import littlewood_square_check, ls_combinatorial, ls_determinantal, ls_value
-from overlapls.overlap import enumerate_overlap_pairs, overlap, staircase
+from overlapls.overlap import (
+    enumerate_overlap_pairs,
+    enumerate_subpartition_pairs,
+    overlap,
+    staircase,
+    subpartition_to_overlap,
+)
 from overlapls.partitions import Partition, partitions_in_box, shift_first
 from overlapls.polyring import (
     ONE,
@@ -231,13 +236,20 @@ class TestMaxIndex:
 
 
 def walk_labels_oracle(head, c, l, Y):
-    """_walk_labels one walk at a time, with U and V built by VarSeq.subseq: the oracle for the pass per prefix rectangle."""
-    stair = (None, *staircase(head, c))
+    """_walk_labels one walk at a time, with U and V built by VarSeq.subseq: the oracle for the pass per prefix rectangle.
+
+    The labels come grouped stably by prefix rectangle, i the V steps among
+    the first c, as _walk_labels groups them, so the two compare in order;
+    mu and nu come as part tuples.
+    """
+    stair, by_prefix = (None, *staircase(head, c)), {}
     for v_times, h_times in walk_times(len(Y) + c - l, l):
         i = bisect.bisect(v_times, c)
         U = Y.subseq([t - c - 1 for t in v_times[i:]])
         V = Y.subseq([t - c - 1 for t in h_times[c - i:]])
-        yield (l - i, U, V) + _labeled(stair, v_times[:i], h_times[:c - i], Partition._of)
+        mu, nu, sign = _labeled(stair, v_times[:i], h_times[:c - i], Partition._of)
+        by_prefix.setdefault(i, []).append((l - i, U, V, mu.parts, nu.parts, sign))
+    return [label for labels in by_prefix.values() for label in labels]
 
 
 class TestSecondOverlapAndWalkSplit:
@@ -278,12 +290,13 @@ class TestSecondOverlapAndWalkSplit:
         assert identities.verify_second_overlap(lam, S, T, Y, mode="grid").passed
 
     def test_walk_labels_match_the_per_walk_oracle(self, monkeypatch):
-        # every head of the 3 x 3 box, cut c <= 4, l <= c and l(Y) <= 3; the Y.splits memo is filled first
+        # every head of the 3 x 3 box, cut c <= 4, l <= c and l(Y) <= 3; the Y.splits memo is filled first.
+        # In order, so each walk's suffix must go to its own split of Y, not to another split of that size
         cases = [
             (head, c, l, VarSeq.make("y", m))
             for head in partitions_in_box(3, 3) for c in range(head.length, 5) for l in range(c + 1) for m in range(4)
         ]
-        want = [collections.Counter(walk_labels_oracle(*case)) for case in cases]
+        want = [walk_labels_oracle(*case) for case in cases]
         for m in range(4):
             for p in range(m + 1):
                 VarSeq.make("y", m).splits(p)
@@ -293,7 +306,7 @@ class TestSecondOverlapAndWalkSplit:
 
         monkeypatch.setattr(VarSeq, "subseq", refused)
         for case, labels in zip(cases, want):
-            assert collections.Counter(identities._walk_labels(*case)) == labels, case
+            assert list(identities._walk_labels(*case)) == labels, case
 
     def test_bijection_check_sees_a_flipped_sign(self, monkeypatch):
         lam = Partition((1, 1, 1))
@@ -307,6 +320,35 @@ class TestSecondOverlapAndWalkSplit:
         monkeypatch.setattr(identities, "_walk_labels", flipped)
         r = identities.walk_split_bijection_check(lam, S, T, Y)
         assert r.failed and r.witness.startswith("labels differ: ")
+
+    def test_terms_match_the_partition_terms(self):
+        # every instance of the sweeps at --max-box 3 --vars 3, and l(Y) = 3 with l(S) + l(T) <= 3
+        instances = list(identities._y_split_instances(3, 3)) + [
+            (lam, VarSeq.make("s", l), VarSeq.make("t", n - l), VarSeq.make("y", 3))
+            for lam in partitions_in_box(3, 3) for n in range(4) for l in range(n + 1)
+        ]
+        found = 0
+        for lam, S, T, Y in instances:
+            k = lam.index(len(Y), len(S) + len(T))
+            # the fibers, shared by the splits of one size, and the single walks
+            for labels, oracle_labels in ((None, identities._fiber_labels), (identities._walk_labels, walk_labels_oracle)):
+                summands = identities._second_overlap_summands(lam, S, T, Y, k, labels)
+                assert summands == _partition_summands(lam, S, T, Y, k, oracle_labels), (lam, S, T, Y, labels)
+                found += sum(map(len, summands.values()))
+        assert found > 0
+
+
+def _partition_summands(lam, S, T, Y, k, labels):
+    """_second_overlap_summands with the earlier Partition terms, by shift_first and union: the oracle of the part tuples.
+
+    Each term comes as (sign, reduced.parts, below.parts).
+    """
+    n, m, l = len(S) + len(T), len(Y), len(S)
+    tail, summands = lam.drop(n - k), {}
+    for p, U, V, mu, nu, sign in labels(lam.take(n - k), n - k, l, Y):
+        reduced, below = shift_first(Partition(mu), -(m - k), l - p), Partition(nu).union(tail)
+        summands.setdefault((U, V), []).append((sign, reduced.parts, below.parts))
+    return summands
 
 
 class TestSchurCorollaries:
@@ -394,6 +436,31 @@ class TestSubpartitionIdentities:
         S, T, Y = VarSeq.make("s", 1), VarSeq.make("t", 2), VarSeq.make("y", 1)
         r = identities.verify_subpartition_ls(kappa, 1, 1, 1, 1, 1, S, T, Y)
         assert r.passed
+
+    def test_ls_terms_match_the_partition_terms(self, monkeypatch):
+        # the sweep's terms against the Partition terms: shift_first of mu, and below as the pair map gives it
+        conclude = identities._conclude_y_splits
+        counts = []
+
+        def checked(ident, instance, mode, lam, S, T, Y, summands):
+            kappa = Partition(instance["kappa"])
+            m, n, n_tilde, l, q = (instance[key] for key in ("m", "n", "n~", "l", "q"))
+            want = {}
+            for p in range(0, min(m, q) + 1):
+                at_p = []
+                for pair in enumerate_subpartition_pairs(kappa, m - p, n + p, l):
+                    mu, below, sign = subpartition_to_overlap(*pair, m - p, n + p + l)
+                    at_p.append((sign, shift_first(mu, -(q - n_tilde), m - p).parts, below.parts))
+                if at_p:
+                    want.update(dict.fromkeys(Y.splits(p), at_p))
+            assert summands == want, instance
+            counts.append(sum(map(len, summands.values())))
+            return conclude(ident, instance, mode, lam, S, T, Y, summands)
+
+        monkeypatch.setattr(identities, "_conclude_y_splits", checked)
+        reports = identities.run_catalog(["subpartition-ls"], max_box=3, nvars=3)
+        assert reports and all(r.passed for r in reports)
+        assert len(counts) == len(reports) and sum(counts) > 0
 
     def test_corner_cell_required(self):
         kappa = Partition((1,))
@@ -606,7 +673,7 @@ class TestUnionSchurCoefficients:
         def checked_x(lam, head, tail, l, X, Y, sign):
             assert not Y
             # the instance, a flipped-sign mutant and a grown-mu mutant
-            for how, h, s in (("", head, sign), ("sign", head, -sign), ("grown", _grown(head), sign)):
+            for how, h, s in (("", head, sign), ("sign", head, -sign), ("grown", Partition._of(_grown(head.parts)), sign)):
                 lhs, rhs = x_split_forms(lam, h, tail, l, X, Y, s)
                 points = identities._conclude_x_splits("t", {}, "grid", lam, h, tail, l, X, Y, s)
                 verdicts.append((how, lhs == rhs))
@@ -708,13 +775,13 @@ def _cleared_expansion_agrees(build, names):
     return lhs * common == _cleared(terms, common)
 
 
-def _grown(lam):
-    """lam with one more cell in its first row."""
-    return Partition((lam.part(1) + 1,) + lam.parts[1:])
+def _grown(parts):
+    """The parts of a partition with one more cell in its first row."""
+    return (parts[0] + 1,) + parts[1:] if parts else (1,)
 
 
 def _mutate_first_term(summands, mutate):
-    """Y-split summands with their first term (sign, reduced, below) replaced by mutate(sign, reduced, below).
+    """Y-split summands with their first term (sign, reduced, below), two part tuples, replaced by mutate(sign, reduced, below).
 
     The mutant goes into a copy of that split's term list: subpartition-ls
     shares one list across the splits of one size.
@@ -793,8 +860,8 @@ def _y_split_oracle(lam, S, T, Y, summands):
         e = sum(Y.names.index(u) < Y.names.index(v) for u in U.names for v in V.names)
         factor = (-1) ** (l * r + r * len(us) + e) * vandermonde_of(us) * vandermonde_of(vs)
         for sign, reduced, below in terms:
-            head = _times_delta(alternants.ls_alternant(reduced.parts, l, us), vs, l)
-            tail = _times_delta(alternants.ls_alternant(below.parts, r, vs), us, r)
+            head = _times_delta(alternants.ls_alternant(reduced, l, us), vs, l)
+            tail = _times_delta(alternants.ls_alternant(below, r, vs), us, r)
             for alpha, a in head.items():
                 for beta, b in tail.items():
                     rhs[alpha, beta] = rhs.get((alpha, beta), 0) + sign * factor * a * b
@@ -835,7 +902,7 @@ class TestAlternantSplitSums:
         def mutated_x(ident, instance, mode, lam, head, tail, l, X, Y, sign):
             # a flipped sign and a grown partition, each checked by both routes, then the instance itself
             x_splits(ident + "/sign", instance, mode, lam, head, tail, l, X, Y, -sign)
-            x_splits(ident + "/grown", instance, mode, lam, _grown(head), tail, l, X, Y, sign)
+            x_splits(ident + "/grown", instance, mode, lam, Partition._of(_grown(head.parts)), tail, l, X, Y, sign)
             return x_splits(ident, instance, mode, lam, head, tail, l, X, Y, sign)
 
         def mutated_y(ident, instance, mode, lam, S, T, Y, summands):
@@ -951,13 +1018,13 @@ class TestYSplitKeys:
 
     def test_walk_split_ignores_a_difference_of_zero_terms(self):
         # (2, 2) is outside the (1, 1)-hook of S u U, so LS_(2,2)(-S; U) = 0 and the term adds nothing
-        zero = (1, Partition((2, 2)), Partition(()))
+        zero = (1, (2, 2), ())
         for mode in ("symbolic", "grid"):
             assert self.walk_split(mode, self.with_terms(zero)).passed
 
     def test_walk_split_grid_mode_sums_each_split(self):
         # a term and its negative cancel in one split's sum, but that split's terms differ from the other's
-        term = (1, Partition(()), Partition((2, 1)))
+        term = (1, (), (2, 1))
         cancelling = self.with_terms(term, (-1, *term[1:]))
         assert self.walk_split("grid", cancelling).passed
         r = self.walk_split("symbolic", cancelling)

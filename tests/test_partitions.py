@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from overlapls.partitions import (
     rect,
     rho,
     shift_first,
+    shifted_parts,
 )
 
 
@@ -209,6 +211,28 @@ class TestHelpers:
         assert shift_first(Partition((3, 2)), -2, 2) == Partition((1,))
         with pytest.raises(ValueError):
             shift_first(Partition((3, 2)), -3, 2)
+
+    def test_shifted_parts_raise_where_the_checked_shift_does(self):
+        def checked_shift(lam, k, l):
+            # shift_first's earlier body, through the checking constructor
+            p = lam.padded(max(l, lam.length))
+            return Partition(tuple(x + k for x in p[:l]) + p[l:])
+
+        raised = 0
+        for lam in partitions_in_box(4, 4):
+            for k in range(-3, 4):
+                for l in range(5):
+                    try:
+                        want = checked_shift(lam, k, l)
+                    except ValueError as e:
+                        for shift in (shifted_parts, lambda parts, k, l: shift_first(Partition._of(parts), k, l)):
+                            with pytest.raises(ValueError, match=re.escape(str(e))):
+                                shift(lam.parts, k, l)
+                        raised += 1
+                    else:
+                        assert shifted_parts(lam.parts, k, l) == want.parts
+                        assert shift_first(lam, k, l) == want
+        assert 0 < raised < 70 * 7 * 5
 
     def test_partitions_in_box_count(self):
         # 2000 rows lie deeper than the interpreter's recursion limit

@@ -108,3 +108,37 @@ def test_code_lines_prints_modules_and_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
     assert _code_lines_module().main(["code_lines.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out == "    6  a.py\n    1  b.py\n    7  total\n"
+
+
+def _bench_pairs_module():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_on_made_up_runs():
+    parent_ops, change_ops = [100, 140, 120, 110, 130], [105, 150, 125, 108, 135]
+    parent_ms, change_ms = [1.0, 1.0, 1.0, 1.0, 1.0], [0.9, 1.0, 1.1, 0.8, 1.0]
+    pairs = [
+        {"seed": seed, "parent": {"ops_per_s": po, "op_p50_ms": pm}, "change": {"ops_per_s": co, "op_p50_ms": cm}}
+        for seed, po, co, pm, cm in zip(range(1, 6), parent_ops, change_ops, parent_ms, change_ms)
+    ]
+    got = _bench_pairs_module().summary(pairs, {"ops_per_s": "higher", "op_p50_ms": "lower"})
+    assert got["ops_per_s"] == {
+        "parent": {"median": 120, "q1": 110, "q3": 130},
+        "change": {"median": 125, "q1": 108, "q3": 135},
+        "change_wins": 4,
+        "pairs": 5,
+    }
+    # lower is better here, and the two ties are no wins
+    assert got["op_p50_ms"]["change_wins"] == 2
+    assert got["op_p50_ms"]["change"] == {"median": 1.0, "q1": 0.9, "q3": 1.0}
+
+
+def test_bench_pairs_quartiles_and_seeds():
+    module = _bench_pairs_module()
+    # inclusive quartiles interpolate between the values: q1 lies three quarters of the way from 1 to 4
+    assert module.quartiles([1, 4, 5, 9]) == {"median": 4.5, "q1": 3.25, "q3": 6.0}
+    assert module.quartiles([7]) == {"median": 7, "q1": 7, "q3": 7}
+    assert module.parse_seeds("1-3,7,11-12") == [1, 2, 3, 7, 11, 12]
