@@ -10,8 +10,11 @@ on even ones.  The workloads are interleaved seed by seed.  For each
 workload the output keeps every pair's end-to-end metrics and, for each
 metric that BENCHMARK.json declares, the median and inclusive quartiles of
 each side and change_wins, the number of pairs in which the change reads
-strictly better.  The file is rewritten after every pair, so a run that is
-stopped keeps the pairs it finished.  The script runs perfbench only as a
+strictly better.  Under "checkouts" it names the two trees it compared:
+each side's resolved path, its git HEAD and whether its work tree differs
+from HEAD, as read when the run starts (both null outside a git tree).  The
+file is rewritten after every pair, so a run that is stopped keeps the
+pairs it finished.  The script runs perfbench only as a
 subprocess of each checkout and changes nothing in either.
 """
 
@@ -66,6 +69,20 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
+def checkout_info(checkout: Path) -> dict:
+    """{"path", "head", "dirty"}: the resolved path, git rev-parse HEAD, and whether git status lists a change.
+
+    head and dirty are None when the checkout lies in no git tree.
+    """
+    def git(*args):
+        done = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    path, head = checkout.resolve(), git("rev-parse", "HEAD")
+    dirty = None if head is None else bool(git("status", "--porcelain"))
+    return {"path": str(path), "head": head, "dirty": dirty}
+
+
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result line of one perfbench run in the checkout."""
     command = [
@@ -102,6 +119,7 @@ def main(argv=None) -> int:
             "seeds, change first for even seeds; the workloads interleaved seed by seed; median and inclusive "
             "quartiles over pairs; change_wins counts the pairs where the change reads strictly better"
         ),
+        "checkouts": {side: checkout_info(path) for side, path in checkouts.items()},
         "workloads": {},
     }
     for seed in args.seeds:

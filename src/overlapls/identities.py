@@ -451,8 +451,12 @@ def _second_overlap_summands(lam, S, T, Y, k, labels=None):
     """The summands of the triple sum by split (U, V) of Y, one term per label of labels(head, n - k, l, Y).
 
     A label's mu shifted down by m - k in its first l - p parts is the
-    reduced partition, and nu merged with the parts of lam after the cut is
-    below, both as part tuples; the shift is checked (shifted_parts).
+    reduced partition, and nu followed by the parts of lam after the cut is
+    below, both as part tuples; the shift is checked (shifted_parts).  Below
+    needs no sort.  With c = n - k, nu + delta_(c-l+p) is made of entries
+    of head + delta_c, so its last entry, nu's last part padded, is at
+    least the smallest, lam_c >= lam_(c+1).  So nu has no zero part when
+    lam_c > 0, and the tail is empty when lam_c = 0.
 
     Without labels they come from _fibers: a fiber depends on its split only
     through the size p, so the splits of one size share one term list, and
@@ -462,7 +466,7 @@ def _second_overlap_summands(lam, S, T, Y, k, labels=None):
     c, tail = n - k, lam.parts[n - k:]
 
     def term(p, mu, nu, sign):
-        return sign, shifted_parts(mu, -(m - k), l - p), tuple(sorted(nu + tail, reverse=True))
+        return sign, shifted_parts(mu, -(m - k), l - p), nu + tail
 
     summands = {}
     if labels is None:

@@ -22,15 +22,22 @@ walk.  Both are lookups, since a strictly decreasing staircase leaves at
 most one candidate: brute_force_fiber reads the one nu that each mu of its
 box leaves off the entries of lam + rho_{m+n} that mu + rho_m does not
 take, and enumerate_subpartition_pairs reads the one index set K that each
-lam of its box admits off the values of lam's shifted staircase.
+lam of its box admits off the values of lam's shifted staircase.  Both scan
+their boxes as padded part tuples and build a Partition only for the pairs
+they return.
+
+Every staircase rho_k = delta_k = (k - 1, ..., 0) here, in staircase,
+overlap and the walk labeling alike, is read off one fixed table,
+walks._DELTAS, which holds delta_k for k < walks._DELTA_END; walks.delta
+builds the larger ones per call.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .partitions import Partition, binomial, partitions_in_box
-from .walks import StaircaseWalk, _labeled, _labeled_walks, _unstair, is_quasi_partition, walk_times
+from .partitions import Partition, binomial, padded_in_box
+from .walks import _DELTA_END, _DELTAS, StaircaseWalk, _labeled, _labeled_walks, _unstair, delta, is_quasi_partition, walk_times
 
 
 class OverlapResult:
@@ -90,26 +97,35 @@ def overlap(mu: Partition, nu: Partition, m: int, n: int) -> OverlapResult:
 
     The merged sequence (mu + rho_m) u (nu + rho_n) either has a repeat
     (infinite overlap, sign +1) or sorts to a strictly decreasing sequence
-    whose staircase-reduction is automatically a partition.
+    whose staircase-reduction is automatically a partition.  The staircases
+    come off the delta table, inlined: overlap is on the fiber hot path.
     """
-    _check_pair(mu, nu, m, n)
-    mu_stair = staircase(mu, m)
-    merged = sorted(mu_stair + staircase(nu, n), reverse=True)
-    if len(set(merged)) < m + n:
+    mu_parts, nu_parts, k = mu.parts, nu.parts, m + n
+    if len(mu_parts) > m or len(nu_parts) > n:
+        _check_pair(mu, nu, m, n)
+    # m, n >= 0 here, so the table holds delta_m and delta_n whenever it holds delta_k
+    if k < _DELTA_END:
+        down_m, down_n, down_k = _DELTAS[m], _DELTAS[n], _DELTAS[k]
+    else:
+        down_m, down_n, down_k = delta(m), delta(n), delta(k)
+    mu_stair = tuple(map(operator.add, mu_parts, down_m)) + down_m[len(mu_parts):]
+    merged = sorted(mu_stair + tuple(map(operator.add, nu_parts, down_n)) + down_n[len(nu_parts):], reverse=True)
+    if len(set(merged)) < k:
         return _INFINITE
     r = OverlapResult.__new__(OverlapResult)
-    OverlapResult.value.__set__(r, Partition._of(_unstair(merged, m + n)))
+    OverlapResult.value.__set__(r, Partition._of(tuple(map(operator.sub, merged, down_k))))
     # only cross pairs invert: the mu entry at position p_i comes after p_i - i nu entries
     OverlapResult.sign.__set__(r, -1 if (sum(map(merged.index, mu_stair)) - m * (m - 1) // 2) % 2 else 1)
     return r
 
 
 def staircase(lam: Partition, k: int) -> tuple:
-    """lam + rho_k = (lam_1 + k - 1, ..., lam_k), strictly decreasing; l(lam) <= k."""
+    """lam + delta_k = (lam_1 + k - 1, ..., lam_k), strictly decreasing; l(lam) <= k."""
     parts = lam.parts
     if len(parts) > k:
         raise ValueError(f"cannot pad {lam} to shorter length {k}")
-    return tuple(map(operator.add, parts + (0,) * (k - len(parts)), range(k - 1, -1, -1)))
+    down = delta(k)
+    return tuple(map(operator.add, parts, down)) + down[len(parts):]
 
 
 def enumerate_overlap_pairs(lam: Partition, m: int, n: int):
@@ -192,7 +208,7 @@ def reconstruct_from_witness(pi: StaircaseWalk, alpha):
     total = len(pi)
     if len(alpha) != total:
         raise ValueError(f"label sequence length {len(alpha)} != walk length {total}")
-    stair = (None, *map(operator.add, alpha, range(total - 1, -1, -1)))
+    stair = (None, *map(operator.add, alpha, delta(total)))
     return _labeled(stair, pi.v_times(), pi.h_times(), Partition)[:2]
 
 
@@ -210,18 +226,19 @@ def brute_force_fiber(lam: Partition, m: int, n: int):
     stays independent of the walk enumeration it checks.
     """
     _check_fiber(lam, m, n)
-    target = staircase(lam, m + n)
+    target, down_m, down_n = staircase(lam, m + n), delta(m), delta(n)
     entries = set(target)
-    nu_of = {staircase(nu, n): nu for nu in partitions_in_box(lam.part(1) + m, n)}
+    nu_of = {tuple(map(operator.add, nu, down_n)): nu for nu in padded_in_box(lam.part(1) + m, n)}
     out = []
-    for mu in partitions_in_box(lam.part(1) + n, m):
-        mu_stair = staircase(mu, m)
+    for mu in padded_in_box(lam.part(1) + n, m):
+        mu_stair = tuple(map(operator.add, mu, down_m))
         if entries.issuperset(mu_stair):
             nu = nu_of.get(tuple(t for t in target if t not in mu_stair))
             if nu is not None:
-                r = overlap(mu, nu, m, n)
+                pair = Partition._of(mu), Partition._of(nu)
+                r = overlap(*pair, m, n)
                 if r.is_finite and r.value == lam:
-                    out.append((mu, nu, r.sign))
+                    out.append((*pair, r.sign))
     return out
 
 
@@ -285,12 +302,13 @@ def enumerate_subpartition_pairs(kappa: Partition, m: int, n: int, l: int):
     Definitional scan over the lam box.  Part j (0-based) of sub(lam, K) is
     s_(K_j) + j, where s_k = lam_k + n + 1 - k strictly decreases in k, so
     K_j can only be the position where s takes the value kappa_j - j: each
-    lam reads its one candidate K off a map from the values of s to their
-    positions, and has a pair exactly when every value is found.  Those
-    positions increase with j, as kappa_j - j decreases, so K is a valid
-    index sequence.  The count is the same binomial as the overlap fiber,
-    and mapping through subpartition_to_overlap is a bijection onto the
-    fiber of kappa'.
+    lam, scanned as its padded part tuple (padded_in_box), reads its one
+    candidate K off a map from the values of s to their positions, and has
+    a pair exactly when every value is found; a Partition is built only for
+    the lam of a pair.  Those positions increase with j, as kappa_j - j
+    decreases, so K is a valid index sequence.  The count is the same
+    binomial as the overlap fiber, and mapping through
+    subpartition_to_overlap is a bijection onto the fiber of kappa'.
     """
     _check_dimensions(m, n, l)
     if not kappa.fits_in(m + n, l):
@@ -299,11 +317,11 @@ def enumerate_subpartition_pairs(kappa: Partition, m: int, n: int, l: int):
     want = tuple(map(operator.sub, kappa.padded(l), range(l)))
     shift, positions = range(n, n - N, -1), range(1, N + 1)
     out = []
-    for lam in partitions_in_box(m, N):
-        position = dict(zip(map(operator.add, lam.padded(N), shift), positions))
+    for lam in padded_in_box(m, N):
+        position = dict(zip(map(operator.add, lam, shift), positions))
         K = tuple(map(position.get, want))
         if None not in K:
-            out.append((lam, K))
+            out.append((Partition._of(lam), K))
     return out
 
 

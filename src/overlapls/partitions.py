@@ -211,17 +211,22 @@ def shifted_parts(parts: tuple, k: int, l: int) -> tuple:
     return checked_parts(tuple(x + k for x in p[:l]) + p[l:])
 
 
-def partitions_in_box(m: int, n: int):
-    """All partitions inside the rectangle with n rows of width m.
+def padded_in_box(m: int, n: int):
+    """The parts of each partition inside the rectangle with n rows of width m, padded with zeros to n.
 
-    Deterministic order: lexicographically decreasing part tuples, from the
-    full rectangle down to the empty partition.  A negative width or row
-    count raises at the call, before any partition is produced.
+    Deterministic order: lexicographically decreasing n-tuples, from the
+    full rectangle down to all zeros.  A negative width or row count raises
+    at the call, before any tuple is produced.
     """
     if m < 0 or n < 0:
         raise ValueError(f"box dimensions must be non-negative, got width {m} and {n} rows")
-    # non-increasing n-tuples over m..0 in lexicographic order; _of strips the zeros
-    return map(Partition._of, itertools.combinations_with_replacement(range(m, -1, -1), n))
+    # non-increasing n-tuples over m..0 in lexicographic order
+    return itertools.combinations_with_replacement(range(m, -1, -1), n)
+
+
+def partitions_in_box(m: int, n: int):
+    """All partitions inside the rectangle with n rows of width m, in padded_in_box order; _of strips the zeros."""
+    return map(Partition._of, padded_in_box(m, n))
 
 
 def binomial(n: int, k: int) -> int:

@@ -3,6 +3,7 @@
 A walk goes from the top-right corner to the bottom-left corner of a
 rectangle of width n and height m using west (H) and south (V) steps only.
 Step 1 is the first step taken; all step-time sequences are 1-based.
+The staircases delta_k that label walks come from one table (delta).
 """
 
 from __future__ import annotations
@@ -11,6 +12,21 @@ import itertools
 import operator
 
 from .partitions import Partition, as_ints, rho
+
+# delta_k = (k - 1, ..., 1, 0) for each k < _DELTA_END, which covers the
+# rectangles of the verify sweeps and fiber checks: a fixed table, never
+# grown; delta builds the larger ones per call
+_DELTA_END = 33
+_DELTAS = tuple(tuple(range(k - 1, -1, -1)) for k in range(_DELTA_END))
+
+
+def delta(k: int) -> tuple:
+    """The staircase delta_k = (k - 1, ..., 1, 0) as a tuple, read off _DELTAS when it holds k; k >= 0 required."""
+    if 0 <= k < _DELTA_END:
+        return _DELTAS[k]
+    if k < 0:
+        raise ValueError(f"delta of a negative integer {k}")
+    return tuple(range(k - 1, -1, -1))
 
 
 class StaircaseWalk:
@@ -76,7 +92,7 @@ class StaircaseWalk:
 
     def _unlabeled(self) -> tuple:
         """(mu, nu_conj, sign): the walk labeled by the empty partition, whose staircase has N - t at time t."""
-        return _labeled(range(len(self.steps), -1, -1), self.v_times(), self.h_times(), Partition._of)
+        return _labeled(delta(len(self.steps) + 1), self.v_times(), self.h_times(), Partition._of)
 
     def mu(self) -> Partition:
         """Partition whose diagram lies above the walk.
@@ -151,8 +167,8 @@ def walk_times(n: int, m: int):
 
 
 def _unstair(seq, k: int) -> tuple:
-    """seq - rho_k for k values seq: value j (0-based) loses k - 1 - j."""
-    return tuple(map(operator.sub, seq, range(k - 1, -1, -1)))
+    """seq - delta_k for k values seq: value j (0-based) loses k - 1 - j."""
+    return tuple(map(operator.sub, seq, delta(k)))
 
 
 def _labeled_walks(stair, times, m: int, n: int, build):
@@ -170,7 +186,7 @@ def _labeled_walks(stair, times, m: int, n: int, build):
     all its walks.
     """
     at, sub = stair.__getitem__, operator.sub
-    down_m, down_n = range(m - 1, -1, -1), range(n - 1, -1, -1)
+    down_m, down_n = delta(m), delta(n)
     offset = n * m + n * (n + 1) // 2
     for v_times, h_times in times:
         mu = build(tuple(map(sub, map(at, v_times), down_m)))

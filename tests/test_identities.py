@@ -337,6 +337,23 @@ class TestSecondOverlapAndWalkSplit:
                 found += sum(map(len, summands.values()))
         assert found > 0
 
+    def test_below_needs_no_sort(self):
+        # nu followed by the parts after the cut is already non-increasing, for every label of the 5 x 5 box,
+        # every cut c, l(Y) <= 3 and l <= 3; a sweep's cut c = n - k is at least n - l(Y), so l <= n <= c + l(Y).
+        # The fibers carry every label: the single walks give the same ones (test_sweep_with_bijection)
+        found = 0
+        for lam in partitions_in_box(5, 5):
+            for c in range(6):
+                head, tail = lam.take(c), lam.parts[c:]
+                for m in range(4):
+                    Y = VarSeq.make("y", m)
+                    for l in range(min(3, c + m) + 1):
+                        for _, fiber in identities._fibers(head, c, l, Y):
+                            for _, nu, _ in fiber:
+                                assert nu + tail == tuple(sorted(nu + tail, reverse=True)), (lam, c, l, m, nu)
+                                found += 1
+        assert found > 0
+
 
 def _partition_summands(lam, S, T, Y, k, labels):
     """_second_overlap_summands with the earlier Partition terms, by shift_first and union: the oracle of the part tuples.

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from overlapls import cli, identities
+from overlapls import cli, identities, walks
 from overlapls.overlap import (
     OverlapResult,
     brute_force_fiber,
@@ -57,6 +57,56 @@ def overlap_oracle(mu, nu, m, n):
     return OverlapResult(Partition(map(operator.sub, merged, range(m + n - 1, -1, -1))), sign)
 
 
+def zero_padded_staircase(lam, k):
+    """lam + rho_k from lam padded with zeros and a range of offsets: the oracle of the staircase read off the delta table."""
+    parts = lam.parts
+    if len(parts) > k:
+        raise ValueError(f"cannot pad {lam} to shorter length {k}")
+    return tuple(map(operator.add, parts + (0,) * (k - len(parts)), range(k - 1, -1, -1)))
+
+
+def overlap_helper_oracle(mu, nu, m, n):
+    """overlap() through its input check and zero-padded staircases: the oracle of the body that inlines the delta table."""
+    overlap_module._check_pair(mu, nu, m, n)
+    mu_stair = zero_padded_staircase(mu, m)
+    merged = sorted(mu_stair + zero_padded_staircase(nu, n), reverse=True)
+    if len(set(merged)) < m + n:
+        return OverlapResult.infinite()
+    value = Partition._of(tuple(map(operator.sub, merged, range(m + n - 1, -1, -1))))
+    return OverlapResult.finite(value, -1 if (sum(map(merged.index, mu_stair)) - m * (m - 1) // 2) % 2 else 1)
+
+
+def brute_force_fiber_on_partitions(lam, m, n):
+    """brute_force_fiber with every candidate of both boxes a Partition: the oracle of the scan on padded tuples."""
+    target = staircase(lam, m + n)
+    entries = set(target)
+    nu_of = {staircase(nu, n): nu for nu in partitions_in_box(lam.part(1) + m, n)}
+    out = []
+    for mu in partitions_in_box(lam.part(1) + n, m):
+        mu_stair = staircase(mu, m)
+        if entries.issuperset(mu_stair):
+            nu = nu_of.get(tuple(t for t in target if t not in mu_stair))
+            if nu is not None:
+                r = overlap(mu, nu, m, n)
+                if r.is_finite and r.value == lam:
+                    out.append((mu, nu, r.sign))
+    return out
+
+
+def subpairs_on_partitions(kappa, m, n, l):
+    """enumerate_subpartition_pairs with every lam of the box a Partition: the oracle of the scan on padded tuples."""
+    N = n + l
+    want = tuple(map(operator.sub, kappa.padded(l), range(l)))
+    shift, positions = range(n, n - N, -1), range(1, N + 1)
+    out = []
+    for lam in partitions_in_box(m, N):
+        position = dict(zip(map(operator.add, lam.padded(N), shift), positions))
+        K = tuple(map(position.get, want))
+        if None not in K:
+            out.append((lam, K))
+    return out
+
+
 def padded_sum_oracle(alpha, pi):
     """The labeling by padded sums: each partition of the walk, padded, plus the labels at its step times."""
     mu = Partition(map(operator.add, pi.mu().padded(pi.m), (alpha[t - 1] for t in pi.v_times())))
@@ -98,17 +148,21 @@ class TestOverlap:
         assert hash(OverlapResult.infinite()) == hash(OverlapResult.infinite())
 
     def test_length_preconditions(self):
-        # overlap and the witness share one check, which names a negative dimension first
+        # overlap and the witness share one check, which names a negative dimension first; the messages are the
+        # helper oracle's, past the delta table too
         cases = [
-            ((1, 1), (), 1, 1, "exceeds m = 1"),
-            ((), (1, 1), 1, 1, "exceeds n = 1"),
-            ((), (), -1, 2, "non-negative"),
-            ((1,), (), 2, -1, "non-negative"),
+            ((1, 1), (), 1, 1, "length of Partition(1, 1) exceeds m = 1"),
+            ((), (1, 1), 1, 1, "length of Partition(1, 1) exceeds n = 1"),
+            ((), (2, 2, 1), 38, 2, "length of Partition(2, 2, 1) exceeds n = 2"),
+            ((), (), -1, 2, "rectangle dimensions must be non-negative"),
+            ((1,), (), 2, -1, "rectangle dimensions must be non-negative"),
+            ((), (), 40, -1, "rectangle dimensions must be non-negative"),
         ]
         for mu, nu, m, n, message in cases:
-            for f in (overlap, infinite_overlap_witness):
-                with pytest.raises(ValueError, match=message):
+            for f in (overlap, infinite_overlap_witness, overlap_helper_oracle):
+                with pytest.raises(ValueError) as error:
                     f(Partition(mu), Partition(nu), m, n)
+                assert str(error.value) == message
 
     def test_definitional_identity_exhaustive(self):
         # finite value + staircase is a rearrangement of the shifted inputs
@@ -137,18 +191,46 @@ class TestOverlap:
                         assert len(set(merged)) < m + n
 
     def test_matches_the_oracle_on_the_4x4_boxes(self):
-        # every pair of the 4 x 4 boxes with m, n <= 4, infinite overlaps included
+        # every pair of the 4 x 4 boxes with m, n <= 5, infinite overlaps included, against both oracles
         infinite = 0
-        for m in range(5):
-            for n in range(5):
-                for mu in partitions_in_box(4, m):
-                    for nu in partitions_in_box(4, n):
+        for m in range(6):
+            for n in range(6):
+                for mu in partitions_in_box(4, min(m, 4)):
+                    for nu in partitions_in_box(4, min(n, 4)):
                         r = overlap(mu, nu, m, n)
-                        assert r == overlap_oracle(mu, nu, m, n)
+                        assert r == overlap_oracle(mu, nu, m, n) == overlap_helper_oracle(mu, nu, m, n), (mu, nu, m, n)
                         if r.value is None:
                             assert r.is_infinite and r.sign == 1
                             infinite += 1
         assert infinite
+
+    @pytest.mark.parametrize("total", [31, 32, 33, 40])
+    def test_matches_the_helper_oracle_at_and_past_the_table_end(self, total):
+        # m + n at the last delta the table holds and past it, where every delta is built per call
+        seen = collections.Counter()
+        for m in sorted({0, 1, 7, total // 2, total - 1, total}):
+            n = total - m
+            for mu in partitions_in_box(3, min(m, 2)):
+                for nu in partitions_in_box(3, min(n, 2)):
+                    r = overlap(mu, nu, m, n)
+                    assert r == overlap_helper_oracle(mu, nu, m, n), (mu, nu, m, n)
+                    seen[r.is_finite] += 1
+            for lam in (Partition(()), Partition((3, 1)), rect(2, min(m, 3))):
+                if lam.length <= m:
+                    assert staircase(lam, m) == zero_padded_staircase(lam, m)
+        assert seen[True] and seen[False]
+
+    def test_a_negative_k_never_reads_the_delta_table(self):
+        with pytest.raises(ValueError, match="cannot pad Partition"):
+            staircase(Partition(()), -1)
+        for k in range(-len(walks._DELTAS) - 1, 0):
+            with pytest.raises(ValueError, match="negative"):
+                walks.delta(k)
+
+    def test_delta_reads_a_fixed_table(self):
+        for k in range(41):
+            assert walks.delta(k) == tuple(range(k - 1, -1, -1))
+        assert len(walks._DELTAS) == walks._DELTA_END and walks.delta(3) is walks._DELTAS[3]
 
     def test_results_are_immutable(self):
         # both are built through their slot setters, past the __setattr__ that refuses
@@ -233,6 +315,16 @@ class TestFiberEnumeration:
                 for n in range(0, 4):
                     if lam.length <= m + n:
                         assert brute_force_fiber(lam, m, n) == overlap_scan_oracle(lam, m, n)
+
+    def test_scan_matches_the_scan_on_partitions(self):
+        # the same Partition triples in the same order, over the 5 x 5 box with m, n <= 3
+        for lam in partitions_in_box(5, 5):
+            for m in range(4):
+                for n in range(4):
+                    if lam.length <= m + n:
+                        got = brute_force_fiber(lam, m, n)
+                        assert got == brute_force_fiber_on_partitions(lam, m, n), (lam, m, n)
+                        assert all(type(mu) is Partition and type(nu) is Partition for mu, nu, _ in got)
 
     def test_scan_calls_overlap_only_on_accepted_pairs(self, monkeypatch):
         calls = []
@@ -449,6 +541,17 @@ class TestSubpartitionPairs:
                     for kappa in partitions_in_box(m + n, l):
                         got = enumerate_subpartition_pairs(kappa, m, n, l)
                         assert got == subpair_scan_oracle(kappa, m, n, l)
+
+    def test_matches_the_scan_on_partitions_over_the_5x5_box(self):
+        # the lam box is 5 x 5: m = 5 and n + l = 5; the same Partition pairs in the same order
+        found = 0
+        for l in range(6):
+            for kappa in partitions_in_box(10 - l, l):
+                got = enumerate_subpartition_pairs(kappa, 5, 5 - l, l)
+                assert got == subpairs_on_partitions(kappa, 5, 5 - l, l), (kappa, l)
+                assert all(type(lam) is Partition for lam, _ in got)
+                found += len(got)
+        assert found
 
     def test_invalid_kappa(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from overlapls.partitions import (
     Partition,
     binomial,
+    padded_in_box,
     partitions_in_box,
     rect,
     rho,
@@ -243,6 +244,15 @@ class TestHelpers:
     def test_partitions_in_box_rejects_negative_sizes(self, m, n):
         with pytest.raises(ValueError, match="non-negative"):
             partitions_in_box(m, n)  # raises at the call, not at the first item
+
+    def test_padded_in_box_pads_the_partitions_in_box_in_order(self):
+        for m, n in [*itertools.product(range(5), repeat=2), (1, 40)]:
+            assert list(padded_in_box(m, n)) == [lam.padded(n) for lam in partitions_in_box(m, n)]
+
+    @pytest.mark.parametrize("m, n", [(2, -1), (-1, 2), (-1, 0)])
+    def test_padded_in_box_rejects_negative_sizes(self, m, n):
+        with pytest.raises(ValueError, match="non-negative"):
+            padded_in_box(m, n)  # raises at the call, not at the first item
 
     def test_contains(self):
         assert Partition((3, 2)).contains(Partition((2, 2)))

@@ -1,9 +1,10 @@
-"""The package's memo list, its hand-written verdicts and the code-line counter of scripts/code_lines.py."""
+"""The package's memo list, its hand-written verdicts, the code-line counter of scripts/code_lines.py and scripts/bench_pairs.py."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
 from pathlib import Path
 
 import overlapls
@@ -142,3 +143,24 @@ def test_bench_pairs_quartiles_and_seeds():
     assert module.quartiles([1, 4, 5, 9]) == {"median": 4.5, "q1": 3.25, "q3": 6.0}
     assert module.quartiles([7]) == {"median": 7, "q1": 7, "q3": 7}
     assert module.parse_seeds("1-3,7,11-12") == [1, 2, 3, 7, 11, 12]
+
+
+def test_bench_pairs_names_the_checkouts(tmp_path, monkeypatch):
+    # git looks for no tree above tmp_path, wherever the temporary directories lie
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    module = _bench_pairs_module()
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert module.checkout_info(plain) == {"path": str(plain.resolve()), "head": None, "dirty": None}
+
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=tree, check=True)
+    (tree / "a.txt").write_text("one\n")
+    subprocess.run([*git, "add", "a.txt"], cwd=tree, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "one"], cwd=tree, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True).stdout.strip()
+    assert module.checkout_info(tree) == {"path": str(tree.resolve()), "head": head, "dirty": False}
+    (tree / "a.txt").write_text("two\n")
+    assert module.checkout_info(tree) == {"path": str(tree.resolve()), "head": head, "dirty": True}
