@@ -24,13 +24,14 @@ times_differences and dual_cauchy_product apply.  The overlap verifiers
 compare split sums this way in symbolic mode: the sums over splits of X
 with coefficients that are polynomials in Y, the sums over splits of Y and
 dual Cauchy on int maps keyed in every alphabet, with no polynomial at all.
+Two maps are compared through report.exact, whose failing witness lists
+the entries that differ (report.coefficients_differ).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 
 from .overlap import staircase
 from .partitions import Partition
@@ -189,15 +190,3 @@ def dual_cauchy_product(n: int, m: int) -> dict:
                 merge_splits(out.setdefault(key, {}), 1, form, {(k + n - 1 - i,): 1})
         forms = {key: form for key, form in zip(out, map(nonzero, out.values())) if form}
     return {(alpha, beta): c for beta, form in forms.items() for alpha, c in form.items()}
-
-
-def coefficients_differ(lhs: dict, rhs: dict) -> str:
-    """Witness of two coefficient maps: the entries that differ, by key, the lhs entry first.
-
-    Coefficients may be polynomials, which have no order, so only the keys
-    are sorted, and each coefficient is printed with str.
-    """
-    diff = [(k, c) for k, c in lhs.items() if rhs.get(k) != c]
-    diff += [(k, c) for k, c in rhs.items() if lhs.get(k) != c]
-    diff.sort(key=operator.itemgetter(0))
-    return "coefficients differ: [" + ", ".join(f"({k!r}, {c})" for k, c in diff) + "]"

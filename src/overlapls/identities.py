@@ -72,7 +72,6 @@ from dataclasses import replace
 
 from . import report
 from .alternants import (
-    coefficients_differ,
     dual_cauchy_product,
     ls_alternant,
     ls_alternant_xy,
@@ -147,7 +146,7 @@ def _conclude(ident, instance, mode, forms, build, names):
         sides = forms()
         if isinstance(sides, str):  # Y-split summands that the Laplace merge cannot take
             return report.failed(ident, instance, sides, mode)
-        return report.exact(ident, instance, *sides, mode, coefficients_differ)
+        return report.exact(ident, instance, *sides, mode)
     for point in spot_points(names):
         lhs, terms = build(lambda A: tuple(map(point.__getitem__, A.names)))
         common = math.lcm(*(den for _, den in terms))
@@ -539,7 +538,7 @@ def verify_first_overlap_schur(mu, nu, m, n, X: VarSeq, mode="symbolic"):
     # signs cancel: s_lam = (-1)^|lam| LS_lam(-X; ()), |ov| = |mu| + |nu| - mn, delta(S, T) = (-1)^(mn) delta(T, S)
     lam = ov.value if ov.is_finite else None
     # with Y empty both maps hold ints, so the check is exact in both modes
-    return report.exact(ident, instance, *_x_split_forms(lam, mu, nu, m, X, VarSeq.of(), ov.sign), mode, coefficients_differ)
+    return report.exact(ident, instance, *_x_split_forms(lam, mu, nu, m, X, VarSeq.of(), ov.sign), mode)
 
 
 def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
@@ -555,7 +554,7 @@ def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
     """
     empty = VarSeq.of()
     summands = {(empty, empty): [(sign, mu.parts, nu.parts) for mu, nu, sign in triples]}
-    return report.exact(ident, instance, *_y_split_forms(target, S, T, empty, summands), mode, coefficients_differ)
+    return report.exact(ident, instance, *_y_split_forms(target, S, T, empty, summands), mode)
 
 
 def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
@@ -843,4 +842,4 @@ def verify_dual_cauchy(X: VarSeq, Y: VarSeq, mode="symbolic"):
     instance = {"l(X)": n, "l(Y)": m}
     # lam has at most l(X) rows and l(Y) columns, so neither Schur factor is 0 and both staircases exist
     total = {(staircase(lam, n), staircase(lam.conjugate(), m)): 1 for lam in partitions_in_box(m, n)}
-    return report.exact(ident, instance, total, dual_cauchy_product(n, m), mode, coefficients_differ)
+    return report.exact(ident, instance, total, dual_cauchy_product(n, m), mode)

@@ -289,29 +289,6 @@ class MultiPoly:
             total += v
         return Fraction(total, L**top)
 
-    def invert_vars(self, names, top: int) -> "MultiPoly":
-        """Substitute x -> 1/x for each x in names, then multiply by x^top.
-
-        Reflects every exponent a of those variables to top - a; raises
-        ValueError when some degree exceeds top, as the result would not be
-        a polynomial.
-        """
-        fields = [(n, _shift(n)) for n in set(names)]
-        top_all = sum(top << s for _, s in fields) + top * len(fields)
-        out = {}
-        for m, c in self.terms.items():
-            have = deg = 0
-            for n, s in fields:
-                a = (m >> s) & MAX_EXP
-                if a > top:
-                    raise ValueError(f"degree {a} in {n} exceeds {top}")
-                have += a << s
-                deg += a
-            # the new total degree bounds every new field
-            _check_exp((m & MAX_EXP) - 2 * deg + top * len(fields), "total degree")
-            out[m - 2 * (have + deg) + top_all] = c
-        return MultiPoly._of(out)
-
     # -- text ------------------------------------------------------------
 
     def __str__(self):
@@ -463,10 +440,6 @@ class VarSeq:
 
     def negated(self) -> "VarSeq":
         return VarSeq(self.names, frozenset(set(self.names) ^ set(self.neg)))
-
-    def concat(self, other: "VarSeq") -> "VarSeq":
-        """Union of sequences: left operand first."""
-        return VarSeq(self.names + other.names, self.neg | other.neg)
 
     def subseq(self, indices) -> "VarSeq":
         names = tuple(self.names[i] for i in indices)

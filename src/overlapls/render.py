@@ -101,11 +101,3 @@ def walk_svg(pi: StaircaseWalk, labels=None) -> str:
     out.extend(marks)
     out.append("</svg>")
     return "\n".join(out)
-
-
-def parse_walk_ascii(text: str) -> StaircaseWalk:
-    """Recover the walk from its ASCII rendering (the 'walk:' line)."""
-    for line in text.splitlines():
-        if line.startswith("walk: "):
-            return StaircaseWalk(line[len("walk: ") :].strip())
-    raise ValueError("no walk line found")

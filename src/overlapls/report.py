@@ -1,7 +1,13 @@
-"""Structured outcome of a single identity check."""
+"""Structured outcome of a single identity check, and exact, the one comparison of two exact sides.
+
+The sides that exact compares are coefficient maps (dicts keyed by
+exponent vectors, or by tuples of them) or ring elements; a failure's
+witness lists the map entries that differ, or prints lhs - rhs.
+"""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -63,9 +69,26 @@ def inapplicable(identity: str, instance: dict, reason: str, mode: str = "symbol
     return VerificationReport(identity, instance, mode, INAPPLICABLE, reason)
 
 
-def exact(identity: str, instance: dict, lhs, rhs, mode: str = "symbolic", witness=lambda lhs, rhs: str(lhs - rhs)) -> VerificationReport:
-    """Compare two exact sides with ==, in either mode; witness(lhs, rhs) runs only on a failure."""
+def exact(identity: str, instance: dict, lhs, rhs, mode: str = "symbolic") -> VerificationReport:
+    """Compare two exact sides with ==, in either mode.
+
+    The witness is built only on a failure: coefficients_differ when the
+    sides are coefficient maps, str(lhs - rhs) otherwise.
+    """
     check_mode(mode)
     if lhs == rhs:
         return passed(identity, instance, mode)
-    return failed(identity, instance, witness(lhs, rhs), mode)
+    witness = coefficients_differ(lhs, rhs) if isinstance(lhs, dict) else str(lhs - rhs)
+    return failed(identity, instance, witness, mode)
+
+
+def coefficients_differ(lhs: dict, rhs: dict) -> str:
+    """Witness of two coefficient maps: the entries that differ, by key, the lhs entry first.
+
+    Coefficients may be polynomials, which have no order, so only the keys
+    are sorted, and each coefficient is printed with str.
+    """
+    diff = [(k, c) for k, c in lhs.items() if rhs.get(k) != c]
+    diff += [(k, c) for k, c in rhs.items() if lhs.get(k) != c]
+    diff.sort(key=operator.itemgetter(0))
+    return "coefficients differ: [" + ", ".join(f"({k!r}, {c})" for k, c in diff) + "]"

@@ -12,9 +12,13 @@ determinant by the Vandermonde and certifies the division is exact
 (schur_bialternant).  The tableau route sums content monomials over
 semistandard fillings and never divides (schur_ssyt).  The three agree on
 all inputs, which the test suite checks exhaustively at desk scale; the
-bialternant and tableau routes are kept as cross-checks.  The factor rule
-and complement reciprocity compare two Schur polynomials through
-report.exact.
+bialternant and tableau routes are kept as cross-checks.
+
+The factor rule and complement reciprocity form no Schur polynomial: a
+symmetric polynomial is fixed by its coefficients at the monomials with
+non-increasing exponents, for s_lam the Kostka numbers (Macdonald I
+sections 2 and 5), and kostka_map reads them off the horizontal strips
+alone.  Each check compares two such int maps through report.exact.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .polyring import (
     as_poly,
     det,
     divexact,
-    e_prod,
     vandermonde_of,
 )
 
@@ -167,7 +170,6 @@ def _ls_strips(parts: tuple, xs: tuple, ys: tuple):
     return total
 
 
-@functools.cache
 def schur(lam: Partition, X: VarSeq):
     """Schur polynomial by strip branching (schur_value on the variables); negation marks are honoured."""
     return as_poly(schur_value(lam, X.terms()))
@@ -184,8 +186,38 @@ def schur_value(lam: Partition, values):
     return -s if lam.size % 2 else s
 
 
+@functools.cache
+def kostka_map(parts: tuple, n: int) -> dict:
+    """{kappa: K_(lam, kappa)} over the non-increasing kappa of length n, lam having these parts: s_lam(x_1..x_n)'s dominant map.
+
+    A symmetric polynomial is fixed by its coefficients at the monomials
+    x^kappa with kappa non-increasing (Macdonald I section 2), and for s_lam
+    these are the Kostka numbers, all positive.  Peeling the last letter
+    by a horizontal strip (_horizontal_strips; section 5) gives
+    K_(lam, kappa) as the sum of K_(nu, kappa_1..kappa_(n-1)) over the
+    strips lam/nu of kappa_n cells, kappa staying non-increasing while
+    kappa_(n-1) >= kappa_n.  A shape longer than n gives the empty map.
+    """
+    if len(parts) > n:
+        return {}
+    if not n:
+        return {(): 1}
+    out = {}
+    for nu, r in _horizontal_strips(parts):
+        for kappa, c in kostka_map(nu, n - 1).items():
+            if not kappa or kappa[-1] >= r:
+                key = kappa + (r,)
+                out[key] = out.get(key, 0) + c
+    return out
+
+
 def factor_rule_check(lam: Partition, m: int, X: VarSeq) -> report.VerificationReport:
-    """Pulling a full m-column rectangle out of the index multiplies by e(X)^m."""
+    """Pulling a full m-column rectangle out of the index multiplies by e(X)^m.
+
+    Compared on dominant maps (kostka_map): e(X)^m moves x^kappa to
+    x^(kappa + m), so the map of lam + (m^n) is the map of lam with every
+    kappa raised by m.
+    """
     instance = {"lambda": lam.to_json(), "m": m, "vars": list(X.names)}
     ident = "factor-rule"
     if m < 0:
@@ -193,7 +225,8 @@ def factor_rule_check(lam: Partition, m: int, X: VarSeq) -> report.VerificationR
     n = len(X)
     if lam.length > n:
         return report.inapplicable(ident, instance, "partition longer than variable count")
-    return report.exact(ident, instance, schur(lam.add(rect(m, n)), X), e_prod(X) ** m * schur(lam, X))
+    raised = {tuple(k + m for k in kappa): c for kappa, c in kostka_map(lam.parts, n).items()}
+    return report.exact(ident, instance, kostka_map(lam.add(rect(m, n)).parts, n), raised)
 
 
 def complement_reciprocity_check(
@@ -202,9 +235,10 @@ def complement_reciprocity_check(
     """Schur of the complement against the inverted-variable Schur.
 
     s of the (m, n)-complement of lam equals s_lam at inverted variables
-    times e(X)^m.  The right side is computed as a polynomial, reflecting
-    each exponent a of s_lam to m - a, so both modes compare the two
-    polynomials exactly.
+    times e(X)^m.  Compared on dominant maps (kostka_map), the same in both
+    modes: the right side moves x^kappa to x^(m - kappa), and by symmetry
+    its coefficient at the non-increasing (m - kappa_n, ..., m - kappa_1) is
+    K_(lam, kappa).
     """
     n = len(X)
     instance = {"lambda": lam.to_json(), "m": m, "vars": list(X.names), "mode": mode}
@@ -212,4 +246,5 @@ def complement_reciprocity_check(
     report.check_mode(mode)
     if not lam.fits_in(m, n):
         return report.inapplicable(ident, instance, f"lambda does not fit in {m}x{n}")
-    return report.exact(ident, instance, schur(lam.complement(m, n), X), schur(lam, X).invert_vars(X.names, m))
+    reflected = {tuple(m - k for k in reversed(kappa)): c for kappa, c in kostka_map(lam.parts, n).items()}
+    return report.exact(ident, instance, kostka_map(lam.complement(m, n).parts, n), reflected)

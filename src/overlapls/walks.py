@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .partitions import Partition, as_ints, rho
+from .partitions import Partition, as_ints
 
 # delta_k = (k - 1, ..., 1, 0) for each k < _DELTA_END, which covers the
 # rectangles of the verify sweeps and fiber checks: a fixed table, never
@@ -226,16 +226,3 @@ def is_quasi_partition(alpha, pi: StaircaseWalk) -> bool:
             if alpha[i + 1] > alpha[i] + 1:
                 return False
     return True
-
-
-def step_time_encoding(pi: StaircaseWalk):
-    """Step-time encoding of the walk's partitions.
-
-    mu(pi) + rho_m equals rho_{m+n} restricted to vertical step times, and
-    nu(pi)' + rho_n equals the restriction to horizontal step times.
-    """
-    total = len(pi)
-    big = rho(total)
-    v = Partition(big.select(pi.v_times()))
-    h = Partition(big.select(pi.h_times()))
-    return v, h

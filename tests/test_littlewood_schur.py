@@ -67,7 +67,7 @@ class TestLRCoefficients:
         # s_lam on a split alphabet expands through LR coefficients
         X = VarSeq.make("x", 2)
         Xp = VarSeq.make("u", 2)
-        both = X.concat(Xp)
+        both = VarSeq(X.names + Xp.names)
         for lam in partitions_in_box(3, 3):
             lhs = schur_ssyt(lam, both)
             rhs = ZERO

@@ -13,11 +13,18 @@ from overlapls.partitions import Partition
 from overlapls.render import (
     ferrers_ascii,
     ferrers_svg,
-    parse_walk_ascii,
     walk_ascii,
     walk_svg,
 )
 from overlapls.walks import StaircaseWalk
+
+
+def parse_walk_ascii(text: str) -> StaircaseWalk:
+    """Recover the walk from its ASCII rendering (the 'walk:' line)."""
+    for line in text.splitlines():
+        if line.startswith("walk: "):
+            return StaircaseWalk(line[len("walk: ") :].strip())
+    raise ValueError("no walk line found")
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -180,6 +187,13 @@ SCHUR_GRID_PINS = {
     "labeled-walk-schur": (639, "f10599419532d9810be2c0ff21ae7e863a401af2f26a81989f386b49bb310ffa"),
 }
 
+# (lines, sha256) of `verify NAME --max-box 4 --vars 8 --seed 1`, symbolic: the frontier of the two
+# dominant-map checks, measured while both still compared two Schur polynomials
+DOMINANT_MAP_PINS = {
+    "factor-rule": (3858, "2c48d26d86493a950ad748e9d1ce89ab2d278104ab2bfc73053060a4cc344d12"),
+    "complement-reciprocity": (1996, "0c19f65d1d3b81c293c8dc9e34f2dec19909daf4eca979587c9f5a2eea0cc183"),
+}
+
 
 class TestVerifyCommand:
     def test_counterexample(self):
@@ -244,6 +258,14 @@ class TestVerifyCommand:
     def test_schur_grid_stdout_at_five_vars_is_pinned(self, capsys, name):
         lines, digest = SCHUR_GRID_PINS[name]
         assert main(["verify", name, "--max-box", "3", "--vars", "5", "--mode", "grid", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", list(DOMINANT_MAP_PINS))
+    def test_dominant_map_stdout_at_eight_vars_is_pinned(self, capsys, name):
+        lines, digest = DOMINANT_MAP_PINS[name]
+        assert main(["verify", name, "--max-box", "4", "--vars", "8", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == lines
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

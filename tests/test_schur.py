@@ -1,7 +1,9 @@
+import operator
 from fractions import Fraction
 
 import pytest
 
+from overlapls import identities
 from overlapls import schur as schur_module
 from overlapls.partitions import Partition, partitions_in_box, rect
 from overlapls.polyring import (
@@ -17,6 +19,7 @@ from overlapls.schur import (
     _y_peel,
     complement_reciprocity_check,
     factor_rule_check,
+    kostka_map,
     schur,
     schur_bialternant,
     schur_ssyt,
@@ -26,6 +29,43 @@ from overlapls.schur import (
 
 def x(name, e=1):
     return MultiPoly.var(name, e)
+
+
+def dominant_coefficients(poly, X: VarSeq) -> dict:
+    """{kappa: c} over the monomials c x^kappa of poly with kappa non-increasing in X's order."""
+    out = {}
+    for mono, c in poly.monomials().items():
+        exps = dict(mono)
+        kappa = tuple(exps.get(name, 0) for name in X.names)
+        if all(map(operator.ge, kappa, kappa[1:])):
+            out[kappa] = c
+    return out
+
+
+def factor_rule_sides(lam, m, X: VarSeq):
+    """The factor rule as two polynomials: s_(lam + m^n)(X) and e(X)^m s_lam(X)."""
+    return schur(lam.add(rect(m, len(X))), X), e_prod(X) ** m * schur(lam, X)
+
+
+def complement_reciprocity_sides(lam, m, X: VarSeq):
+    """Complement reciprocity as two polynomials: s of the (m, n)-complement, and s_lam with each exponent a reflected to m - a."""
+    reflected = {}
+    for mono, c in schur(lam, X).monomials().items():
+        exps = dict(mono)
+        exps.update((name, m - exps.get(name, 0)) for name in X.names)
+        reflected[tuple(sorted((name, e) for name, e in exps.items() if e))] = c
+    return schur(lam.complement(m, len(X)), X), MultiPoly(reflected)
+
+
+@pytest.fixture
+def fresh_strip_memos():
+    """Empty the memos that hold strip branching results before and after: a patched rule or map must not leak."""
+    memos = (kostka_map, schur_module._ls_strips)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
 
 
 class TestBialternant:
@@ -204,21 +244,94 @@ class TestComplementReciprocity:
                 complement_reciprocity_check(lam, 1, VarSeq.make("x", 2), mode="bogus")
 
 
+class TestKostkaMap:
+    def test_small_maps(self):
+        # s_(2,1)(x1, x2, x3) = m_(2,1,0) + 2 m_(1,1,1)
+        assert kostka_map((2, 1), 3) == {(2, 1, 0): 1, (1, 1, 1): 2}
+        assert kostka_map((), 2) == {(0, 0): 1}
+        assert kostka_map((1, 1, 1), 2) == {}
+
+    def test_dominant_coefficients_of_schur(self):
+        # every shape of the 4 x 5 box, so the shapes longer than n give the empty map
+        for n in range(0, 6):
+            X = VarSeq.make("x", n)
+            for lam in partitions_in_box(4, 5):
+                assert kostka_map(lam.parts, n) == dominant_coefficients(schur(lam, X), X), (lam, n)
+
+
+# the strip rule with a strip dropped: the empty strip, or every one-cell strip
+STRIP_MUTANTS = {
+    "empty strip dropped": lambda strips: lambda parts: list(strips(parts))[:-1],
+    "one-cell strips dropped": lambda strips: lambda parts: [(nu, r) for nu, r in strips(parts) if r != 1],
+}
+
+
+def dominant_route_instances():
+    """(check, polynomial sides, lam, m, X) over n <= 4 and m <= 3, both checks."""
+    for n in range(1, 5):
+        X = VarSeq.make("x", n)
+        for m in range(0, 4):
+            for lam in partitions_in_box(3, n):
+                yield factor_rule_check, factor_rule_sides, lam, m, X
+            for lam in partitions_in_box(m, n):
+                yield complement_reciprocity_check, complement_reciprocity_sides, lam, m, X
+
+
+class TestDominantMapRoute:
+    """The checks on dominant maps against the two Schur polynomials they replaced, kept as the oracle."""
+
+    def test_verdicts_match_the_polynomials(self):
+        for check, sides, lam, m, X in dominant_route_instances():
+            lhs, rhs = sides(lam, m, X)
+            assert lhs == rhs and check(lam, m, X).passed, (check.__name__, lam, m, X)
+
+    @pytest.mark.parametrize("mutant", list(STRIP_MUTANTS))
+    def test_strip_mutants_fail_both_routes_alike(self, monkeypatch, fresh_strip_memos, mutant):
+        monkeypatch.setattr(schur_module, "_horizontal_strips", STRIP_MUTANTS[mutant](schur_module._horizontal_strips))
+        failed = 0
+        for check, sides, lam, m, X in dominant_route_instances():
+            lhs, rhs = sides(lam, m, X)
+            r = check(lam, m, X)
+            assert r.passed == (lhs == rhs), (check.__name__, lam, m, X)
+            failed += r.failed
+        assert failed
+
+    @pytest.mark.parametrize("mode", ["symbolic", "grid"])
+    def test_sweeps_build_no_polynomial(self, monkeypatch, fresh_strip_memos, mode):
+        def refuse(self, other):
+            raise AssertionError("a dominant-map check multiplied or added a polynomial")
+
+        for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            monkeypatch.setattr(MultiPoly, op, refuse)
+        reports = identities.run_catalog(["factor-rule", "complement-reciprocity"], max_box=3, nvars=8, mode=mode)
+        assert len(reports) == 1482 + 710 and all(r.passed for r in reports)
+
+
 class TestFailingWitness:
-    """A wrong schur fails both checks, each with lhs - rhs as its witness."""
+    """A wrong dominant map fails both checks, each witness listing the map entries that differ."""
 
-    def wrong_schur(self, monkeypatch):
-        # s_lam + |lam|: wrong for every non-empty shape
-        monkeypatch.setattr(schur_module, "schur", lambda lam, X: schur(lam, X) + lam.size)
+    def wrong_maps(self, monkeypatch):
+        # K + |lam| at every key: wrong for every non-empty shape; with one letter the
+        # recursion reaches only the empty shape, so each K becomes 1 + |lam|
+        monkeypatch.setattr(
+            schur_module, "kostka_map", lambda parts, n: {k: c + sum(parts) for k, c in kostka_map(parts, n).items()}
+        )
 
-    def test_factor_rule(self, monkeypatch):
-        self.wrong_schur(monkeypatch)
-        # lhs s_(2)(x1) + 2 = x1^2 + 2 against e(x1) (s_(1)(x1) + 1) = x1^2 + x1
+    def test_factor_rule(self, monkeypatch, fresh_strip_memos):
+        self.wrong_maps(monkeypatch)
+        # lhs: (2) at (2,), K 1 + 2; rhs: (1) at (1,), K 1 + 1, raised to (2,)
         r = factor_rule_check(Partition((1,)), 1, VarSeq.make("x", 1))
-        assert r.failed and r.witness == str(2 - x("x1")) == "-x1 + 2"
+        assert r.failed and r.witness == "coefficients differ: [((2,), 3), ((2,), 2)]"
 
-    def test_complement_reciprocity(self, monkeypatch):
-        self.wrong_schur(monkeypatch)
-        # the (1, 1)-complement of (1) is empty: lhs 1 against (x1 + 1) at inverted x1, times x1
+    def test_complement_reciprocity(self, monkeypatch, fresh_strip_memos):
+        self.wrong_maps(monkeypatch)
+        # the (1, 1)-complement of (1) is empty: lhs K 1 at (0,); rhs (1)'s K 1 + 1 at (1,), reflected to (0,)
         r = complement_reciprocity_check(Partition((1,)), 1, VarSeq.make("x", 1))
-        assert r.failed and r.witness == str(-x("x1")) == "-x1"
+        assert r.failed and r.witness == "coefficients differ: [((0,), 1), ((0,), 2)]"
+
+    @pytest.mark.parametrize("name", ["factor-rule", "complement-reciprocity"])
+    def test_dropped_strip_fails_the_sweep(self, monkeypatch, fresh_strip_memos, name):
+        monkeypatch.setattr(schur_module, "_horizontal_strips", STRIP_MUTANTS["empty strip dropped"](schur_module._horizontal_strips))
+        reports = identities.run_catalog([name], max_box=3, nvars=3, mode="symbolic")
+        bad = [r for r in reports if r.failed]
+        assert bad and all(r.witness.startswith("coefficients differ: [") for r in bad)

@@ -20,7 +20,7 @@ KEPT_MEMOS = {
     "polyring.VarSeq.terms",
     "schur._ls_strips",
     "schur._y_peel",
-    "schur.schur",
+    "schur.kostka_map",
     "schur.schur_ssyt",
 }
 

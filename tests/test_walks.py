@@ -10,7 +10,6 @@ from overlapls.walks import (
     StaircaseWalk,
     enumerate_walks,
     is_quasi_partition,
-    step_time_encoding,
     subsets_and_complements,
     walk_times,
 )
@@ -24,6 +23,16 @@ def labeled_walk_oracle(stair, v_times, h_times, build):
     mu = build(tuple(map(operator.sub, map(stair.__getitem__, v_times), range(m - 1, -1, -1))))
     nu = build(tuple(map(operator.sub, map(stair.__getitem__, h_times), range(n - 1, -1, -1))))
     return mu, nu, -1 if (sum(h_times) + n * m + n * (n + 1) // 2) % 2 else 1
+
+
+def step_time_encoding(pi: StaircaseWalk):
+    """Step-time encoding of the walk's partitions.
+
+    mu(pi) + rho_m equals rho_{m+n} restricted to vertical step times, and
+    nu(pi)' + rho_n equals the restriction to horizontal step times.
+    """
+    big = rho(len(pi))
+    return Partition(big.select(pi.v_times())), Partition(big.select(pi.h_times()))
 
 
 def complement_walk(w):
