@@ -31,10 +31,13 @@ A check whose two sides are exact data compares them exactly in both modes,
 through report.exact: the Schur corollaries, whose coefficient maps hold
 ints when Y is empty, dual Cauchy, whose two sides times V(X) V(Y) are int
 maps keyed by an X key and a Y key (the sum read off the staircases, the
-product from dual_cauchy_product), and the counterexample, as do the
-factor rule, complement reciprocity and the Littlewood square.  Only the five
-LS split sums depend on the mode, and the two modes check them by
-different methods; _conclude is the one function that reads the mode.
+product from dual_cauchy_product), the counterexample, the walk-split
+bijection, whose sides map each label to its sign, and the Laplace sweep,
+whose sides map each drawn row subset to its expansion and to det(A), as
+do the factor rule, complement reciprocity and the Littlewood square.
+Only the five LS split sums depend on the mode, and the two modes check
+them by different methods; _conclude is the one function that reads the
+mode.
 Symbolic mode reads the paper's Laplace expansion on coefficients:
 multiplied by the Vandermonde product V of each cleared alphabet, both
 sides are sums of products of alternants, so they are equal exactly when
@@ -51,13 +54,13 @@ the loop over the splits of that size, so no polynomial is formed.  That
 merge needs every split of one size to carry the same nonzero terms, which
 _terms_by_size checks; walk-split fails with a witness naming two splits
 when they do not.  Grid mode writes the two sides once, as build(at), at
-being the map from an alphabet to its values at a spot point: ls_value
-runs the strip branching rule on those values and delta_of multiplies
-their differences.  At each point the sum of num / den is compared over
-the common denominator, lhs times the lcm of the dens against the sum of
-each num times lcm / den, so the split sums in grid mode expand no
-polynomial, compute no determinant and build no fraction; a pass means
-the identity holds exactly at every spot point.
+being the map from an alphabet to its values at a spot point: _ls_strips
+runs the strip branching rule on those values and a shape's part tuple,
+and delta_of multiplies their differences.  At each point the sum of
+num / den is compared over the common denominator, lhs times the lcm of
+the dens against the sum of each num times lcm / den, so the split sums
+in grid mode expand no polynomial, compute no determinant and build no
+fraction; a pass means the identity holds exactly at every spot point.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ from .alternants import (
     shuffles,
     times_differences,
 )
-from .littlewood_schur import littlewood_square_check, ls_determinantal, ls_value
+from .littlewood_schur import littlewood_square_check, ls_determinantal
 from .overlap import (
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
@@ -112,11 +115,16 @@ MAX_VARS = len(_SPOT_BASES) // 2
 
 
 def spot_points(names, count: int = _SPOT_COUNT):
-    """Deterministic integer points with pairwise distinct, nonzero coordinates.
+    """Deterministic integer points with pairwise distinct, positive coordinates, off one line.
 
-    Coordinate i of point j is _SPOT_BASES[i] + 60 j: the bases are distinct
-    and below 60, so no two coordinates of a point meet and none is zero.
-    A repeated name, or more names than bases, raises ValueError.
+    Coordinate i of point j is _SPOT_BASES[i] + 60 j + j^2 i.  Within a
+    point the coordinates strictly increase with i, as the bases do and j^2 i
+    does not decrease, so none meets another and none is zero.  Across the
+    points, the difference of coordinates i > i' is that of the bases plus
+    j^2 (i - i'), a different value at each point: a false split sum whose
+    difference carries a factor such as s1 - y1 + 1 cannot vanish at all of
+    them, as it would on points that each coordinate leaves by the same
+    step.  A repeated name, or more names than bases, raises ValueError.
     """
     names = list(names)
     if len(names) > len(_SPOT_BASES):
@@ -124,7 +132,7 @@ def spot_points(names, count: int = _SPOT_COUNT):
     if len(set(names)) < len(names):
         raise ValueError("repeated variable names for the spot grid")
     for j in range(count):
-        yield {n: _SPOT_BASES[i] + 60 * j for i, n in enumerate(names)}
+        yield {n: _SPOT_BASES[i] + 60 * j + j * j * i for i, n in enumerate(names)}
 
 
 def _conclude(ident, instance, mode, forms, build, names):
@@ -163,7 +171,7 @@ def _x_split_terms(at, head, tail, l, X: VarSeq, ys, sign=1):
     out = []
     for S, T in X.splits(l):
         s, t = at(S), at(T)
-        out.append((sign * ls_value(head, s, ys) * ls_value(tail, t, ys), delta_of(t, s)))
+        out.append((sign * _ls_strips(head.parts, s, ys) * _ls_strips(tail.parts, t, ys), delta_of(t, s)))
     return out
 
 
@@ -192,7 +200,7 @@ def _conclude_x_splits(ident, instance, mode, lam, head, tail, l, X: VarSeq, Y: 
     """
     def build(at):
         ys = at(Y)
-        return (0 if lam is None else ls_value(lam, at(X), ys)), _x_split_terms(at, head, tail, l, X, ys, sign)
+        return (0 if lam is None else _ls_strips(lam.parts, at(X), ys)), _x_split_terms(at, head, tail, l, X, ys, sign)
 
     forms = functools.partial(_x_split_forms, lam, head, tail, l, X, Y, sign)
     return _conclude(ident, instance, mode, forms, build, X.names + Y.names)
@@ -296,26 +304,27 @@ def _y_split_forms(lam, S, T, Y, summands):
     for sign delta(V, S) delta(T, U) LS(reduced; S, U) LS(below; T, V) /
     (delta(V, U) delta(T, S)), and the maps read its tuples as they come
     (ls_alternant_xy).  The maps are keyed by (alpha, beta, y), exponent
-    keys on S, T and Y, or by (alpha, beta) when Y is empty.  The left side's are the shuffle signs of each key of
-    LS(lam) V(S u T) V(Y) (ls_alternant_xy).  On the right, V(S u T) /
-    delta(T, S) = (-1)^(l(S) l(T)) V(S) V(T), and each term is a product of
-    the maps of LS(reduced) V(S) V(U) and LS(below) V(T) V(V).  The terms of
-    one split size p (_terms_by_size) are summed once, keyed (alpha, V key,
-    (beta, U key)), and the two products of differences act on that sum
-    (times_differences, delta(T, U) being (-1)^(l(T) p) prod (u - t)).  Then
-    V(Y) / delta(V, U) = (-1)^e V(U) V(V), e counting the pairs of Y whose U
-    letter comes first, so summed over the splits of size p this is the
-    Laplace expansion of an alternant in Y: (-1)^(p (l(Y) - p)) times the U
-    and V keys merged in sorted order with their sort sign.  A size that
-    leaves one of U and V empty and has no difference to multiply goes
-    straight into the right side.  Returns a witness instead when two splits
-    of one size carry different terms.
+    keys on S, T and Y, y being () when Y is empty.  The left side's are
+    the shuffle signs of each key of LS(lam) V(S u T) V(Y).  On the right,
+    V(S u T) / delta(T, S) = (-1)^(l(S) l(T)) V(S) V(T), and each term is a
+    product of the maps of LS(reduced) V(S) V(U) and LS(below) V(T) V(V).
+    The terms of one split size p (_terms_by_size) are summed once, keyed
+    (alpha, V key, (beta, U key)), and the two products of differences act
+    on that sum (times_differences, delta(T, U) being (-1)^(l(T) p)
+    prod (u - t)).  Then V(Y) / delta(V, U) = (-1)^e V(U) V(V), e counting
+    the pairs of Y whose U letter comes first, so summed over the splits of
+    size p this is the Laplace expansion of an alternant in Y:
+    (-1)^(p (l(Y) - p)) times the U and V keys merged in sorted order with
+    their sort sign.  A size that leaves one of U and V empty and has no
+    difference to multiply goes straight into the right side, keyed
+    (alpha, beta, U key + V key).  Returns a witness instead when two
+    splits of one size carry different terms.
     """
     l, r, m = len(S), len(T), len(Y)
     lhs = {}
     for (gamma, y), c in ls_alternant_xy(lam.parts, l + r, m).items():
         for alpha, beta, sign in shuffles(gamma, l):
-            lhs[(alpha, beta, y) if m else (alpha, beta)] = sign * c
+            lhs[alpha, beta, y] = sign * c
     sizes = _terms_by_size(summands, l, r, Y)
     if isinstance(sizes, str):
         return sizes
@@ -330,12 +339,7 @@ def _y_split_forms(lam, S, T, Y, summands):
             for (alpha, u), a in ls_alternant_xy(reduced, l, p).items():
                 a *= sign
                 for (beta, v), b in tail:
-                    if not direct:
-                        key = (alpha, v, (beta, u))
-                    elif m:
-                        key = (alpha, beta, u + v)
-                    else:
-                        key = (alpha, beta)
+                    key = (alpha, beta, u + v) if direct else (alpha, v, (beta, u))
                     out[key] = out[key] + a * b if key in out else a * b
         if direct:
             continue
@@ -390,7 +394,7 @@ def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
     part tuples in place of partitions.  Symbolic mode compares
     _y_split_forms; grid mode sums each split's terms over its one
     denominator, delta(V, U) delta(T, S), the strip branching rule
-    (_ls_strips) taking the tuples as ls_value passes a partition's parts.
+    (_ls_strips) taking the tuples as it takes a partition's parts.
     """
     def build(at):
         s, t, out = at(S), at(T), []
@@ -399,7 +403,7 @@ def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
             u, v = at(U), at(V)
             total = sum(sign * _ls_strips(reduced, s, u) * _ls_strips(below, t, v) for sign, reduced, below in terms)
             out.append((delta_of(v, s) * delta_of(t, u) * total, delta_of(v, u) * ts))
-        return ls_value(lam, s + t, at(Y)), out
+        return _ls_strips(lam.parts, s + t, at(Y)), out
 
     forms = functools.partial(_y_split_forms, lam, S, T, Y, summands)
     return _conclude(ident, instance, mode, forms, build, S.names + T.names + Y.names)
@@ -506,8 +510,9 @@ def walk_split_bijection_check(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
 
     The prefix of each walk carries the fiber pair, the suffix carries the
     split of Y; the check asserts the two label families coincide, sign
-    included.  Each triple-sum term is a fixed function of its label, so
-    equal labels give equal terms.
+    included, by report.exact on the two maps from label to sign.  Each
+    triple-sum term is a fixed function of its label, so equal labels give
+    equal terms.
     """
     ident = "walk-split-bijection"
     n, m, l, k, instance = _second_overlap_setup(lam, S, T, Y)
@@ -518,9 +523,7 @@ def walk_split_bijection_check(lam, S: VarSeq, T: VarSeq, Y: VarSeq):
         }
         for labels in (_fiber_labels, _walk_labels)
     )
-    if a != b:
-        return report.failed(ident, instance, f"labels differ: {sorted(a.items() ^ b.items())}")
-    return report.passed(ident, instance)
+    return report.exact(ident, instance, a, b)
 
 
 # -- Schur specializations -------------------------------------------------------
@@ -780,18 +783,10 @@ def _sweep_laplace(max_box, nvars, mode, seed):
     for trial in range(5):
         n = 4 + trial % 2
         A = PolyMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        d = det(A)
-        ok = True
-        for size in range(1, n):
-            K = tuple(sorted(rng.sample(range(1, n + 1), size)))
-            if laplace_expand(A, K) != d:
-                ok = False
-                break
+        subsets = [tuple(sorted(rng.sample(range(1, n + 1), size))) for size in range(1, n)]
         instance = {"trial": trial, "n": n, "seed": seed}
-        if ok:
-            out.append(report.passed("laplace", instance))
-        else:
-            out.append(report.failed("laplace", instance, f"row subset {K}"))
+        expansions = {K: laplace_expand(A, K) for K in subsets}
+        out.append(report.exact("laplace", instance, expansions, dict.fromkeys(subsets, det(A))))
     return out
 
 

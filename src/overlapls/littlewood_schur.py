@@ -9,10 +9,10 @@ jointly (_mvj, run by ls_determinantal).  The branching route applies the
 hook-Schur branching rule (Berele and Regev, Adv. Math. 64, 1987): removing
 one y-variable removes a vertical strip from the partition, removing one
 x-variable a horizontal strip.  One body (schur._ls_strips, which also gives
-every Schur value) runs it on polynomial variables (ls_branching) and on
-integers at a point (ls_value), so every LS factor of the split sums, in
-both verification modes, comes from the branching route, and the tests hold
-the three routes equal.
+every Schur value) runs it on polynomial variables (ls_branching) and, in
+the grid builds of the split sums, on integers at a point, so every LS
+factor of the split sums, in both verification modes, comes from the
+branching route, and the tests hold the three routes equal.
 """
 
 from __future__ import annotations
@@ -193,15 +193,6 @@ def ls_branching(lam: Partition, X: VarSeq, Y: VarSeq):
     """
     _check_alphabets(X, Y)
     return as_poly(_ls_strips(lam.parts, X.terms(), Y.terms()))
-
-
-def ls_value(lam: Partition, xs: tuple, ys: tuple):
-    """ls_determinantal(lam, X, Y) at the values X = xs, Y = ys, by strip branching (_ls_strips).
-
-    An int at integer values, with no determinant and no division; the
-    memo of _ls_strips holds the values of the smaller shapes.
-    """
-    return _ls_strips(lam.parts, xs, ys)
 
 
 def littlewood_square_check(

@@ -7,7 +7,8 @@ LS of (-xs; ys).  It peels the y-variables first, one vertical strip each
 horizontal strip each; with no y-variables that is (-1)^|lam| s_lam(xs)
 (Macdonald, ch. I section 5).  The same body runs on polynomial variables
 (schur) and on numbers at a point (schur_value); littlewood_schur runs it
-with y-variables too.  The bialternant route divides the alternant
+with y-variables too, and the grid builds of the split sums call it on
+the integers at a spot point.  The bialternant route divides the alternant
 determinant by the Vandermonde and certifies the division is exact
 (schur_bialternant).  The tableau route sums content monomials over
 semistandard fillings and never divides (schur_ssyt).  The three agree on

@@ -1,9 +1,9 @@
+import ast
 import bisect
 import functools
 import inspect
 import itertools
 import operator
-import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +11,7 @@ import pytest
 
 from overlapls import alternants, identities, littlewood_schur, polyring, report
 from overlapls import schur as schur_module
-from overlapls.littlewood_schur import littlewood_square_check, ls_combinatorial, ls_determinantal, ls_value
+from overlapls.littlewood_schur import littlewood_square_check, ls_combinatorial, ls_determinantal
 from overlapls.overlap import (
     enumerate_overlap_pairs,
     enumerate_subpartition_pairs,
@@ -35,6 +35,11 @@ from overlapls.polyring import (
 )
 from overlapls.schur import complement_reciprocity_check, factor_rule_check, schur, schur_ssyt
 from overlapls.walks import _labeled, walk_times
+
+
+def ls_value(lam, xs, ys):
+    """LS(lam; xs, ys) at the values xs, ys, as the grid builds take it: the strip branching body on the parts."""
+    return schur_module._ls_strips(lam.parts, xs, ys)
 
 
 def vandermonde(X: VarSeq):
@@ -319,7 +324,10 @@ class TestSecondOverlapAndWalkSplit:
 
         monkeypatch.setattr(identities, "_walk_labels", flipped)
         r = identities.walk_split_bijection_check(lam, S, T, Y)
-        assert r.failed and r.witness.startswith("labels differ: ")
+        # the two label maps differ at the first walk's label, the fiber's sign first
+        assert r.failed and r.witness == (
+            "coefficients differ: [((1, ('y3',), ('y1', 'y2'), (), ()), 1), ((1, ('y3',), ('y1', 'y2'), (), ()), -1)]"
+        )
 
     def test_terms_match_the_partition_terms(self):
         # every instance of the sweeps at --max-box 3 --vars 3, and l(Y) = 3 with l(S) + l(T) <= 3
@@ -721,7 +729,7 @@ class TestUnionSchurCoefficients:
         r = check(1)
         assert r.failed
         # the maps are LS-normalized, (-1)^|lam| times the Schur ones, so for |lam| = 1 both entries flip
-        assert r.witness == "coefficients differ: [(((0,), (2,)), 1), (((0,), (2,)), -1)]"
+        assert r.witness == "coefficients differ: [(((0,), (2,), ()), 1), (((0,), (2,), ()), -1)]"
 
 
 # grid mode on these sweeps is test_grid_mode_expands_no_polynomial
@@ -888,11 +896,8 @@ def _y_split_oracle(lam, S, T, Y, summands):
 def _at_decreasing_y(form, Y):
     """A map with coefficients in Y read at its strictly decreasing Y exponents, as {(alpha, beta, y): int}.
 
-    With Y empty the coefficients are ints already, and the map keeps its
-    (alpha, beta) keys.
+    With Y empty the coefficients are ints, each read at y = ().
     """
-    if not Y:
-        return alternants.nonzero(form)
     out = {}
     for (alpha, beta), c in form.items():
         for mono, coeff in as_poly(c).monomials().items():
@@ -904,9 +909,10 @@ def _at_decreasing_y(form, Y):
 
 
 class TestAlternantSplitSums:
-    """The alternant-coefficient comparison of the split sums against the cleared polynomial expansion."""
+    """The alternant-coefficient comparison of the split sums, and the spot points, against the cleared polynomial expansion."""
 
-    def test_verdicts_match_the_expansion(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["symbolic", "grid"])
+    def test_verdicts_match_the_expansion(self, mode, monkeypatch):
         conclude = identities._conclude
         x_splits, y_splits = identities._conclude_x_splits, identities._conclude_y_splits
         verdicts = []
@@ -932,7 +938,7 @@ class TestAlternantSplitSums:
         monkeypatch.setattr(identities, "_conclude_x_splits", mutated_x)
         monkeypatch.setattr(identities, "_conclude_y_splits", mutated_y)
         # alphabets of at most 3 variables: X, S u T and Y
-        reports = identities.run_catalog(ALTERNANT_SWEEPS, max_box=3, nvars=3)
+        reports = identities.run_catalog(ALTERNANT_SWEEPS, max_box=3, nvars=3, mode=mode)
         assert all(r.passed for r in reports)
         assert [(ident, a) for ident, a, b in verdicts if a != b] == []
         assert {ident for ident, _, _ in verdicts} == set(ALTERNANT_SWEEPS) | {
@@ -1161,7 +1167,7 @@ class TestExactInGridMode:
         def refuse(*args):
             raise AssertionError("a Schur corollary took an LS value or a den, or went to a spot point")
 
-        for name in ("spot_points", "ls_value", "delta_of"):
+        for name in ("spot_points", "_ls_strips", "delta_of"):
             monkeypatch.setattr(identities, name, refuse)
         for name in SCHUR_SWEEPS:
             reports = identities.run_catalog([name], max_box=3, nvars=2, mode="grid")
@@ -1208,6 +1214,15 @@ def test_spot_points_are_distinct_nonzero_integers():
         assert len(set(values)) == len(values)
 
 
+def test_spot_points_lie_off_one_line():
+    # each difference of two coordinates takes a different value at each point, so a factor such as
+    # s1 - y1 + 1 of a false split sum cannot vanish at all of them
+    names = [f"v{i}" for i in range(2 * identities.MAX_VARS)]
+    points = list(identities.spot_points(names))
+    for a, b in itertools.combinations(names, 2):
+        assert len({point[a] - point[b] for point in points}) == identities._SPOT_COUNT, (a, b)
+
+
 class TestCatalog:
     def test_unknown_mode_before_any_sweep(self):
         # none of these sweeps reads the mode, so only run_catalog can reject it
@@ -1240,11 +1255,21 @@ class TestCatalog:
         assert all(r.passed for r in a)
 
     def test_laplace_failure_names_the_row_subset(self, monkeypatch):
-        # every expansion off by one: each trial fails at its first row subset, of size 1
+        # every expansion off by one: each trial's witness lists its n - 1 drawn row subsets, one of each size,
+        # each with its expansion and then det(A)
         monkeypatch.setattr(identities, "laplace_expand", lambda A, K: identities.det(A) + 1)
         reports = identities.run_catalog(["laplace"], seed=1)
         assert len(reports) == 5 and all(r.failed for r in reports)
-        assert all(re.fullmatch(r"row subset \([1-5],\)", r.witness) for r in reports)
+        assert reports[0].witness == (
+            "coefficients differ: [((1, 2, 3), 6643), ((1, 2, 3), 6642), ((3, 4), 6643), ((3, 4), 6642), "
+            "((4,), 6643), ((4,), 6642)]"
+        )
+        for r in reports:
+            entries = ast.literal_eval(r.witness.removeprefix("coefficients differ: "))
+            expansions, dets = entries[::2], entries[1::2]
+            assert [K for K, _ in expansions] == [K for K, _ in dets]
+            assert sorted(len(K) for K, _ in expansions) == list(range(1, r.instance["n"]))
+            assert all(e == d + 1 for (_, e), (_, d) in zip(expansions, dets))
 
 
 P, V = Partition, VarSeq.make

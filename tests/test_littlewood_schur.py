@@ -10,7 +10,6 @@ from overlapls.littlewood_schur import (
     ls_branching,
     ls_combinatorial,
     ls_determinantal,
-    ls_value,
 )
 from overlapls.partitions import Partition, partitions_in_box, rect
 from overlapls.polyring import (
@@ -22,7 +21,12 @@ from overlapls.polyring import (
     delta_pair,
     e_prod,
 )
-from overlapls.schur import schur_bialternant, schur_ssyt
+from overlapls.schur import _ls_strips, schur_bialternant, schur_ssyt
+
+
+def ls_value(lam, xs, ys):
+    """ls_determinantal(lam, X, Y) at the values X = xs, Y = ys: the strip branching body on numbers, as the grid builds call it."""
+    return _ls_strips(lam.parts, xs, ys)
 
 
 def ls_sign(lam, m, n):
