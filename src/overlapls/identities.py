@@ -18,7 +18,11 @@ term builds no Partition: the labels it comes from are part tuples too.
 second-overlap and subpartition-ls build one term list per split size and
 share it across the splits of that size, and walk-split lists one term per
 walk, labeling the walks whose prefixes share a rectangle in one
-_labeled_walks pass (_walk_labels), each from its own step times.  The four
+_labeled_walks pass (_walk_labels), each from its own step times.  Both
+label producers depend only on the shape, so each keeps a 32-entry memo of
+immutable tuples: _fiber keyed (head, m, n), _walk_labels keyed (head, c,
+l, Y).  The repeats come close together in sweep order, so the bound
+holds the reuse while memory stays flat.  The four
 Schur corollaries are those sums with Y
 empty: first-overlap-schur is the X-split comparison, and the union-Schur
 checks (_union_schur) are the Y-split comparison with the one split
@@ -412,13 +416,27 @@ def _conclude_y_splits(ident, instance, mode, lam, S, T, Y, summands):
 def _fibers(head, c, l, Y):
     """(p, fiber) over the split sizes p of Y: the overlap fiber of head that each split of size p carries.
 
-    The fiber lists (mu, nu, sign) with mu and nu as part tuples.  c = n - k
-    is the cut at the index columns.  The split count p starts at l - c
-    when the cut runs past them: smaller p would ask the fiber for a
+    The fiber (_fiber) lists (mu, nu, sign) with mu and nu as part tuples.
+    c = n - k is the cut at the index columns.  The split count p starts at
+    l - c when the cut runs past them: smaller p would ask the fiber for a
     negative-length side.
     """
     for p in range(max(0, l - c), min(l, len(Y)) + 1):
-        yield p, [(mu.parts, nu.parts, sign) for mu, nu, sign in enumerate_overlap_pairs(head, l - p, c - l + p)]
+        yield p, _fiber(head, l - p, c - l + p)
+
+
+@functools.lru_cache(maxsize=32)
+def _fiber(head, m, n):
+    """The (m, n)-overlap fiber of head as a tuple of (mu, nu, sign), mu and nu part tuples, in enumerate_overlap_pairs order.
+
+    Read off head + rho_(m+n) at each walk's step times, as
+    enumerate_overlap_pairs reads it, with bare part tuples (stripped) in
+    place of Partitions.  Memoized, and bounded: a fiber depends only on
+    its shape, neighbouring lam of a sweep share a head, and 32 entries
+    hold nearly all of that reuse at a flat memory cost.  The tuple is
+    shared, so callers build their own lists from it.
+    """
+    return tuple(_labeled_walks((None, *staircase(head, m + n)), walk_times(n, m), m, n, stripped))
 
 
 def _fiber_labels(head, c, l, Y):
@@ -429,8 +447,9 @@ def _fiber_labels(head, c, l, Y):
                 yield p, U, V, mu, nu, sign
 
 
+@functools.lru_cache(maxsize=32)
 def _walk_labels(head, c, l, Y):
-    """The same labels from single walks: the prefix carries the fiber pair, the suffix the split of Y.
+    """The same labels from single walks, as a tuple: the prefix carries the fiber pair, the suffix the split of Y.
 
     The step times are cut at c: the first i V times and c - i H times are
     the prefix walk's, and the later V times, less c + 1, index the letters
@@ -438,8 +457,11 @@ def _walk_labels(head, c, l, Y):
     each group's prefixes lie in one rectangle and one _labeled_walks pass
     labels them, each from its own step times, with mu and nu as part
     tuples (stripped); (U, V) is read off Y.splits by the suffix's V times.
+    Memoized, and bounded like _fiber: the labels depend only on (head, c,
+    l, Y), and walk-split and its bijection check label the same instance
+    one after the other.
     """
-    stair, by_prefix = (None, *staircase(head, c)), {}
+    stair, by_prefix, out = (None, *staircase(head, c)), {}, []
     for v_times, h_times in walk_times(len(Y) + c - l, l):
         by_prefix.setdefault(bisect.bisect(v_times, c), []).append((v_times, h_times))
     for i, walks in by_prefix.items():
@@ -447,7 +469,8 @@ def _walk_labels(head, c, l, Y):
         split = dict(zip(itertools.combinations(range(c + 1, c + len(Y) + 1), p), Y.splits(p)))
         prefixes = ((v_times[:i], h_times[:c - i]) for v_times, h_times in walks)
         for (v_times, _), labels in zip(walks, _labeled_walks(stair, prefixes, i, c - i, stripped)):
-            yield (p, *split[v_times[i:]], *labels)
+            out.append((p, *split[v_times[i:]], *labels))
+    return tuple(out)
 
 
 def _second_overlap_summands(lam, S, T, Y, k, labels=None):
@@ -462,8 +485,9 @@ def _second_overlap_summands(lam, S, T, Y, k, labels=None):
     lam_c > 0, and the tail is empty when lam_c = 0.
 
     Without labels they come from _fibers: a fiber depends on its split only
-    through the size p, so the splits of one size share one term list, and
-    each fiber is enumerated once.
+    through the size p, so the splits of one size share one term list,
+    built here from the memoized fiber (_fiber); labels(...) may be a
+    memoized tuple too, so the term lists are always fresh.
     """
     n, m, l = len(S) + len(T), len(Y), len(S)
     c, tail = n - k, lam.parts[n - k:]

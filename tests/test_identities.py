@@ -33,7 +33,7 @@ from overlapls.polyring import (
     e_prod,
     vandermonde_of,
 )
-from overlapls.schur import complement_reciprocity_check, factor_rule_check, schur, schur_ssyt
+from overlapls.schur import complement_reciprocity_check, factor_rule_check, schur
 from overlapls.walks import _labeled, walk_times
 
 
@@ -294,8 +294,8 @@ class TestSecondOverlapAndWalkSplit:
         S, T, Y = VarSeq.make("s", 1), VarSeq.make("t", 1), VarSeq.make("y", 1)
         assert identities.verify_second_overlap(lam, S, T, Y, mode="grid").passed
 
-    def test_walk_labels_match_the_per_walk_oracle(self, monkeypatch):
-        # every head of the 3 x 3 box, cut c <= 4, l <= c and l(Y) <= 3; the Y.splits memo is filled first.
+    def test_walk_labels_match_the_per_walk_oracle(self, monkeypatch, fresh_memos):
+        # every head of the 3 x 3 box, cut c <= 4, l <= c and l(Y) <= 3; the label memo starts empty, the Y.splits memo is filled first.
         # In order, so each walk's suffix must go to its own split of Y, not to another split of that size
         cases = [
             (head, c, l, VarSeq.make("y", m))
@@ -361,6 +361,34 @@ class TestSecondOverlapAndWalkSplit:
                                 assert nu + tail == tuple(sorted(nu + tail, reverse=True)), (lam, c, l, m, nu)
                                 found += 1
         assert found > 0
+
+
+class TestShapeMemos:
+    """_fiber and _walk_labels: bounded memos of immutable label tuples, keyed by shape."""
+
+    def test_fiber_is_the_walk_enumeration(self):
+        # every head of the 3 x 3 box and m, n <= 3, in order: the memoized tuples and the Partition triples are one formula
+        found = 0
+        for head in partitions_in_box(3, 3):
+            for m in range(4):
+                for n in range(4):
+                    if head.length <= m + n:
+                        want = [(mu.parts, nu.parts, sign) for mu, nu, sign in enumerate_overlap_pairs(head, m, n)]
+                        assert list(identities._fiber(head, m, n)) == want, (head, m, n)
+                        found += 1
+        assert found > 0
+
+    def test_memos_hold_tuples(self):
+        head, Y = Partition((2, 1)), VarSeq.make("y", 2)
+        assert type(identities._fiber(head, 1, 2)) is tuple
+        assert type(identities._walk_labels(head, 3, 1, Y)) is tuple
+
+    def test_walk_split_sweep_reuses_both(self, fresh_memos):
+        reports = identities.run_catalog(["walk-split"], max_box=3, nvars=3)
+        assert reports and all(r.passed for r in reports)
+        for memo in (identities._fiber, identities._walk_labels):
+            info = memo.cache_info()
+            assert info.maxsize == 32 and info.hits > 0 and info.currsize <= 32, (memo.__name__, info)
 
 
 def _partition_summands(lam, S, T, Y, k, labels):
@@ -548,7 +576,7 @@ class TestDualCauchy:
         assert r.witness == "coefficients differ: [(((1,), (1,)), 1)]"
 
     @pytest.mark.parametrize("mode", ["symbolic", "grid"])
-    def test_sweep_expands_no_polynomial(self, mode, monkeypatch):
+    def test_sweep_expands_no_polynomial(self, mode, monkeypatch, fresh_memos):
         _sweep_refusing_products("dual-cauchy", mode, monkeypatch)
 
 
@@ -581,15 +609,14 @@ SPLIT_SUM_SWEEPS = [
 
 
 def _sweep_refusing_products(name, mode, monkeypatch):
+    """Run a sweep with polynomial products and Fractions refused; the caller starts from empty memos (fresh_memos), as a cached polynomial or value would hide an expansion."""
+
     def refuse(self, other):
         raise AssertionError(f"{mode} mode multiplied two polynomials")
 
     def refuse_fraction(*args, **kwargs):
         raise AssertionError(f"{mode} mode built a Fraction")
 
-    # a cached polynomial or value would hide an expansion, so start from empty caches
-    for cached in (littlewood_schur._ls_strips, schur_module._y_peel, schur_ssyt):
-        cached.cache_clear()
     monkeypatch.setattr(MultiPoly, "__mul__", refuse)
     monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
     # the spot points are integers and grid mode divides ints by their divisors, so no sweep makes a Fraction anywhere
@@ -600,16 +627,15 @@ def _sweep_refusing_products(name, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("name", SPLIT_SUM_SWEEPS)
-def test_grid_mode_expands_no_polynomial(name, monkeypatch):
+def test_grid_mode_expands_no_polynomial(name, monkeypatch, fresh_memos):
     _sweep_refusing_products(name, "grid", monkeypatch)
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "grid"])
-def test_split_sums_need_no_determinant(mode, monkeypatch):
+def test_split_sums_need_no_determinant(mode, monkeypatch, fresh_memos):
     def refuse(*args):
         raise AssertionError(f"{mode} split sums computed a Moens-Van der Jeugt determinant")
 
-    littlewood_schur._ls_strips.cache_clear()
     monkeypatch.setattr(littlewood_schur, "_mvj", refuse)
     reports = identities.run_catalog(SPLIT_SUM_SWEEPS, max_box=2, nvars=2, mode=mode)
     assert set(SPLIT_SUM_SWEEPS) <= {r.identity for r in reports}
@@ -625,12 +651,10 @@ SCHUR_VALUE_SWEEPS = [
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "grid"])
-def test_schur_values_need_no_determinant(mode, monkeypatch):
+def test_schur_values_need_no_determinant(mode, monkeypatch, fresh_memos):
     def refuse(*args):
         raise AssertionError(f"{mode} mode computed a determinant for a Schur or LS value")
 
-    for cached in (schur_ssyt, littlewood_schur._ls_strips):
-        cached.cache_clear()
     monkeypatch.setattr("overlapls.schur.det", refuse)
     monkeypatch.setattr(littlewood_schur, "_mvj", refuse)
     for name, max_box, nvars in SCHUR_VALUE_SWEEPS:
@@ -734,13 +758,12 @@ class TestUnionSchurCoefficients:
 
 # grid mode on these sweeps is test_grid_mode_expands_no_polynomial
 @pytest.mark.parametrize("name", SCHUR_SWEEPS)
-def test_symbolic_union_schur_expands_no_polynomial(name, monkeypatch):
+def test_symbolic_union_schur_expands_no_polynomial(name, monkeypatch, fresh_memos):
     _sweep_refusing_products(name, "symbolic", monkeypatch)
 
 
 # the split sums that depend on the mode: symbolic mode checks them by alternant coefficients
 ALTERNANT_SWEEPS = ["first-overlap", "max-index", "second-overlap", "walk-split", "subpartition-ls"]
-_ALTERNANT_MEMOS = (alternants.ls_alternant, schur_module._y_peel, littlewood_schur._ls_strips)
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "grid"])
@@ -1061,13 +1084,11 @@ Y_SPLIT_SWEEPS = ["second-overlap", "walk-split", "subpartition-ls", *UNION_SWEE
 
 
 @pytest.mark.parametrize("name", Y_SPLIT_SWEEPS)
-def test_symbolic_y_split_sums_build_no_polynomial(name, monkeypatch):
+def test_symbolic_y_split_sums_build_no_polynomial(name, monkeypatch, fresh_memos):
     def refuse(self, other):
         raise AssertionError(f"symbolic {name} multiplied or added a polynomial")
 
-    # a cached form or polynomial would hide an operation, so start from empty caches
-    for cached in (*_ALTERNANT_MEMOS, alternants.ls_alternant_xy, schur_ssyt):
-        cached.cache_clear()
+    # a cached form or polynomial would hide an operation, so the memos start empty (fresh_memos)
     for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
         monkeypatch.setattr(MultiPoly, op, refuse)
     reports = identities.run_catalog([name], max_box=3, nvars=4, mode="symbolic")
@@ -1075,7 +1096,7 @@ def test_symbolic_y_split_sums_build_no_polynomial(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ALTERNANT_SWEEPS)
-def test_symbolic_split_sums_multiply_only_y_polynomials(name, monkeypatch):
+def test_symbolic_split_sums_multiply_only_y_polynomials(name, monkeypatch, fresh_memos):
     multiply = MultiPoly.__mul__
 
     def y_only(self, other):
@@ -1084,9 +1105,7 @@ def test_symbolic_split_sums_multiply_only_y_polynomials(name, monkeypatch):
                 raise AssertionError(f"symbolic {name} multiplied a polynomial in {sorted(p.variables())}")
         return multiply(self, other)
 
-    # a cached form or polynomial would hide a product, so start from empty caches
-    for cached in _ALTERNANT_MEMOS:
-        cached.cache_clear()
+    # a cached form or polynomial would hide a product, so the memos start empty (fresh_memos)
     monkeypatch.setattr(MultiPoly, "__mul__", y_only)
     monkeypatch.setattr(MultiPoly, "__rmul__", y_only)
     reports = identities.run_catalog([name], max_box=3, nvars=3, mode="symbolic")

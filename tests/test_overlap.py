@@ -4,7 +4,6 @@ import importlib
 import io
 import itertools
 import operator
-import sys
 
 import pytest
 
@@ -340,8 +339,8 @@ class TestFiberEnumeration:
             assert len(result) == count_fiber(m, n)
             assert len(calls) == len(result)
 
-    def test_fibers_and_walk_split_build_no_walk_object(self, monkeypatch):
-        # both read walks as step times off the combinations, never as StaircaseWalk words
+    def test_fibers_and_walk_split_build_no_walk_object(self, monkeypatch, fresh_memos):
+        # both read walks as step times off the combinations, never as StaircaseWalk words; the label memos start empty
         def refuse(*args):
             raise AssertionError("a StaircaseWalk was built")
 
@@ -606,16 +605,6 @@ class TestSignAndLabelingOracles:
         assert raised
 
 
-def _clear_memos():
-    """Empty every memo of the package, so that a run builds again each value it would cache."""
-    for name, module in list(sys.modules.items()):
-        if name == "overlapls" or name.startswith("overlapls."):
-            for value in list(vars(module).values()):
-                for f in [value, *(vars(value).values() if isinstance(value, type) else ())]:
-                    if hasattr(f, "cache_clear"):
-                        f.cache_clear()
-
-
 def _fiber_results():
     """Walk fibers, definitional scans and marked-pair scans on small boxes."""
     out = []
@@ -646,7 +635,7 @@ def _verify_stdout():
 class TestUncheckedConstructors:
     """Partition._of and StaircaseWalk._of skip the checks only on values valid by construction."""
 
-    def test_every_unchecked_value_passes_the_checks(self, monkeypatch):
+    def test_every_unchecked_value_passes_the_checks(self, monkeypatch, fresh_memos):
         want = _fiber_results(), _verify_stdout()
         calls = collections.Counter()
 
@@ -662,6 +651,6 @@ class TestUncheckedConstructors:
         monkeypatch.setattr(StaircaseWalk, "_of", checked(StaircaseWalk))
         with pytest.raises(ValueError):
             Partition._of((1, 2))
-        _clear_memos()  # a memo would hand back values built before the patch
+        fresh_memos()  # a memo would hand back values built before the patch
         assert (_fiber_results(), _verify_stdout()) == want
         assert calls["Partition"] and calls["StaircaseWalk"]

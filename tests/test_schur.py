@@ -57,17 +57,6 @@ def complement_reciprocity_sides(lam, m, X: VarSeq):
     return schur(lam.complement(m, len(X)), X), MultiPoly(reflected)
 
 
-@pytest.fixture
-def fresh_strip_memos():
-    """Empty the memos that hold strip branching results before and after: a patched rule or map must not leak."""
-    memos = (kostka_map, schur_module._ls_strips)
-    for memo in memos:
-        memo.cache_clear()
-    yield
-    for memo in memos:
-        memo.cache_clear()
-
-
 class TestBialternant:
     def test_empty_partition(self):
         for n in range(0, 4):
@@ -286,7 +275,7 @@ class TestDominantMapRoute:
             assert lhs == rhs and check(lam, m, X).passed, (check.__name__, lam, m, X)
 
     @pytest.mark.parametrize("mutant", list(STRIP_MUTANTS))
-    def test_strip_mutants_fail_both_routes_alike(self, monkeypatch, fresh_strip_memos, mutant):
+    def test_strip_mutants_fail_both_routes_alike(self, monkeypatch, fresh_memos, mutant):
         monkeypatch.setattr(schur_module, "_horizontal_strips", STRIP_MUTANTS[mutant](schur_module._horizontal_strips))
         failed = 0
         for check, sides, lam, m, X in dominant_route_instances():
@@ -297,7 +286,7 @@ class TestDominantMapRoute:
         assert failed
 
     @pytest.mark.parametrize("mode", ["symbolic", "grid"])
-    def test_sweeps_build_no_polynomial(self, monkeypatch, fresh_strip_memos, mode):
+    def test_sweeps_build_no_polynomial(self, monkeypatch, fresh_memos, mode):
         def refuse(self, other):
             raise AssertionError("a dominant-map check multiplied or added a polynomial")
 
@@ -317,20 +306,20 @@ class TestFailingWitness:
             schur_module, "kostka_map", lambda parts, n: {k: c + sum(parts) for k, c in kostka_map(parts, n).items()}
         )
 
-    def test_factor_rule(self, monkeypatch, fresh_strip_memos):
+    def test_factor_rule(self, monkeypatch, fresh_memos):
         self.wrong_maps(monkeypatch)
         # lhs: (2) at (2,), K 1 + 2; rhs: (1) at (1,), K 1 + 1, raised to (2,)
         r = factor_rule_check(Partition((1,)), 1, VarSeq.make("x", 1))
         assert r.failed and r.witness == "coefficients differ: [((2,), 3), ((2,), 2)]"
 
-    def test_complement_reciprocity(self, monkeypatch, fresh_strip_memos):
+    def test_complement_reciprocity(self, monkeypatch, fresh_memos):
         self.wrong_maps(monkeypatch)
         # the (1, 1)-complement of (1) is empty: lhs K 1 at (0,); rhs (1)'s K 1 + 1 at (1,), reflected to (0,)
         r = complement_reciprocity_check(Partition((1,)), 1, VarSeq.make("x", 1))
         assert r.failed and r.witness == "coefficients differ: [((0,), 1), ((0,), 2)]"
 
     @pytest.mark.parametrize("name", ["factor-rule", "complement-reciprocity"])
-    def test_dropped_strip_fails_the_sweep(self, monkeypatch, fresh_strip_memos, name):
+    def test_dropped_strip_fails_the_sweep(self, monkeypatch, fresh_memos, name):
         monkeypatch.setattr(schur_module, "_horizontal_strips", STRIP_MUTANTS["empty strip dropped"](schur_module._horizontal_strips))
         reports = identities.run_catalog([name], max_box=3, nvars=3, mode="symbolic")
         bad = [r for r in reports if r.failed]

@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 KEPT_MEMOS = {
     "alternants.ls_alternant",
     "alternants.ls_alternant_xy",
+    "identities._fiber",
+    "identities._walk_labels",
     "polyring.VarSeq.splits",
     "polyring.VarSeq.terms",
     "schur._ls_strips",
