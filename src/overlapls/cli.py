@@ -1,8 +1,9 @@
 """Command-line front end: compute, enumerate, render, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  main maps a
-UsageError, and every ValueError the library raises on rejected input
-outside verify, to exit 2, in one place.  All output is deterministic for a
+UsageError, every ValueError the library raises on rejected input outside
+verify, and a MemoryError from any command (an input too large for the
+memory at hand), to exit 2, in one place.  All output is deterministic for a
 fixed set of flags and seed.
 """
 
@@ -229,6 +230,9 @@ def main(argv=None) -> int:
         if not isinstance(e, UsageError) and args.command == "verify":
             raise
         print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory; try a smaller input", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -584,25 +584,27 @@ def _union_schur(ident, instance, mode, target, S: VarSeq, T: VarSeq, triples):
     return report.exact(ident, instance, *_y_split_forms(target, S, T, empty, summands), mode)
 
 
-def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
-    """Schur of the union alphabet against the overlap fiber of lam."""
-    ident = "second-overlap-schur"
+def _fiber_union_schur(ident, lam, S: VarSeq, T: VarSeq, mode, triples):
+    """The union Schur check of lam against triples(lam, l(S), l(T)), once lam fits in l(S) + l(T) rows."""
     m, n = len(S), len(T)
     instance = {"lambda": lam.to_json(), "l(S)": m, "l(T)": n}
     if lam.length > m + n:
         return report.inapplicable(ident, instance, "lambda too long")
-    return _union_schur(ident, instance, mode, lam, S, T, enumerate_overlap_pairs(lam, m, n))
+    return _union_schur(ident, instance, mode, lam, S, T, triples(lam, m, n))
+
+
+def verify_second_overlap_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
+    """Schur of the union alphabet against the overlap fiber of lam."""
+    return _fiber_union_schur("second-overlap-schur", lam, S, T, mode, enumerate_overlap_pairs)
 
 
 def verify_labeled_walk_schur(lam, S: VarSeq, T: VarSeq, mode="symbolic"):
     """Schur of the union as a signed sum over walks labeled by lam."""
-    ident = "labeled-walk-schur"
-    m, n = len(S), len(T)
-    instance = {"lambda": lam.to_json(), "l(S)": m, "l(T)": n}
-    if lam.length > m + n:
-        return report.inapplicable(ident, instance, "lambda too long")
-    triples = (walk_overlap_pair(lam, pi) for pi in enumerate_walks(n, m))
-    return _union_schur(ident, instance, mode, lam, S, T, triples)
+
+    def walk_triples(lam, m, n):
+        return (walk_overlap_pair(lam, pi) for pi in enumerate_walks(n, m))
+
+    return _fiber_union_schur("labeled-walk-schur", lam, S, T, mode, walk_triples)
 
 
 # -- subpartition identities -----------------------------------------------------

@@ -34,23 +34,21 @@ builds the larger ones per call.
 
 from __future__ import annotations
 
+import collections
 import operator
 
 from .partitions import Partition, binomial, padded_in_box
 from .walks import _DELTA_END, _DELTAS, StaircaseWalk, _labeled, _labeled_walks, _unstair, delta, is_quasi_partition, walk_times
 
 
-class OverlapResult:
-    """Either a finite partition with a sign in {+1, -1}, or infinity (sign +1)."""
+class OverlapResult(collections.namedtuple("OverlapResult", "value sign")):
+    """Either a finite partition with a sign in {+1, -1}, or infinity (sign +1).
 
-    __slots__ = ("value", "sign")
+    A named pair: equality, hashing and immutability are the tuple's, so a
+    result equals its plain (value, sign) pair and unpacks as one.
+    """
 
-    def __init__(self, value, sign):
-        OverlapResult.value.__set__(self, value)
-        OverlapResult.sign.__set__(self, sign)
-
-    def __setattr__(self, *a):
-        raise AttributeError("OverlapResult is immutable")
+    __slots__ = ()
 
     @staticmethod
     def finite(value: Partition, sign: int) -> "OverlapResult":
@@ -69,14 +67,6 @@ class OverlapResult:
     @property
     def is_finite(self) -> bool:
         return self.value is not None
-
-    def __eq__(self, other):
-        if not isinstance(other, OverlapResult):
-            return NotImplemented
-        return self.value == other.value and self.sign == other.sign
-
-    def __hash__(self):
-        return hash((self.value, self.sign))
 
     def __repr__(self):
         if self.is_infinite:
@@ -112,11 +102,9 @@ def overlap(mu: Partition, nu: Partition, m: int, n: int) -> OverlapResult:
     merged = sorted(mu_stair + tuple(map(operator.add, nu_parts, down_n)) + down_n[len(nu_parts):], reverse=True)
     if len(set(merged)) < k:
         return _INFINITE
-    r = OverlapResult.__new__(OverlapResult)
-    OverlapResult.value.__set__(r, Partition._of(tuple(map(operator.sub, merged, down_k))))
     # only cross pairs invert: the mu entry at position p_i comes after p_i - i nu entries
-    OverlapResult.sign.__set__(r, -1 if (sum(map(merged.index, mu_stair)) - m * (m - 1) // 2) % 2 else 1)
-    return r
+    sign = -1 if (sum(map(merged.index, mu_stair)) - m * (m - 1) // 2) % 2 else 1
+    return OverlapResult(Partition._of(tuple(map(operator.sub, merged, down_k))), sign)
 
 
 def staircase(lam: Partition, k: int) -> tuple:

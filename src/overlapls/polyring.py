@@ -14,9 +14,12 @@ without scanning its operands.  The public monomial form, taken by
 MultiPoly(mapping) and returned by monomials(), is a tuple of (name,
 exponent) pairs sorted by name.
 
-There is no fraction field: identities with denominators are multiplied
-through by a Vandermonde-type product that every denominator divides, and
-each such division is certified by divexact.  No floating point anywhere.
+There is no fraction field and no floating point anywhere.  No verifier
+divides: the identities compare alternant coefficient maps, or values
+multiplied through by Vandermonde-type products.  divexact, exact division
+with a remainder check, serves only the two cross-check routes that clear a
+Vandermonde denominator, the determinantal Littlewood-Schur formula and the
+Schur bialternant.
 """
 
 from __future__ import annotations
@@ -333,11 +336,11 @@ def as_poly(x) -> MultiPoly:
 def divexact(f, g):
     """Exact division f / g; raises NonExactDivision on any remainder.
 
-    Two ints give an int, so values at integer points divide under the same
-    certificate.  Polynomials use long division by leading terms in the lex
-    order of packed keys.  Each quotient monomial is certified field by field
-    against g's leading monomial before the key subtraction, so no borrow can
-    cross a field.
+    Two ints give an int, so the cross-check routes divide values at integer
+    points with the same remainder check.  Polynomials use long division by
+    leading terms in the lex order of packed keys.  Each quotient monomial is
+    certified field by field against g's leading monomial before the key
+    subtraction, so no borrow can cross a field.
     """
     if type(f) is int and type(g) is int:
         q, r = divmod(f, g)

@@ -44,7 +44,7 @@ def walk_ascii(pi: StaircaseWalk, labels=None) -> str:
     for r in range(m):
         width = mu[r]
         lines.append("#" * width + "|" + "." * (n - width))
-    lines.append("walk: " + pi.steps)
+    lines.append("walk: " + pi)
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != len(pi):
@@ -82,7 +82,7 @@ def walk_svg(pi: StaircaseWalk, labels=None) -> str:
     x, y = n, m
     path = [f"M {px(x)} {py(y)}"]
     marks = []
-    for i, step in enumerate(pi.steps):
+    for i, step in enumerate(pi):
         if step == "V":
             ny_, nx_ = y - 1, x
         else:

@@ -29,46 +29,41 @@ def delta(k: int) -> tuple:
     return tuple(range(k - 1, -1, -1))
 
 
-class StaircaseWalk:
-    """Word over {H, V}; n = number of H steps (width), m = V steps (height)."""
+class StaircaseWalk(str):
+    """Word over {H, V}; n = number of H steps (width), m = V steps (height).
 
-    __slots__ = ("steps",)
+    A str: equality, hashing, len and immutability are the word's, so a walk
+    equals its word.
+    """
 
-    def __init__(self, steps: str):
+    __slots__ = ()
+
+    def __new__(cls, steps: str):
         steps = str(steps)
         if steps.replace("H", "").replace("V", ""):
             raise ValueError(f"walk steps must be H or V, got {steps!r}")
-        object.__setattr__(self, "steps", steps)
+        return str.__new__(cls, steps)
 
     @staticmethod
     def _of(steps: str) -> "StaircaseWalk":
         """Wrap a word built only from "H" and "V" unchecked; StaircaseWalk(...) checks its input."""
-        w = StaircaseWalk.__new__(StaircaseWalk)
-        object.__setattr__(w, "steps", steps)
-        return w
+        return str.__new__(StaircaseWalk, steps)
 
-    def __setattr__(self, *a):
-        raise AttributeError("StaircaseWalk is immutable")
+    @property
+    def steps(self) -> str:
+        """The word as a plain str."""
+        return str(self)
 
     @property
     def n(self) -> int:
-        return self.steps.count("H")
+        return self.count("H")
 
     @property
     def m(self) -> int:
-        return self.steps.count("V")
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __eq__(self, other):
-        return isinstance(other, StaircaseWalk) and self.steps == other.steps
-
-    def __hash__(self):
-        return hash(self.steps)
+        return self.count("V")
 
     def __repr__(self):
-        return f"StaircaseWalk({self.steps!r})"
+        return f"StaircaseWalk({str.__repr__(self)})"
 
     @staticmethod
     def from_v_times(v_times, total: int) -> "StaircaseWalk":
@@ -84,15 +79,15 @@ class StaircaseWalk:
 
     def v_times(self) -> tuple:
         """Ascending 1-based positions of the vertical steps."""
-        return tuple(t for t, s in enumerate(self.steps, 1) if s == "V")
+        return tuple(t for t, s in enumerate(self, 1) if s == "V")
 
     def h_times(self) -> tuple:
         """Ascending 1-based positions of the horizontal steps."""
-        return tuple(t for t, s in enumerate(self.steps, 1) if s == "H")
+        return tuple(t for t, s in enumerate(self, 1) if s == "H")
 
     def _unlabeled(self) -> tuple:
         """(mu, nu_conj, sign): the walk labeled by the empty partition, whose staircase has N - t at time t."""
-        return _labeled(delta(len(self.steps) + 1), self.v_times(), self.h_times(), Partition._of)
+        return _labeled(delta(len(self) + 1), self.v_times(), self.h_times(), Partition._of)
 
     def mu(self) -> Partition:
         """Partition whose diagram lies above the walk.
@@ -114,12 +109,12 @@ class StaircaseWalk:
 
     def split(self, c: int):
         """Split into the first c steps and the rest, each an independent walk."""
-        if not (0 <= c <= len(self.steps)):
-            raise ValueError(f"cut {c} out of range for a walk of {len(self.steps)} steps")
-        return StaircaseWalk._of(self.steps[:c]), StaircaseWalk._of(self.steps[c:])
+        if not (0 <= c <= len(self)):
+            raise ValueError(f"cut {c} out of range for a walk of {len(self)} steps")
+        return StaircaseWalk._of(self[:c]), StaircaseWalk._of(self[c:])
 
     def to_json(self) -> str:
-        return self.steps
+        return str(self)
 
 
 def enumerate_walks(n: int, m: int):
@@ -219,7 +214,7 @@ def is_quasi_partition(alpha, pi: StaircaseWalk) -> bool:
         if alpha[i - 1] < alpha[i] < alpha[i + 1]:
             return False
     for i in range(total - 1):
-        if pi.steps[i] == pi.steps[i + 1]:
+        if pi[i] == pi[i + 1]:
             if alpha[i + 1] > alpha[i]:
                 return False
         else:

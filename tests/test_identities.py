@@ -1347,6 +1347,12 @@ def test_each_precondition_reports_inapplicable(ident, reason, check):
     assert (r.identity, r.outcome, r.witness) == (ident, "inapplicable", reason)
 
 
+# cases beyond the first at a site that reports for more than one identity:
+# identities._fiber_union_schur says "lambda too long" for both
+# second-overlap-schur and labeled-walk-schur
+SHARED_SITE_CASES = 1
+
+
 def test_every_inapplicable_report_has_a_case():
     sites = sum(inspect.getsource(m).count("report.inapplicable(") for m in (identities, littlewood_schur, schur_module))
-    assert sites == len(INAPPLICABLE) == len({(i, r) for i, r, _ in INAPPLICABLE})
+    assert sites + SHARED_SITE_CASES == len(INAPPLICABLE) == len({(i, r) for i, r, _ in INAPPLICABLE})

@@ -146,6 +146,16 @@ class TestOverlap:
         assert hash(r) == hash(OverlapResult.finite(Partition((2, 1)), -1))
         assert hash(OverlapResult.infinite()) == hash(OverlapResult.infinite())
 
+    def test_result_is_a_named_pair(self):
+        # equality, hashing and unpacking are the tuple's; overlap builds the class itself, finite or not
+        lam = Partition((4, 2, 2, 2, 2, 1))
+        r = overlap(Partition((9, 6, 1)), Partition((4, 3, 3, 2)), 3, 5)
+        assert type(r) is OverlapResult and r == (lam, -1) and hash(r) == hash((lam, -1))
+        value, sign = r
+        assert (value, sign) == (r.value, r.sign) == (lam, -1)
+        infinite = overlap(Partition((10, 8, 1)), Partition((4, 2, 2)), 3, 6)
+        assert type(infinite) is OverlapResult and infinite == (None, 1) and hash(infinite) == hash((None, 1))
+
     def test_length_preconditions(self):
         # overlap and the witness share one check, which names a negative dimension first; the messages are the
         # helper oracle's, past the delta table too
@@ -232,7 +242,7 @@ class TestOverlap:
         assert len(walks._DELTAS) == walks._DELTA_END and walks.delta(3) is walks._DELTAS[3]
 
     def test_results_are_immutable(self):
-        # both are built through their slot setters, past the __setattr__ that refuses
+        # a result is a named pair and its value a Partition, whose __setattr__ refuses
         finite, infinite = overlap(Partition((1,)), Partition(()), 1, 1), overlap(Partition((1,)), Partition((1,)), 1, 1)
         for obj, name in [(finite, "value"), (finite, "sign"), (infinite, "sign"), (finite.value, "parts")]:
             with pytest.raises(AttributeError):

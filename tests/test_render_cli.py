@@ -30,10 +30,11 @@ def parse_walk_ascii(text: str) -> StaircaseWalk:
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv, timeout=None, **env):
+def run_cli(*argv, timeout=None, preexec_fn=None, **env):
     """Run the CLI in a subprocess that imports overlapls from src, with extra environment variables.
 
-    A run past timeout seconds raises subprocess.TimeoutExpired.
+    A run past timeout seconds raises subprocess.TimeoutExpired; preexec_fn
+    runs in the child before the CLI starts.
     """
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -42,6 +43,7 @@ def run_cli(*argv, timeout=None, **env):
         text=True,
         env=dict(os.environ, PYTHONPATH=path, **env),
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -305,6 +307,22 @@ def test_dual_cauchy_at_six_variables_finishes():
     code, _, err = run_cli("verify", "dual-cauchy", "--max-box", "0", "--vars", "6", "--mode", "grid", timeout=60)
     assert code == 0
     assert err == "49 checks, 0 failed\n"
+
+
+def test_out_of_memory_is_usage_error():
+    # the fiber lists the C(60, 30) complements of its step times up front, past any memory; the
+    # address-space limit is set in the child alone, so it runs out fast and the test process keeps its own
+    resource = pytest.importorskip("resource")
+    limit = 400 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ("enumerate", "pairs", "--lam", "1", "--m", "30", "--n", "30")
+    code, out, err = run_cli(*argv, timeout=120, preexec_fn=cap_memory)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
 
 
 def _verify_raising(monkeypatch, error):

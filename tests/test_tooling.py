@@ -1,4 +1,4 @@
-"""The package's memo list, its hand-written verdicts, the code-line counter of scripts/code_lines.py and scripts/bench_pairs.py."""
+"""The package's memo list, its hand-written verdicts and value types, the code-line counter of scripts/code_lines.py and scripts/bench_pairs.py."""
 
 import ast
 import importlib
@@ -72,6 +72,36 @@ def verdict_sites() -> set:
 
 def test_hand_written_verdicts_are_the_kept_list():
     assert verdict_sites() == HAND_WRITTEN_VERDICTS
+
+
+# Every class of src/overlapls that hand-writes its value semantics, found
+# by the __setattr__ that refuses; the other value types take theirs from a
+# built-in base (OverlapResult a named pair, StaircaseWalk a str).  Adding
+# one means adding it here.
+HAND_WRITTEN_VALUE_TYPES = {
+    # + is element-wise (Partition.__add__ = add), and .parts stays a plain
+    # tuple, which callers concatenate, so no tuple base fits
+    "partitions.Partition",
+}
+
+
+def value_type_sites() -> set:
+    """module.class of each class of src/overlapls that defines __setattr__, by def or by assignment."""
+    found = set()
+    for path in sorted((ROOT / "src" / "overlapls").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                for item in node.body:
+                    if isinstance(item, ast.Assign):
+                        names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+                if "__setattr__" in names:
+                    found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_hand_written_value_types_are_the_kept_list():
+    assert value_type_sites() == HAND_WRITTEN_VALUE_TYPES
 
 
 def _code_lines_module():

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import json
 import operator
 
 import pytest
@@ -302,6 +303,15 @@ class TestConstruction:
 
     def test_repr(self):
         assert repr(StaircaseWalk("HV")) == "StaircaseWalk('HV')"
+
+    def test_walk_is_its_word(self):
+        # equality, hashing and len are the word's, and json writes a walk as its word
+        assert REFERENCE_WALK == "HVVHHHVHH" and hash(REFERENCE_WALK) == hash("HVVHHHVHH")
+        assert len(REFERENCE_WALK) == 9 == REFERENCE_WALK.n + REFERENCE_WALK.m
+        assert json.dumps({"walk": REFERENCE_WALK}) == '{"walk": "HVVHHHVHH"}'
+        assert type(REFERENCE_WALK.steps) is str and REFERENCE_WALK.steps == REFERENCE_WALK
+        with pytest.raises(AttributeError):
+            REFERENCE_WALK.label = 1
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
